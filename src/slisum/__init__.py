@@ -4,7 +4,6 @@ lexical DBSCAN clustering, and majority voting."""
 from .aggregate import VoteOutcome, anchor, arrange, integrate, vote
 from .cluster import ClusterSet, Statement, dbscan, default_min_pts, filter_clusters
 from .engine import (
-    ClassificationResult,
     EngineError,
     EngineParams,
     HttpEngine,

@@ -7,7 +7,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .cluster import Statement
-from .engine import EngineParams, SummaryEngine
+from .engine import EngineError, EngineParams, SummaryEngine
 from .lexical import rouge1_f1, rouge1_recall
 from .text import Article, segment_sentences
 
@@ -111,7 +111,7 @@ def integrate(
         return texts[0], False
     try:
         connected = engine.connect(texts, params)
-    except Exception as exc:
+    except EngineError as exc:
         log.warning("connect failed (%s); falling back to concatenation", exc)
         return " ".join(texts), True
 

@@ -36,7 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 
-_ENV_KEYS = {"SLISUM_MODEL": "model", "SLISUM_BASE_URL": "base_url"}
 _CONFIG_FIELDS = (
     "window_size", "step_size", "eps", "min_pts", "backend", "model",
     "max_tokens", "concurrency", "cache_dir", "seed", "profile",

@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .lexical import rouge1_f1, tokenize
 from .text import segment_sentences
@@ -24,8 +24,6 @@ log = logging.getLogger(__name__)
 class EngineError(RuntimeError):
     """Transport failure after retries, or an unusable backend response."""
 
-
-TASKS = ("summarize", "classify", "connect")
 
 INSTRUCTIONS = {
     "summarize": "Summarize the above article.",
@@ -52,30 +50,24 @@ class EngineParams:
     max_tokens: int = 1024
     seed: int | None = None
 
-    def resolved(self, task: str, default_model: str | None = None) -> "EngineParams":
-        temp = self.temperature
-        if temp is None:
-            temp = DEFAULT_TEMPERATURES[task]
-        return replace(self, temperature=temp, model=self.model or default_model)
+    def resolved(self, task: str) -> "EngineParams":
+        if self.temperature is not None:
+            return self
+        return replace(self, temperature=DEFAULT_TEMPERATURES[task])
 
 
-@dataclass(frozen=True)
-class EngineRequest:
-    task: str
-    prompt_body: str
-    params: EngineParams
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if not self.prompt_body:
-            raise ValueError("prompt_body must be non-empty")
-
-
-@dataclass
-class ClassificationResult:
-    partition: list[list[int]]
-    raw_response: str
+def render(task: str, items: str | list[str]) -> str:
+    """Prompt body of one engine call: the window text for summarize, numbered
+    statements for classify, one statement per line for connect."""
+    if not items:
+        raise ValueError(f"{task} needs non-empty input")
+    if task == "summarize":
+        return items
+    if task == "classify":
+        return "\n".join(f"{i}. {s}" for i, s in enumerate(items, 1))
+    if task == "connect":
+        return "\n".join(items)
+    raise ValueError(f"unknown task {task!r}")
 
 
 def render_partition(partition: list[list[int]]) -> str:
@@ -119,12 +111,14 @@ def parse_classification_response(raw: str, n: int) -> list[list[int]]:
 
 
 class SummaryEngine:
-    """Abstract summarize / classify / connect contract."""
+    """Abstract summarize / classify / connect contract; each call returns the
+    backend's raw reply text, and classify answers with 'Category k: i, j'
+    lines."""
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
         raise NotImplementedError
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> ClassificationResult:
+    def classify(self, statements: list[str], params: EngineParams | None = None) -> str:
         raise NotImplementedError
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
@@ -135,8 +129,6 @@ class MockEngine(SummaryEngine):
     """Deterministic extractive backend: pure function of its inputs."""
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
-        if not window_text:
-            raise ValueError("window_text must be non-empty")
         sentences = [s.text for s in segment_sentences(window_text)]
         if not sentences:
             return window_text.strip()
@@ -149,19 +141,14 @@ class MockEngine(SummaryEngine):
                 best_idx, best_score = i, score
         return sentences[best_idx]
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> ClassificationResult:
-        if not statements:
-            raise ValueError("need at least one statement")
+    def classify(self, statements: list[str], params: EngineParams | None = None) -> str:
         groups: dict[str, list[int]] = {}
         for idx, stmt in enumerate(statements, 1):
             key = " ".join(tokenize(stmt))
             groups.setdefault(key, []).append(idx)
-        partition = list(groups.values())
-        return ClassificationResult(partition=partition, raw_response=render_partition(partition))
+        return render_partition(list(groups.values()))
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
-        if not statements:
-            raise ValueError("need at least one statement")
         return " ".join(statements)
 
 
@@ -212,7 +199,7 @@ class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
     Retries with exponential backoff on transport errors, 429 and 5xx; other
-    4xx fail immediately. A semaphore caps concurrent in-flight requests.
+    4xx fail immediately.
     """
 
     def __init__(
@@ -225,7 +212,6 @@ class HttpEngine(SummaryEngine):
         max_attempts: int = 5,
         backoff_base: float = 1.0,
         backoff_factor: float = 2.0,
-        max_in_flight: int = 4,
         transport=None,
         recorder: FixtureRecorder | None = None,
         sleep=time.sleep,
@@ -238,7 +224,6 @@ class HttpEngine(SummaryEngine):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._transport = transport or self._http_transport
         self.recorder = recorder
         self._sleep = sleep
@@ -258,13 +243,13 @@ class HttpEngine(SummaryEngine):
             body = {"raw": resp.text}
         return resp.status_code, body
 
-    def _chat(self, task: str, content: str, params: EngineParams | None) -> str:
-        params = (params or EngineParams()).resolved(task, default_model=self.model)
+    def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
+        params = (params or EngineParams()).resolved(task)
         payload = {
-            "model": params.model,
+            "model": params.model or self.model,
             "messages": [
                 {"role": "system", "content": INSTRUCTIONS[task]},
-                {"role": "user", "content": content},
+                {"role": "user", "content": render(task, items)},
             ],
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
@@ -276,8 +261,7 @@ class HttpEngine(SummaryEngine):
         last_error = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._semaphore:
-                    status, body = self._transport(payload, self.timeout)
+                status, body = self._transport(payload, self.timeout)
             except OSError as exc:  # covers requests transport exceptions
                 last_error = f"transport error: {exc}"
             else:
@@ -311,24 +295,13 @@ class HttpEngine(SummaryEngine):
         return text
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
-        if not window_text:
-            raise ValueError("window_text must be non-empty")
         return self._chat("summarize", window_text, params)
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> ClassificationResult:
-        if not statements:
-            raise ValueError("need at least one statement")
-        content = "\n".join(f"{i}. {s}" for i, s in enumerate(statements, 1))
-        raw = self._chat("classify", content, params)
-        return ClassificationResult(
-            partition=parse_classification_response(raw, len(statements)),
-            raw_response=raw,
-        )
+    def classify(self, statements: list[str], params: EngineParams | None = None) -> str:
+        return self._chat("classify", statements, params)
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
-        if not statements:
-            raise ValueError("need at least one statement")
-        return self._chat("connect", "\n".join(statements), params)
+        return self._chat("connect", statements, params)
 
 
 def make_engine(backend: str, **kwargs) -> SummaryEngine:

@@ -11,19 +11,19 @@ import logging
 import os
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from .aggregate import VoteOutcome, arrange, integrate, vote
 from .cluster import ClusterSet, Statement, dbscan, default_min_pts, filter_clusters
 from .engine import (
-    ClassificationResult,
     EngineError,
     EngineParams,
     SummaryEngine,
     make_engine,
     parse_classification_response,
-    render_partition,
+    render,
 )
 from .lexical import tokenize
 from .text import (
@@ -131,9 +131,9 @@ class ResolvedConfig:
 class ResponseCache:
     """Content-addressed on-disk cache of engine responses.
 
-    Keys hash (task, prompt_body, model, temperature, max_tokens); entries are
-    written to a temp file then atomically renamed. Unreadable entries are
-    quarantined and treated as misses.
+    Keys hash the task, the prompt body and every field of the resolved
+    EngineParams; entries are written to a temp file then atomically renamed.
+    Unreadable entries are quarantined and treated as misses.
     """
 
     def __init__(self, directory: str):
@@ -143,13 +143,7 @@ class ResponseCache:
     @staticmethod
     def key(task: str, prompt_body: str, params: EngineParams) -> str:
         material = json.dumps(
-            {
-                "task": task,
-                "prompt_body": prompt_body,
-                "model": params.model,
-                "temperature": params.temperature,
-                "max_tokens": params.max_tokens,
-            },
+            {"task": task, "prompt_body": prompt_body, "params": asdict(params)},
             sort_keys=True,
             ensure_ascii=False,
         )
@@ -199,57 +193,42 @@ class ResponseCache:
 
 
 class CachedEngine:
-    """Engine wrapper that serves repeats from the cache and counts backend calls."""
+    """Engine wrapper that serves repeats from the cache and logs every call.
 
-    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None = None,
-                 default_model: str | None = None):
+    `calls` gets one (task, cache_hit) entry per call; pool threads append to
+    it concurrently, which a list append tolerates.
+    """
+
+    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None = None):
         self.engine = engine
         self.cache = cache
-        self.default_model = default_model
-        self.backend_calls = 0
-        self.cache_hits = 0
+        self.calls: list[tuple[str, bool]] = []
 
-    def _cached_text(self, task: str, prompt_body: str, params: EngineParams, produce) -> str:
-        params = params.resolved(task, default_model=self.default_model)
+    def _call(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
+        params = (params or EngineParams()).resolved(task)
+        body = render(task, items)
         key = None
         if self.cache is not None:
-            key = ResponseCache.key(task, prompt_body, params)
+            key = ResponseCache.key(task, body, params)
             entry = self.cache.lookup(key)
             if entry is not None:
-                self.cache_hits += 1
+                self.calls.append((task, True))
                 return entry["text"]
-        self.backend_calls += 1
-        text = produce(params)
+        self.calls.append((task, False))
+        text = getattr(self.engine, task)(items, params)
         if self.cache is not None:
             self.cache.store(key, {"text": text, "task": task})
         return text
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
-        params = params or EngineParams()
-        return self._cached_text(
-            "summarize", window_text, params,
-            lambda p: self.engine.summarize(window_text, p),
-        )
+        return self._call("summarize", window_text, params)
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> ClassificationResult:
-        params = params or EngineParams()
-        prompt_body = "\n".join(f"{i}. {s}" for i, s in enumerate(statements, 1))
-        raw = self._cached_text(
-            "classify", prompt_body, params,
-            lambda p: self.engine.classify(statements, p).raw_response,
-        )
-        return ClassificationResult(
-            partition=parse_classification_response(raw, len(statements)),
-            raw_response=raw,
-        )
+    def classify(self, statements: list[str], params: EngineParams | None = None) -> list[list[int]]:
+        raw = self._call("classify", statements, params)
+        return parse_classification_response(raw, len(statements))
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
-        params = params or EngineParams()
-        prompt_body = "\n".join(statements)
-        return self._cached_text(
-            "connect", prompt_body, params,
-            lambda p: self.engine.connect(statements, p),
-        )
+        return self._call("connect", statements, params)
 
 
 @dataclass
@@ -263,6 +242,19 @@ class RunStats:
     classify_calls: int = 0
     connect_calls: int = 0
     elapsed_s: float = 0.0
+
+    @classmethod
+    def from_calls(cls, calls: list[tuple[str, bool]], elapsed_s: float) -> "RunStats":
+        tasks = Counter(task for task, _ in calls)
+        hits = sum(hit for _, hit in calls)
+        return cls(
+            backend_calls=len(calls) - hits,
+            cache_hits=hits,
+            summarize_calls=tasks["summarize"],
+            classify_calls=tasks["classify"],
+            connect_calls=tasks["connect"],
+            elapsed_s=elapsed_s,
+        )
 
 
 @dataclass
@@ -313,14 +305,6 @@ def _normalized(text: str) -> str:
     return " ".join(tokenize(text))
 
 
-def build_engine(config: ResolvedConfig, engine: SummaryEngine | None = None) -> CachedEngine:
-    if engine is None:
-        engine = make_engine(config.backend, model=config.model) \
-            if config.backend == "http" else make_engine(config.backend)
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    return CachedEngine(engine, cache, default_model=config.model)
-
-
 def run(
     article: Article,
     config: PipelineConfig,
@@ -336,7 +320,9 @@ def run(
     """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
-    cached = build_engine(resolved, engine)
+    if engine is None:
+        engine = make_engine(resolved.backend, model=resolved.model)
+    cached = CachedEngine(engine, ResponseCache(resolved.cache_dir) if resolved.cache_dir else None)
     plan = build_window_plan(article, resolved.window_size, resolved.step_size)
 
     tasks = [
@@ -395,9 +381,9 @@ def run(
                     tasks,
                 )
             )
-        record.stats.summarize_calls = len(tasks)
 
         statements: list[Statement] = []
+        summary_of_seq: dict[int, int] = {}
         seq = 0
         for (window, rep), summary in zip(tasks, summaries):
             seqs = []
@@ -412,6 +398,7 @@ def run(
                     )
                 )
                 seqs.append(seq)
+                summary_of_seq[seq] = len(record.local_summaries)
             record.local_summaries.append(
                 {
                     "window_ordinal": window.ordinal,
@@ -433,9 +420,7 @@ def run(
                     "size": len(members),
                     "statement_seqs": [s.generation_seq for s in members],
                     "texts": [s.text for s in members],
-                    "local_summary_count": len(
-                        {_local_summary_of(record.local_summaries, s.generation_seq) for s in members}
-                    ),
+                    "local_summary_count": len({summary_of_seq[s.generation_seq] for s in members}),
                 }
             )
 
@@ -447,9 +432,7 @@ def run(
             elif len(members) == 1:
                 partition = [[1]]
             else:
-                result = cached.classify([s.text for s in members], params)
-                record.stats.classify_calls += 1
-                partition = result.partition
+                partition = cached.classify([s.text for s in members], params)
             outcomes.append(vote(members, partition, cluster_id=cid))
         record.votes = [
             {
@@ -472,7 +455,6 @@ def run(
             winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
             arranged = arrange(selected, article)
             connected, fallback = integrate([s for s, _ in arranged], cached, params)
-            record.stats.connect_calls = 1 if len(arranged) > 1 else 0
 
         offsets = _word_offsets(article)
         record.final = {
@@ -498,16 +480,7 @@ def run(
             persist_record(record, record_dir)
         raise
     finally:
-        record.stats.backend_calls = cached.backend_calls
-        record.stats.cache_hits = cached.cache_hits
-        record.stats.elapsed_s = time.monotonic() - started
-
-
-def _local_summary_of(local_summaries: list[dict], seq: int):
-    for i, entry in enumerate(local_summaries):
-        if seq in entry["statement_seqs"]:
-            return i
-    return None
+        record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started)
 
 
 def _word_offsets(article: Article) -> list[int]:

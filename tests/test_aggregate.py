@@ -171,3 +171,12 @@ class TestIntegrate:
         text, fallback = integrate(stmts, Failing())
         assert fallback is True
         assert text == "One fact. Two facts."
+
+    def test_programming_error_propagates(self):
+        class Broken(MockEngine):
+            def connect(self, statements, params=None):
+                raise TypeError("bug")
+
+        stmts = make_statements(["One fact.", "Two facts."])
+        with pytest.raises(TypeError):
+            integrate(stmts, Broken())

@@ -1,5 +1,4 @@
 import json
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -7,26 +6,32 @@ from hypothesis import strategies as st
 
 from slisum.engine import (
     EngineError,
-    EngineParams,
-    EngineRequest,
     FixtureRecorder,
     HttpEngine,
     MockEngine,
     make_engine,
     parse_classification_response,
+    render,
     render_partition,
     replay_transport,
 )
+from slisum.pipeline import CachedEngine
 
 
-class TestEngineRequest:
+class TestRender:
+    def test_bodies(self):
+        assert render("summarize", "Window text.") == "Window text."
+        assert render("classify", ["A.", "B."]) == "1. A.\n2. B."
+        assert render("connect", ["A.", "B."]) == "A.\nB."
+
     def test_rejects_unknown_task(self):
         with pytest.raises(ValueError):
-            EngineRequest(task="translate", prompt_body="x", params=EngineParams())
+            render("translate", "x")
 
     def test_rejects_empty_body(self):
-        with pytest.raises(ValueError):
-            EngineRequest(task="summarize", prompt_body="", params=EngineParams())
+        for task, items in (("summarize", ""), ("classify", []), ("connect", [])):
+            with pytest.raises(ValueError):
+                render(task, items)
 
 
 class TestMockEngine:
@@ -47,11 +52,10 @@ class TestMockEngine:
 
     def test_classify_groups_by_normalized_equality(self):
         engine = MockEngine()
-        result = engine.classify(["X won.", "x won", "X lost."])
-        assert result.partition == [[1, 2], [3]]
+        assert engine.classify(["X won.", "x won", "X lost."]) == "Category 1: 1, 2\nCategory 2: 3"
 
     def test_classify_single(self):
-        assert MockEngine().classify(["only"]).partition == [[1]]
+        assert MockEngine().classify(["only"]) == "Category 1: 1"
 
     def test_connect_joins_with_spaces(self):
         engine = MockEngine()
@@ -167,9 +171,9 @@ class TestHttpEngine:
         raw = "Category 1: 2\nCategory 2: 1, 4\nCategory 3: 3, 5"
         transport = ScriptedTransport([(200, ok_body(raw))])
         engine, _ = self.engine(transport)
-        result = engine.classify(["d1", "d2", "d3", "d4", "d5"])
-        assert result.partition == [[2], [1, 4], [3, 5]]
-        assert result.raw_response == raw
+        statements = ["d1", "d2", "d3", "d4", "d5"]
+        assert CachedEngine(engine).classify(statements) == [[2], [1, 4], [3, 5]]
+        assert transport.calls[0]["messages"][1]["content"] == render("classify", statements)
 
     def test_temperature_defaults_per_task(self):
         transport = ScriptedTransport([
@@ -180,30 +184,6 @@ class TestHttpEngine:
         engine.classify(["x"])
         engine.connect(["x"])
         assert [p["temperature"] for p in transport.calls] == [0.3, 0.0, 0.0]
-
-    def test_in_flight_cap_is_bounded_semaphore(self):
-        peak = {"now": 0, "max": 0}
-        lock = threading.Lock()
-
-        def transport(payload, timeout):
-            with lock:
-                peak["now"] += 1
-                peak["max"] = max(peak["max"], peak["now"])
-            threading.Event().wait(0.01)
-            with lock:
-                peak["now"] -= 1
-            return 200, ok_body("x")
-
-        engine = HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k",
-            transport=transport, max_in_flight=2,
-        )
-        threads = [threading.Thread(target=lambda: engine.summarize("t")) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert peak["max"] <= 2
 
 
 class TestFixtureReplay:

@@ -1,13 +1,18 @@
 import json
 import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from slisum.engine import EngineError, EngineParams, MockEngine
+from slisum.engine import INSTRUCTIONS, EngineError, EngineParams, HttpEngine, MockEngine
 from slisum.pipeline import (
     CachedEngine,
     PipelineConfig,
     ResponseCache,
+    RunStats,
     persist_record,
     resolve_profile,
     run,
@@ -60,7 +65,8 @@ class TestResponseCache:
         a = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3))
         b = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.0))
         c = ResponseCache.key("classify", "body", EngineParams(model="m", temperature=0.3))
-        assert len({a, b, c}) == 3
+        d = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3, seed=7))
+        assert len({a, b, c, d}) == 4
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         cache = ResponseCache(str(tmp_path))
@@ -74,12 +80,23 @@ class TestResponseCache:
         assert not os.path.exists(path)
 
     def test_cached_engine_counts(self, tmp_path):
-        cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), default_model="m")
-        first = cached.summarize("One fine sentence.")
-        again = cached.summarize("One fine sentence.")
+        cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)))
+        first = cached.summarize("One fine sentence.", EngineParams(model="m"))
+        again = cached.summarize("One fine sentence.", EngineParams(model="m"))
         assert first == again
-        assert cached.backend_calls == 1
-        assert cached.cache_hits == 1
+        assert cached.calls == [("summarize", False), ("summarize", True)]
+
+    def test_call_log_loses_no_concurrent_call(self):
+        cached = CachedEngine(MockEngine())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(lambda i: cached.connect([f"Fact {i}."]), range(2000), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        stats = RunStats.from_calls(cached.calls, 0.0)
+        assert (stats.connect_calls, stats.backend_calls) == (2000, 2000)
 
 
 class TestRun:
@@ -142,7 +159,7 @@ class TestRun:
         assert record.final["connected_text"] == ""
         assert record.final["statements"] == []
 
-    def test_engine_call_accounting(self, planted):
+    def test_engine_call_accounting(self, planted, tmp_path):
         record = run(planted, PipelineConfig(profile="short", concurrency=1))
         expected = record.plan["total_generations"]
         assert record.stats.summarize_calls == expected
@@ -150,6 +167,13 @@ class TestRun:
         assert record.stats.classify_calls == 0
         assert record.stats.connect_calls == 1
         assert record.stats.backend_calls == expected + 1
+        assert record.stats.cache_hits == 0
+
+        config = PipelineConfig(profile="short", concurrency=4, cache_dir=str(tmp_path))
+        run(planted, config)
+        warm = run(planted, config).stats
+        assert (warm.summarize_calls, warm.classify_calls, warm.connect_calls,
+                warm.backend_calls, warm.cache_hits) == (expected, 0, 1, 0, expected + 1)
 
     def test_cache_rerun_zero_backend_calls(self, planted, tmp_path):
         config = PipelineConfig(profile="short", concurrency=2, cache_dir=str(tmp_path / "cache"))
@@ -159,6 +183,32 @@ class TestRun:
         assert second.stats.backend_calls == 0
         assert second.stats.cache_hits == first.stats.backend_calls
         assert first.to_json() == second.to_json()
+
+    def test_cache_rerun_other_seed_calls_backend(self, planted, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        first = run(planted, PipelineConfig(profile="short", concurrency=1,
+                                            cache_dir=cache_dir, seed=1))
+        second = run(planted, PipelineConfig(profile="short", concurrency=1,
+                                             cache_dir=cache_dir, seed=2))
+        assert first.stats.backend_calls > 0
+        assert second.stats.backend_calls == first.stats.backend_calls
+        assert second.stats.cache_hits == first.stats.cache_hits
+
+    def test_in_flight_bounded_by_concurrency(self, planted):
+        def record_at(concurrency):
+            transport = PeakTransport()
+            engine = HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+                                transport=transport)
+            record = run(planted, PipelineConfig(profile="short", concurrency=concurrency),
+                         engine=engine)
+            assert transport.peak <= concurrency
+            return record.to_json(), transport.peak
+
+        serial, _ = record_at(1)
+        for concurrency in (2, 6):
+            parallel, peak = record_at(concurrency)
+            assert parallel == serial
+        assert peak > 1
 
     def test_partial_record_persisted_on_engine_error(self, planted, tmp_path):
         class FailingEngine(MockEngine):
@@ -208,6 +258,34 @@ class TestRun:
         clustered = {seq for c in record.clusters for seq in c["statement_seqs"]}
         noise = {s["generation_seq"] for s in record.noise}
         assert clustered | noise <= set(seen)
+
+
+class PeakTransport:
+    """Chat transport answering like MockEngine, slowly, that records the peak
+    number of requests in flight."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def __call__(self, payload, timeout):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.005)
+            system, user = (m["content"] for m in payload["messages"])
+            task = next(t for t, text in INSTRUCTIONS.items() if text == system)
+            if task == "summarize":
+                text = MockEngine().summarize(user)
+            elif task == "classify":
+                text = MockEngine().classify([line.split(". ", 1)[1] for line in user.splitlines()])
+            else:
+                text = MockEngine().connect(user.splitlines())
+            return 200, {"choices": [{"message": {"content": text}}]}
+        finally:
+            with self.lock:
+                self.in_flight -= 1
 
 
 class TestRandomizedPipeline:
