@@ -4,11 +4,13 @@ integration with a semantic-preservation guardrail."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import Statement
 from .engine import EngineError, EngineParams, SummaryEngine
-from .lexical import rouge1_f1, rouge1_recall
+# `rouge1_f1` is the score _best_matches reproduces exactly; it stays
+# importable from here because the benchmark's span tracer wraps it by name.
+from .lexical import TokenBag, overlaps, postings, rouge1_f1, rouge1_recall
 from .text import Article, segment_sentences
 
 log = logging.getLogger(__name__)
@@ -56,22 +58,47 @@ def vote(cluster: list[Statement], partition: list[list[int]], cluster_id: int =
     )
 
 
+def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:
+    """For each bag, the position in `targets` of its highest `rouge1_f1`
+    target; ties go to the smallest position.
+
+    Only targets sharing a token with the bag can score above 0, so they are
+    scored through a postings index over the targets; with none, every target
+    scores 0 and position 0 wins. An empty bag scores 1.0 against the first
+    empty target, if there is one.
+    """
+    index = postings(targets)
+    first_empty = next((i for i, t in enumerate(targets) if t.length == 0), 0)
+    best = []
+    for bag in bags:
+        la = bag.length
+        if la == 0:
+            best.append(first_empty)
+            continue
+        pos, score = 0, 0.0
+        for j, o in overlaps(bag, index).items():
+            s = 2.0 * o / (la + targets[j].length)
+            if s > score or (s == score and j < pos):
+                pos, score = j, s
+        best.append(pos)
+    return best
+
+
 def anchor(statement: Statement, article: Article) -> int:
     """Index of the article sentence best lexically matching the statement;
     ties go to the smallest index."""
-    if not article.sentences:
-        raise ValueError("article has no sentences")
-    best_idx, best_score = 1, -1.0
-    for sent in article.sentences:
-        score = rouge1_f1(statement.token_bag, sent.text)
-        if score > best_score:
-            best_idx, best_score = sent.index, score
-    return best_idx
+    return arrange([statement], article)[0][1]
 
 
 def arrange(statements: list[Statement], article: Article) -> list[tuple[Statement, int]]:
-    """Stable sort of (statement, anchor) pairs by (anchor, generation_seq)."""
-    anchored = [(s, anchor(s, article)) for s in statements]
+    """Anchor each statement to its best-matching article sentence, then
+    stable-sort the (statement, anchor) pairs by (anchor, generation_seq)."""
+    if not article.sentences:
+        raise ValueError("article has no sentences")
+    sentences = article.sentences
+    best = _best_matches([s.token_bag for s in statements],
+                         [TokenBag.from_text(sent.text) for sent in sentences])
+    anchored = [(s, sentences[pos].index) for s, pos in zip(statements, best)]
     anchored.sort(key=lambda pair: (pair[1], pair[0].generation_seq))
     return anchored
 
@@ -79,17 +106,10 @@ def arrange(statements: list[Statement], article: Article) -> list[tuple[Stateme
 def _appears_in_order(statements: list[Statement], connected_text: str) -> bool:
     """Check the statements surface in the connected text in their given order,
     by anchoring each to the connected text's own sentences."""
-    pieces = segment_sentences(connected_text)
+    pieces = [TokenBag.from_text(p.text) for p in segment_sentences(connected_text)]
     if not pieces:
         return False
-    positions = []
-    for stmt in statements:
-        best_idx, best_score = 0, -1.0
-        for i, piece in enumerate(pieces):
-            score = rouge1_f1(stmt.token_bag, piece.text)
-            if score > best_score:
-                best_idx, best_score = i, score
-        positions.append(best_idx)
+    positions = _best_matches([s.token_bag for s in statements], pieces)
     return positions == sorted(positions)
 
 
@@ -115,8 +135,9 @@ def integrate(
         log.warning("connect failed (%s); falling back to concatenation", exc)
         return " ".join(texts), True
 
+    connected_bag = TokenBag.from_text(connected)
     preserved = all(
-        rouge1_recall(s.token_bag, connected) >= PRESERVATION_RECALL for s in statements
+        rouge1_recall(s.token_bag, connected_bag) >= PRESERVATION_RECALL for s in statements
     )
     if preserved and _appears_in_order(statements, connected):
         return connected, False

@@ -3,9 +3,11 @@ plus the MinPts-based filter that discards unimportant or hallucinated statement
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .lexical import TokenBag, distance
+# `distance` is the metric dbscan's neighbour test reproduces exactly; it stays
+# importable from here because the benchmark's span tracer wraps it by name.
+from .lexical import Postings, TokenBag, add_posting, distance, overlaps
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +42,37 @@ class ClusterSet:
     min_pts: int
 
 
+def _neighbors(bags: list[TokenBag], eps: float) -> list[list[int]]:
+    """For each bag, the ascending indices of bags within `distance` eps,
+    itself included.
+
+    Each bag is scored only against the earlier bags it shares a token with,
+    found through a postings index that grows as the scan goes; a pair sharing
+    no token is at distance 1 > eps. The distance is the same float expression
+    `distance` evaluates, so the lists equal a full pairwise scan. Empty bags
+    share no token but are at distance 0 from each other.
+    """
+    rows: list[list[int]] = []
+    index: Postings = {}
+    empty: list[int] = []
+    for i, bag in enumerate(bags):
+        la = bag.length
+        if la == 0:
+            near = list(empty)
+            empty.append(i)
+        else:
+            near = sorted(
+                j for j, o in overlaps(bag, index).items()
+                if 1.0 - 2.0 * o / (la + bags[j].length) <= eps
+            )
+            add_posting(index, i, bag)
+        for j in near:
+            rows[j].append(i)
+        near.append(i)
+        rows.append(near)
+    return rows
+
+
 def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
     """Standard DBSCAN over the pairwise lexical distance.
 
@@ -54,15 +87,7 @@ def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
 
     points = sorted(statements, key=lambda s: s.generation_seq)
     n = len(points)
-    bags = [p.token_bag for p in points]
-
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(bags[i], bags[j])
-            dist[i][j] = d
-            dist[j][i] = d
-    neighbors = [[j for j in range(n) if dist[i][j] <= eps] for i in range(n)]
+    neighbors = _neighbors([p.token_bag for p in points], eps)
 
     labels = [_UNVISITED] * n
     clusters: list[list[int]] = []

@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
-from .lexical import rouge1_f1, tokenize
+from .lexical import TokenBag, rouge1_f1, tokenize
 from .text import segment_sentences
 
 log = logging.getLogger(__name__)
@@ -134,9 +134,10 @@ class MockEngine(SummaryEngine):
             return window_text.strip()
         if len(sentences) == 1:
             return sentences[0]
+        bags = [TokenBag.from_text(s) for s in sentences]
         best_idx, best_score = 0, -1.0
-        for i, cand in enumerate(sentences):
-            score = sum(rouge1_f1(cand, other) for j, other in enumerate(sentences) if j != i)
+        for i, cand in enumerate(bags):
+            score = sum(rouge1_f1(cand, other) for j, other in enumerate(bags) if j != i)
             if score > best_score:
                 best_idx, best_score = i, score
         return sentences[best_idx]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .lexical import distance, hausdorff, rouge1_f1, rouge2_f1, rougeL_f1
+from .lexical import TokenBag, distance, hausdorff, rouge1_f1, rouge2_f1, rougeL_f1
 
 DEFAULT_BIN_EDGES = (1000, 2000, 3000)
 
@@ -152,8 +152,9 @@ def distance_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
     Hausdorff distance."""
     if not clusters:
         raise ValueError("need at least one retained cluster")
+    bags = [[TokenBag.from_text(text) for text in members] for members in clusters]
     same: list[float] = []
-    for members in clusters:
+    for members in bags:
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 same.append(distance(members[i], members[j]))
@@ -161,11 +162,11 @@ def distance_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
     max_same = max(same) if same else 0.0
 
     mean_h = None
-    if len(clusters) >= 2:
+    if len(bags) >= 2:
         values = []
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                values.append(hausdorff(clusters[i], clusters[j]))
+        for i in range(len(bags)):
+            for j in range(i + 1, len(bags)):
+                values.append(hausdorff(bags[i], bags[j]))
         mean_h = sum(values) / len(values)
     return DistanceDiagnostics(
         mean_same_cluster=mean_same,

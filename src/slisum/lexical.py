@@ -6,12 +6,16 @@ Conventions (fixed so scores are reproducible bit-for-bit):
     punctuation; no stemming, no stopword removal;
   * unigram/bigram overlap is clipped (multiset intersection);
   * two empty inputs score 1.0, exactly one empty input scores 0.0.
+
+Many-to-many comparisons go through a postings index (token -> the bags that
+hold it): with any distance threshold below 1, a pair that shares no token is
+never a match, so only token-sharing pairs need an overlap count.
 """
 from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
@@ -41,9 +45,6 @@ class TokenBag:
     def from_text(cls, text: str) -> "TokenBag":
         return cls.from_tokens(tokenize(text))
 
-    def counter(self) -> Counter:
-        return Counter(dict(self.counts))
-
     def overlap(self, other: "TokenBag") -> int:
         """Clipped unigram overlap (multiset intersection size)."""
         a = dict(self.counts)
@@ -51,6 +52,33 @@ class TokenBag:
         if len(b) < len(a):
             a, b = b, a
         return sum(min(c, b[t]) for t, c in a.items() if t in b)
+
+
+Postings = dict[str, list[tuple[int, int]]]
+
+
+def postings(bags: list[TokenBag]) -> Postings:
+    """Inverted index: token -> [(bag index, count in that bag)], indices ascending."""
+    index: Postings = {}
+    for i, bag in enumerate(bags):
+        add_posting(index, i, bag)
+    return index
+
+
+def add_posting(index: Postings, i: int, bag: TokenBag) -> None:
+    """Index `bag` as bag number i; i must exceed every index already present."""
+    for tok, count in bag.counts:
+        index.setdefault(tok, []).append((i, count))
+
+
+def overlaps(bag: TokenBag, index: Postings) -> dict[int, int]:
+    """Clipped unigram overlap of `bag` with every indexed bag it shares a
+    token with; bags sharing none are absent."""
+    acc: dict[int, int] = {}
+    for tok, count in bag.counts:
+        for j, other in index.get(tok, ()):
+            acc[j] = acc.get(j, 0) + (count if count < other else other)
+    return acc
 
 
 def _as_bag(value) -> TokenBag:
@@ -124,8 +152,9 @@ def rougeL_f1(a: str, b: str) -> float:
     return 2.0 * lcs / (len(ta) + len(tb))
 
 
-def hausdorff(xs: list[str], ys: list[str]) -> float:
-    """Hausdorff distance between two non-empty sentence sets under `distance`."""
+def hausdorff(xs: list, ys: list) -> float:
+    """Hausdorff distance between two non-empty sentence sets under `distance`;
+    members are strings or TokenBags."""
     if not xs or not ys:
         raise ValueError("hausdorff requires two non-empty sentence sets")
     bx = [_as_bag(x) for x in xs]

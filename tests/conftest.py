@@ -158,6 +158,20 @@ def random_article(rng: random.Random, n_sentences: int, min_words=3, max_words=
     return Article.from_text(f"rand-{n_sentences}", " ".join(sentences))
 
 
+def zipf_texts(rng: random.Random, n: int, vocab_size=400, min_words=3, max_words=14,
+               exponent=1.1) -> list[str]:
+    """n sentences over a Zipf-weighted vocabulary: common words recur across
+    sentences, so many pairs share some tokens and few share most."""
+    vocab = [f"z{i}" for i in range(vocab_size)]
+    weights = [1.0 / (rank ** exponent) for rank in range(1, vocab_size + 1)]
+    texts = []
+    for _ in range(n):
+        words = rng.choices(vocab, weights=weights, k=rng.randint(min_words, max_words))
+        words[0] = words[0].capitalize()
+        texts.append(" ".join(words) + ".")
+    return texts
+
+
 EVENT_A = (
     "Alpha rocket launch delivered the science payload into polar orbit "
     "after a flawless countdown on Monday morning period."

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from slisum.aggregate import anchor, arrange, integrate, vote
@@ -5,7 +7,7 @@ from slisum.cluster import Statement
 from slisum.engine import MockEngine
 from slisum.text import Article
 
-from conftest import make_statements
+from conftest import make_statements, oracle_rouge1, zipf_texts
 
 
 def five_statements():
@@ -119,6 +121,50 @@ class TestArrange:
         ])
         arranged = arrange(stmts, ARTICLE)
         assert sorted(s.generation_seq for s, _ in arranged) == [1, 2, 3]
+
+
+def brute_force_anchor(text: str, article: Article) -> int:
+    scores = [oracle_rouge1(text, sent.text) for sent in article.sentences]
+    return article.sentences[scores.index(max(scores))].index
+
+
+class TestArrangeMatchesBruteForce:
+    EDGE_ARTICLE = Article.from_text(
+        "edges",
+        "Cats chase mice daily. (…) ! Dogs guard houses. Cats chase mice daily. "
+        "Birds sing loud. Cats chase rats.",
+    )
+
+    @pytest.mark.parametrize("text,expected", [
+        ("", 2),  # empty statement: the first sentence that tokenizes to nothing
+        ("— …", 2),
+        ("Cats chase mice daily.", 1),  # verbatim copies at 1 and 4 tie
+        ("zebra quokka", 1),  # zero overlap
+        ("dogs birds", 3),  # 0.4 against sentences 3 and 5
+        ("cats rats", 6),
+    ])
+    def test_edge_cases(self, text, expected):
+        stmt = make_statements([text])[0]
+        assert brute_force_anchor(text, self.EDGE_ARTICLE) == expected
+        assert anchor(stmt, self.EDGE_ARTICLE) == expected
+
+    def test_empty_statement_without_empty_sentence(self):
+        assert anchor(make_statements([""])[0], ARTICLE) == 1
+
+    def test_randomized(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            sentences = zipf_texts(rng, rng.randint(1, 40), vocab_size=50)
+            sentences += rng.sample(sentences, min(3, len(sentences)))
+            if rng.random() < 0.3:
+                sentences.insert(rng.randrange(len(sentences)), "(…) !")
+            rng.shuffle(sentences)
+            article = Article.from_text("zipf", " ".join(sentences))
+            texts = zipf_texts(rng, 10, vocab_size=50) + rng.sample(sentences, 2) + ["", "…"]
+            arranged = arrange(make_statements(texts), article)
+            assert {s.text: a for s, a in arranged} == {
+                t: brute_force_anchor(t, article) for t in texts
+            }
 
 
 class RewritingEngine(MockEngine):

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from slisum.cluster import ClusterSet, Statement, dbscan, default_min_pts, filter_clusters
+from slisum.cluster import (
+    ClusterSet,
+    Statement,
+    _neighbors,
+    dbscan,
+    default_min_pts,
+    filter_clusters,
+)
+from slisum.lexical import TokenBag, distance
 
-from conftest import make_statements, oracle_dbscan
+from conftest import make_statements, oracle_dbscan, zipf_texts
 
 
 def as_partition(cluster_set: ClusterSet):
@@ -58,15 +66,36 @@ class TestDbscan:
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(99)
-        vocab = [f"v{i}" for i in range(8)]
+        vocab = [f"v{i}" for i in range(8)] + ["…", "—"]
+        punctuation_only = ["…", "—", "— …", "(?!)"]
         for _ in range(200):
             n = rng.randint(1, 12)
-            texts = [" ".join(rng.choices(vocab, k=rng.randint(2, 6))) for _ in range(n)]
+            texts = [
+                rng.choice(punctuation_only) if rng.random() < 0.15
+                else " ".join(rng.choices(vocab, k=rng.randint(2, 6)))
+                for _ in range(n)
+            ]
             stmts = make_statements(texts)
             eps = rng.choice([0.2, 0.25, 0.4, 0.6])
             min_pts = rng.randint(1, 4)
             got = as_partition(dbscan(stmts, eps, min_pts))
             assert got == oracle_dbscan(stmts, eps, min_pts)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.25, 0.6])
+    def test_neighbors_match_pairwise_scan(self, eps):
+        rng = random.Random(2407)
+        texts = zipf_texts(rng, 240, vocab_size=80)
+        # repeated and near-repeated statements, as overlapping windows yield
+        texts += rng.sample(texts, 40)
+        texts += [t.replace(".", " extra.") for t in rng.sample(texts, 20)]
+        texts += ["…", "—", "(…) !"]
+        rng.shuffle(texts)
+        bags = [TokenBag.from_text(t) for t in texts]
+        n = len(bags)
+        expected = [[j for j in range(n) if distance(bags[i], bags[j]) <= eps] for i in range(n)]
+        got = _neighbors(bags, eps)
+        assert got == expected
+        assert sum(len(row) for row in got) > n  # some pairs besides the diagonal
 
     def test_deterministic_across_input_order(self):
         texts = ["a b c d", "a b c e", "a b c f", "x y z w", "x y z q"]

@@ -32,7 +32,7 @@ class TestTokenize:
     def test_bag_length(self):
         bag = TokenBag.from_text("a b a c")
         assert bag.length == 4
-        assert bag.counter()["a"] == 2
+        assert dict(bag.counts)["a"] == 2
 
 
 class TestRouge1:
