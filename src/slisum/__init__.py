@@ -25,7 +25,6 @@ from .pipeline import (
     PipelineConfig,
     ResponseCache,
     RunRecord,
-    resolve_profile,
     run,
 )
 from .text import (

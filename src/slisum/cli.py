@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 partial success.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,10 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 
-_CONFIG_FIELDS = (
-    "window_size", "step_size", "eps", "min_pts", "backend", "model",
-    "max_tokens", "concurrency", "cache_dir", "seed", "profile",
-)
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +52,9 @@ def _warn(message: str) -> None:
 
 
 def build_config(args) -> PipelineConfig:
-    """Merge settings with precedence flags > environment > file > defaults."""
+    """Merge settings with precedence flags > environment > file > length
+    defaults. Config-file keys are PipelineConfig field names; any other key
+    is a usage error."""
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -62,8 +62,9 @@ def build_config(args) -> PipelineConfig:
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} is not a mapping")
         for key, val in loaded.items():
-            if key in _CONFIG_FIELDS:
-                values[key] = val
+            if key not in _CONFIG_FIELDS:
+                raise ConfigurationError(f"config file {args.config}: unknown key {key!r}")
+            values[key] = val
     if os.environ.get("SLISUM_MODEL"):
         values["model"] = os.environ["SLISUM_MODEL"]
     for field in _CONFIG_FIELDS:
@@ -163,7 +164,10 @@ def cmd_summarize(args) -> int:
 
 
 def _load_pairs(path, value_fields):
+    """id -> value of the first well-formed line with that id, and whether a
+    later line repeated an id."""
     pairs = {}
+    duplicates = False
     for lineno, line in _read_jsonl(path):
         try:
             obj = json.loads(line)
@@ -172,8 +176,12 @@ def _load_pairs(path, value_fields):
         except (ValueError, KeyError, TypeError, StopIteration):
             _warn(f"{path}:{lineno}: skipping malformed record")
             continue
+        if key in pairs:
+            _warn(f"{path}:{lineno}: skipping duplicate id {key!r}")
+            duplicates = True
+            continue
         pairs[key] = value
-    return pairs
+    return pairs, duplicates
 
 
 def cmd_evaluate(args) -> int:
@@ -181,8 +189,8 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(path):
             _warn(f"file not found: {path}")
             return EXIT_USAGE
-    summaries = _load_pairs(args.summaries, ("summary",))
-    references = _load_pairs(args.references, ("reference", "summary"))
+    summaries, dup_summaries = _load_pairs(args.summaries, ("summary",))
+    references, dup_references = _load_pairs(args.references, ("reference", "summary"))
     shared = sorted(set(summaries) & set(references))
     if not shared:
         _warn("no overlapping ids between summaries and references")
@@ -203,7 +211,7 @@ def cmd_evaluate(args) -> int:
     for key in ("unmatched_summaries", "unmatched_references"):
         if payload[key]:
             _warn(f"{key}: {', '.join(payload[key])}")
-    return EXIT_OK
+    return EXIT_PARTIAL if dup_summaries or dup_references else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -268,7 +276,6 @@ def _add_config_flags(parser):
     parser.add_argument("--step-size", dest="step_size", type=int)
     parser.add_argument("--eps", type=float)
     parser.add_argument("--min-pts", dest="min_pts", type=int)
-    parser.add_argument("--profile", choices=["short", "long", "auto"])
     parser.add_argument("--model")
     parser.add_argument("--max-tokens", dest="max_tokens", type=int)
     parser.add_argument("--seed", type=int)

@@ -1,7 +1,8 @@
 """End-to-end orchestration: sliding generation, filtration, aggregation.
 
-Also owns configuration resolution (profiles, K/2 MinPts rule) and the
-content-addressed response cache wrapped around any engine backend.
+Also owns configuration resolution (length-chosen window geometry, K/2
+MinPts rule) and the content-addressed response cache wrapped around any
+engine backend.
 """
 from __future__ import annotations
 
@@ -9,11 +10,11 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import VoteOutcome, arrange, integrate, vote
 from .cluster import ClusterSet, Statement, dbscan, default_min_pts, filter_clusters
@@ -38,30 +39,17 @@ from .text import (
 
 log = logging.getLogger(__name__)
 
-SHORT_PROFILE_MAX_WORDS = 3000
+SHORT_ARTICLE_MAX_WORDS = 3000
+SHORT_GEOMETRY = (150, 50)  # window/step words, K=3
+LONG_GEOMETRY = (750, 150)  # K=5
+DEFAULT_EPS = 0.25
 BREAKEVEN_FACTOR = 1.36
-
-
-@dataclass(frozen=True)
-class Profile:
-    name: str
-    window_size: int
-    step_size: int
-    eps: float
-    min_pts: int
-
-
-SHORT_PROFILE = Profile("short", 150, 50, 0.25, 2)
-LONG_PROFILE = Profile("long", 750, 150, 0.25, 3)
-
-
-def resolve_profile(article_words: int) -> Profile:
-    """Default hyperparameters by article length."""
-    return SHORT_PROFILE if article_words < SHORT_PROFILE_MAX_WORDS else LONG_PROFILE
 
 
 @dataclass
 class PipelineConfig:
+    """Run settings; unset ones are filled in per article by `resolved`."""
+
     window_size: int | None = None
     step_size: int | None = None
     eps: float | None = None
@@ -72,67 +60,41 @@ class PipelineConfig:
     concurrency: int = 4
     cache_dir: str | None = None
     seed: int | None = None
-    profile: str = "auto"  # auto | short | long
 
-    def resolved(self, article_words: int) -> "ResolvedConfig":
-        if self.profile == "short":
-            prof = SHORT_PROFILE
-        elif self.profile == "long":
-            prof = LONG_PROFILE
-        elif self.profile == "auto":
-            prof = resolve_profile(article_words)
-        else:
-            raise ConfigurationError(f"unknown profile {self.profile!r}")
+    @property
+    def k(self) -> int:
+        """Coverage ratio K of the window geometry; needs both sizes set."""
+        return k_ratio(self.window_size, self.step_size)
 
-        window_size = self.window_size if self.window_size is not None else prof.window_size
-        step_size = self.step_size if self.step_size is not None else prof.step_size
-        eps = self.eps if self.eps is not None else prof.eps
-        k = k_ratio(window_size, step_size)
-        if self.min_pts is not None:
-            min_pts = self.min_pts
-        elif (window_size, step_size) == (prof.window_size, prof.step_size):
-            min_pts = prof.min_pts
-        else:
-            min_pts = default_min_pts(k)
-        if not 0.0 < eps < 1.0:
-            raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
-        if not 1 <= min_pts <= k:
-            raise ConfigurationError(f"min_pts {min_pts} outside [1, {k}]")
-        return ResolvedConfig(
-            window_size=window_size,
-            step_size=step_size,
-            eps=eps,
-            min_pts=min_pts,
-            k=k,
-            backend=self.backend,
-            model=self.model,
-            max_tokens=self.max_tokens,
-            concurrency=max(1, self.concurrency),
-            cache_dir=self.cache_dir,
-            seed=self.seed,
+    def resolved(self, article_words: int) -> "PipelineConfig":
+        """Every setting filled in: the window geometry by article length
+        (150/50 under 3000 words, else 750/150), eps 0.25 and MinPts half of K
+        rounded up, unless set."""
+        window_size, step_size = (
+            SHORT_GEOMETRY if article_words < SHORT_ARTICLE_MAX_WORDS else LONG_GEOMETRY
         )
-
-
-@dataclass(frozen=True)
-class ResolvedConfig:
-    window_size: int
-    step_size: int
-    eps: float
-    min_pts: int
-    k: int
-    backend: str
-    model: str | None
-    max_tokens: int
-    concurrency: int
-    cache_dir: str | None
-    seed: int | None
+        config = replace(
+            self,
+            window_size=window_size if self.window_size is None else self.window_size,
+            step_size=step_size if self.step_size is None else self.step_size,
+            eps=DEFAULT_EPS if self.eps is None else self.eps,
+            concurrency=max(1, self.concurrency),
+        )
+        k = config.k
+        if config.min_pts is None:
+            config.min_pts = default_min_pts(k)
+        if not 0.0 < config.eps < 1.0:
+            raise ConfigurationError(f"eps must be in (0, 1), got {config.eps}")
+        if not 1 <= config.min_pts <= k:
+            raise ConfigurationError(f"min_pts {config.min_pts} outside [1, {k}]")
+        return config
 
 
 class ResponseCache:
     """Content-addressed on-disk cache of engine responses.
 
-    Keys hash the task, the prompt body and every field of the resolved
-    EngineParams; entries are written to a temp file then atomically renamed.
+    Keys hash the task, the prompt body, every field of the resolved
+    EngineParams and the sample number; entries are written atomically.
     Unreadable entries are quarantined and treated as misses.
     """
 
@@ -141,9 +103,10 @@ class ResponseCache:
         os.makedirs(directory, exist_ok=True)
 
     @staticmethod
-    def key(task: str, prompt_body: str, params: EngineParams) -> str:
+    def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
         material = json.dumps(
-            {"task": task, "prompt_body": prompt_body, "params": asdict(params)},
+            {"task": task, "prompt_body": prompt_body, "params": asdict(params),
+             "sample": sample},
             sort_keys=True,
             ensure_ascii=False,
         )
@@ -172,16 +135,7 @@ class ResponseCache:
             return None
 
     def store(self, key: str, entry: dict) -> None:
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(self._path(key), json.dumps(entry, ensure_ascii=False))
 
     def clear(self) -> int:
         removed = 0
@@ -204,12 +158,13 @@ class CachedEngine:
         self.cache = cache
         self.calls: list[tuple[str, bool]] = []
 
-    def _call(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
+    def _call(self, task: str, items: str | list[str], params: EngineParams | None,
+              sample: int = 1) -> str:
         params = (params or EngineParams()).resolved(task)
         body = render(task, items)
         key = None
         if self.cache is not None:
-            key = ResponseCache.key(task, body, params)
+            key = ResponseCache.key(task, body, params, sample)
             entry = self.cache.lookup(key)
             if entry is not None:
                 self.calls.append((task, True))
@@ -220,8 +175,14 @@ class CachedEngine:
             self.cache.store(key, {"text": text, "task": task})
         return text
 
-    def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
-        return self._call("summarize", window_text, params)
+    def summarize(self, window_text: str, params: EngineParams | None = None,
+                  sample: int = 1) -> str:
+        """Draw sample number `sample` (from 1) of this window's summary. Each
+        sample is its own cache entry, and with a seed set sample r sends
+        seed + r - 1, so the K repetitions of a window are K draws."""
+        if params is not None and params.seed is not None:
+            params = replace(params, seed=params.seed + sample - 1)
+        return self._call("summarize", window_text, params, sample)
 
     def classify(self, statements: list[str], params: EngineParams | None = None) -> list[list[int]]:
         raw = self._call("classify", statements, params)
@@ -271,25 +232,11 @@ class RunRecord:
     flags: list[str]
     stats: RunStats = field(default_factory=RunStats)
 
-    def to_dict(self, include_stats: bool = False) -> dict:
-        data = {
-            "article_id": self.article_id,
-            "status": self.status,
-            "config": self.config,
-            "plan": self.plan,
-            "local_summaries": self.local_summaries,
-            "clusters": self.clusters,
-            "noise": self.noise,
-            "votes": self.votes,
-            "final": self.final,
-            "flags": self.flags,
-        }
-        if include_stats:
-            data["stats"] = asdict(self.stats)
-        return data
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stats"}
 
-    def to_json(self, include_stats: bool = False) -> str:
-        return json.dumps(self.to_dict(include_stats), sort_keys=True, ensure_ascii=False, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
 
 
 def _statement_dict(stmt: Statement) -> dict:
@@ -332,21 +279,14 @@ def run(
     ]
     params = EngineParams(model=resolved.model, max_tokens=resolved.max_tokens,
                           seed=resolved.seed)
+    # Concurrency and the cache directory change speed and storage, not content.
+    content_config = asdict(resolved)
+    del content_config["concurrency"], content_config["cache_dir"]
 
     record = RunRecord(
         article_id=article.id,
         status="aborted",
-        config={
-            "window_size": resolved.window_size,
-            "step_size": resolved.step_size,
-            "eps": resolved.eps,
-            "min_pts": resolved.min_pts,
-            "k": resolved.k,
-            "backend": resolved.backend,
-            "model": resolved.model,
-            "max_tokens": resolved.max_tokens,
-            "seed": resolved.seed,
-        },
+        config={**content_config, "k": resolved.k},
         plan={
             "k_ratio": plan.k_ratio,
             "window_size": plan.window_size,
@@ -354,16 +294,7 @@ def run(
             "total_generations": plan.total_generations,
             "summarize_input_words": sum(w.word_count * w.repetitions for w in plan.windows),
             "breakeven_input_words": BREAKEVEN_FACTOR * plan.k_ratio * plan.window_size,
-            "windows": [
-                {
-                    "ordinal": w.ordinal,
-                    "start_sentence": w.start_sentence,
-                    "end_sentence": w.end_sentence,
-                    "word_count": w.word_count,
-                    "repetitions": w.repetitions,
-                }
-                for w in plan.windows
-            ],
+            "windows": [asdict(w) for w in plan.windows],
         },
         local_summaries=[],
         clusters=[],
@@ -377,7 +308,8 @@ def run(
         with ThreadPoolExecutor(max_workers=resolved.concurrency) as pool:
             summaries = list(
                 pool.map(
-                    lambda task: cached.summarize(window_text(article, task[0]), params),
+                    lambda task: cached.summarize(window_text(article, task[0]), params,
+                                                  sample=task[1]),
                     tasks,
                 )
             )
@@ -429,8 +361,6 @@ def run(
             normalized = {_normalized(s.text) for s in members}
             if len(normalized) == 1:
                 partition = [list(range(1, len(members) + 1))]
-            elif len(members) == 1:
-                partition = [[1]]
             else:
                 partition = cached.classify([s.text for s in members], params)
             outcomes.append(vote(members, partition, cluster_id=cid))
@@ -503,7 +433,20 @@ def record_filename(article_id: str) -> str:
 def persist_record(record: RunRecord, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, record_filename(record.article_id))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(record.to_json())
-        fh.write("\n")
+    _write_atomic(path, record.to_json() + "\n")
     return path
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temp file in the same directory and a
+    rename, so a crash mid-write leaves the previous file, never a truncated
+    one. The temp name is unique per process and thread."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

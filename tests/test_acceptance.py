@@ -170,7 +170,7 @@ def test_vote_worked_example():
 def test_planted_events_deterministic_run():
     article = planted_article()
     records = [
-        run(article, PipelineConfig(profile="short", concurrency=jobs))
+        run(article, PipelineConfig(concurrency=jobs))
         for jobs in (1, 4, 1, 4, 1)
     ]
     ok = len({r.to_json() for r in records}) == 1
@@ -188,7 +188,7 @@ def test_planted_events_deterministic_run():
 
 def test_event_separation_at_default_eps():
     article = planted_article()
-    record = run(article, PipelineConfig(profile="short", concurrency=1))
+    record = run(article, PipelineConfig(concurrency=1))
     eps = record.config["eps"]
     ok = eps == 0.25
     # every retained cluster is pure: all members copy one planted event
@@ -271,7 +271,6 @@ def test_live_backend_smoke():
     article = planted_article()
     config = PipelineConfig(
         backend="http",
-        profile="short",
         model=os.environ.get("SLISUM_MODEL", "gpt-4o-mini"),
     )
     record = run(article, config)

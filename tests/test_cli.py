@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import os
 
 import pytest
+import yaml
 
-from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
+from slisum.pipeline import PipelineConfig
 
 from conftest import planted_article
 
@@ -110,6 +113,20 @@ class TestSummarize:
         assert record["config"]["eps"] == 0.25       # flag wins
         assert record["config"]["window_size"] == 150  # file applies
 
+    def test_profile_key_in_config_file_exits_one(self, corpus, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("profile: long\n")
+        out = tmp_path / "out"
+        code = main(["summarize", str(corpus), "-o", str(out), "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert "unknown key 'profile'" in capsys.readouterr().err
+        assert not (out / "summaries.jsonl").exists()
+
+    def test_profile_flag_exits_one(self, corpus, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", str(corpus), "-o", str(tmp_path / "out"), "--profile", "long"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_cache_rerun_is_byte_identical(self, corpus, tmp_path, capsys):
         cache = tmp_path / "cache"
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -123,6 +140,27 @@ class TestSummarize:
         for line in err.splitlines():
             if "backend_calls=" in line:
                 assert "backend_calls=0 " in line
+
+
+class TestConfig:
+    VALUES = {
+        "window_size": 300, "step_size": 100, "eps": 0.3, "min_pts": 1, "backend": "http",
+        "model": "m", "max_tokens": 64, "concurrency": 2, "cache_dir": "cache", "seed": 5,
+    }
+
+    def test_every_field_is_a_file_key_and_a_flag(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SLISUM_MODEL", raising=False)
+        assert set(self.VALUES) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(self.VALUES))
+        parser = make_parser()
+        base = ["summarize", "corpus.jsonl", "-o", "out"]
+        flags = []
+        for name, value in self.VALUES.items():
+            flags += ["--" + name.replace("_", "-"), str(value)]
+        from_file = build_config(parser.parse_args(base + ["--config", str(config)]))
+        from_flags = build_config(parser.parse_args(base + flags))
+        assert from_file == from_flags == PipelineConfig(**self.VALUES)
 
 
 class TestEvaluate:
@@ -154,6 +192,25 @@ class TestEvaluate:
         assert main(["evaluate", str(summaries), str(references), "-o", str(report_path)]) == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["per_article"][0]["rouge1"] == pytest.approx(2 * 2 / 6)
+
+    @pytest.mark.parametrize("duplicated", ["summaries", "references"])
+    def test_duplicate_id_keeps_first_and_exits_partial(self, tmp_path, capsys, duplicated):
+        rows = {
+            "summaries": [{"id": "a", "summary": "the cat sat"}],
+            "references": [{"id": "a", "reference": "the cat sat"}],
+        }
+        value_field = "summary" if duplicated == "summaries" else "reference"
+        rows[duplicated].append({"id": "a", value_field: "a dog ran"})
+        paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
+        for name, path in paths.items():
+            write_corpus(path, rows[name])
+        report_path = tmp_path / "report.json"
+        code = main(["evaluate", str(paths["summaries"]), str(paths["references"]),
+                     "-o", str(report_path)])
+        assert code == EXIT_PARTIAL
+        assert f"{paths[duplicated]}:2: skipping duplicate id 'a'" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert report["per_article"][0]["rouge1"] == 1.0
 
     def test_unmatched_ids_listed(self, tmp_path):
         summaries = tmp_path / "sums.jsonl"

@@ -14,22 +14,23 @@ from slisum.pipeline import (
     ResponseCache,
     RunStats,
     persist_record,
-    resolve_profile,
     run,
 )
-from slisum.text import Article, ConfigurationError
+from slisum.text import Article, ConfigurationError, segment_sentences
 
 from conftest import PLANTED_EVENTS, planted_article, random_article
 
 
 class TestResolveProfile:
     def test_short_article(self):
-        prof = resolve_profile(800)
-        assert (prof.window_size, prof.step_size, prof.eps, prof.min_pts) == (150, 50, 0.25, 2)
+        config = PipelineConfig().resolved(800)
+        assert (config.window_size, config.step_size, config.eps, config.min_pts,
+                config.k) == (150, 50, 0.25, 2, 3)
 
     def test_long_article(self):
-        prof = resolve_profile(6000)
-        assert (prof.window_size, prof.step_size, prof.eps, prof.min_pts) == (750, 150, 0.25, 3)
+        config = PipelineConfig().resolved(6000)
+        assert (config.window_size, config.step_size, config.eps, config.min_pts,
+                config.k) == (750, 150, 0.25, 3, 5)
 
     def test_override_uses_half_k_rule(self):
         config = PipelineConfig(window_size=900, step_size=180)
@@ -66,7 +67,9 @@ class TestResponseCache:
         b = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.0))
         c = ResponseCache.key("classify", "body", EngineParams(model="m", temperature=0.3))
         d = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3, seed=7))
-        assert len({a, b, c, d}) == 4
+        e = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3),
+                              sample=2)
+        assert len({a, b, c, d, e}) == 5
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         cache = ResponseCache(str(tmp_path))
@@ -101,7 +104,7 @@ class TestResponseCache:
 
 class TestRun:
     def test_planted_events_one_statement_each(self, planted):
-        record = run(planted, PipelineConfig(profile="short", concurrency=1))
+        record = run(planted, PipelineConfig(concurrency=1))
         assert record.status == "complete"
         final_texts = [s["text"] for s in record.final["statements"]]
         assert final_texts == list(PLANTED_EVENTS)
@@ -117,7 +120,7 @@ class TestRun:
 
     def test_deterministic_across_runs_and_concurrency(self, planted):
         records = [
-            run(planted, PipelineConfig(profile="short", concurrency=jobs)).to_json()
+            run(planted, PipelineConfig(concurrency=jobs)).to_json()
             for jobs in (1, 4, 1, 4, 2)
         ]
         assert len(set(records)) == 1
@@ -128,7 +131,7 @@ class TestRun:
             "Solar panels cut energy costs. Solar panels cut energy bills. "
             "Wind turbines spin near coasts.",
         )
-        record = run(article, PipelineConfig(profile="short", concurrency=1))
+        record = run(article, PipelineConfig(concurrency=1))
         assert record.plan["total_generations"] == 3
         summaries = {entry["text"] for entry in record.local_summaries}
         assert len(summaries) == 1
@@ -160,7 +163,7 @@ class TestRun:
         assert record.final["statements"] == []
 
     def test_engine_call_accounting(self, planted, tmp_path):
-        record = run(planted, PipelineConfig(profile="short", concurrency=1))
+        record = run(planted, PipelineConfig(concurrency=1))
         expected = record.plan["total_generations"]
         assert record.stats.summarize_calls == expected
         # all planted clusters are byte-identical copies: classification skipped
@@ -169,14 +172,14 @@ class TestRun:
         assert record.stats.backend_calls == expected + 1
         assert record.stats.cache_hits == 0
 
-        config = PipelineConfig(profile="short", concurrency=4, cache_dir=str(tmp_path))
+        config = PipelineConfig(concurrency=4, cache_dir=str(tmp_path))
         run(planted, config)
         warm = run(planted, config).stats
         assert (warm.summarize_calls, warm.classify_calls, warm.connect_calls,
                 warm.backend_calls, warm.cache_hits) == (expected, 0, 1, 0, expected + 1)
 
     def test_cache_rerun_zero_backend_calls(self, planted, tmp_path):
-        config = PipelineConfig(profile="short", concurrency=2, cache_dir=str(tmp_path / "cache"))
+        config = PipelineConfig(concurrency=2, cache_dir=str(tmp_path / "cache"))
         first = run(planted, config)
         second = run(planted, config)
         assert first.stats.backend_calls > 0
@@ -186,20 +189,55 @@ class TestRun:
 
     def test_cache_rerun_other_seed_calls_backend(self, planted, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        first = run(planted, PipelineConfig(profile="short", concurrency=1,
+        first = run(planted, PipelineConfig(concurrency=1,
                                             cache_dir=cache_dir, seed=1))
-        second = run(planted, PipelineConfig(profile="short", concurrency=1,
+        second = run(planted, PipelineConfig(concurrency=1,
                                              cache_dir=cache_dir, seed=2))
         assert first.stats.backend_calls > 0
         assert second.stats.backend_calls == first.stats.backend_calls
         assert second.stats.cache_hits == first.stats.cache_hits
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_repetitions_are_distinct_samples(self, tmp_path, concurrency):
+        article = Article.from_text(
+            "tiny",
+            "Solar panels cut energy costs. Wind turbines spin near coasts. "
+            "Rivers feed the valley farms.",
+        )
+        config = PipelineConfig(concurrency=concurrency, cache_dir=str(tmp_path / "cache"))
+        cold_engine = SamplingEngine()
+        cold = run(article, config, engine=cold_engine)
+        assert [w["repetitions"] for w in cold.plan["windows"]] == [3]
+        assert cold_engine.draws == 3
+        assert len({entry["text"] for entry in cold.local_summaries}) == 3
+
+        warm_engine = SamplingEngine()
+        warm = run(article, config, engine=warm_engine)
+        assert warm_engine.draws == 0
+        assert warm.stats.backend_calls == 0
+        assert warm.to_json() == cold.to_json()
+
+    def test_repetitions_send_consecutive_seeds(self):
+        seeds = []
+
+        def transport(payload, timeout):
+            if payload["messages"][0]["content"] == INSTRUCTIONS["summarize"]:
+                seeds.append(payload["seed"])
+            return 200, {"choices": [{"message": {"content": "Solar panels cut costs."}}]}
+
+        article = Article.from_text("tiny", "Solar panels cut energy costs. Wind turbines spin.")
+        engine = HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+                            transport=transport)
+        record = run(article, PipelineConfig(concurrency=1, seed=7), engine=engine)
+        assert seeds == [7, 8, 9]
+        assert record.config["seed"] == 7
 
     def test_in_flight_bounded_by_concurrency(self, planted):
         def record_at(concurrency):
             transport = PeakTransport()
             engine = HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
                                 transport=transport)
-            record = run(planted, PipelineConfig(profile="short", concurrency=concurrency),
+            record = run(planted, PipelineConfig(concurrency=concurrency),
                          engine=engine)
             assert transport.peak <= concurrency
             return record.to_json(), transport.peak
@@ -223,7 +261,7 @@ class TestRun:
 
         record_dir = str(tmp_path / "records")
         with pytest.raises(EngineError):
-            run(planted, PipelineConfig(profile="short", concurrency=1),
+            run(planted, PipelineConfig(concurrency=1),
                 engine=FailingEngine(), record_dir=record_dir)
         files = os.listdir(record_dir)
         assert files == ["planted.json"]
@@ -233,7 +271,7 @@ class TestRun:
         assert "aborted: engine error" in partial["flags"]
 
     def test_breakeven_report_fields(self, planted):
-        record = run(planted, PipelineConfig(profile="short", concurrency=1))
+        record = run(planted, PipelineConfig(concurrency=1))
         plan = record.plan
         assert plan["summarize_input_words"] == sum(
             w["word_count"] * w["repetitions"] for w in plan["windows"]
@@ -241,15 +279,32 @@ class TestRun:
         assert plan["breakeven_input_words"] == pytest.approx(1.36 * plan["k_ratio"] * 150)
 
     def test_record_serialization_stable_keys(self, planted, tmp_path):
-        record = run(planted, PipelineConfig(profile="short", concurrency=1))
+        record = run(planted, PipelineConfig(concurrency=1))
         path = persist_record(record, str(tmp_path))
         with open(path) as fh:
             data = json.load(fh)
         assert data == record.to_dict()
         assert "stats" not in data
 
+    def test_failed_write_keeps_previous_record(self, planted, tmp_path, monkeypatch):
+        record = run(planted, PipelineConfig(concurrency=1))
+        path = persist_record(record, str(tmp_path))
+        with open(path, "rb") as fh:
+            before = fh.read()
+        record.flags.append("changed")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            persist_record(record, str(tmp_path))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+
     def test_statements_traceable_to_one_generation(self, planted):
-        record = run(planted, PipelineConfig(profile="short", concurrency=1))
+        record = run(planted, PipelineConfig(concurrency=1))
         seen = {}
         for i, entry in enumerate(record.local_summaries):
             for seq in entry["statement_seqs"]:
@@ -258,6 +313,23 @@ class TestRun:
         clustered = {seq for c in record.clusters for seq in c["statement_seqs"]}
         noise = {s["generation_seq"] for s in record.noise}
         assert clustered | noise <= set(seen)
+
+
+class SamplingEngine(MockEngine):
+    """Answers each summarize call with the next sentence of the window in
+    turn, slowly, like a backend sampling at a temperature above zero."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.draws = 0
+
+    def summarize(self, window_text, params=None):
+        with self.lock:
+            draw = self.draws
+            self.draws += 1
+        time.sleep(0.005)
+        sentences = segment_sentences(window_text)
+        return sentences[draw % len(sentences)].text
 
 
 class PeakTransport:
