@@ -164,10 +164,10 @@ def cmd_summarize(args) -> int:
 
 
 def _load_pairs(path, value_fields):
-    """id -> value of the first well-formed line with that id, and whether a
-    later line repeated an id."""
+    """id -> value of the first well-formed line with that id, and whether any
+    line was skipped as malformed or as a repeated id."""
     pairs = {}
-    duplicates = False
+    skipped = False
     for lineno, line in _read_jsonl(path):
         try:
             obj = json.loads(line)
@@ -175,13 +175,14 @@ def _load_pairs(path, value_fields):
             value = next(obj[f] for f in value_fields if f in obj)
         except (ValueError, KeyError, TypeError, StopIteration):
             _warn(f"{path}:{lineno}: skipping malformed record")
+            skipped = True
             continue
         if key in pairs:
             _warn(f"{path}:{lineno}: skipping duplicate id {key!r}")
-            duplicates = True
+            skipped = True
             continue
         pairs[key] = value
-    return pairs, duplicates
+    return pairs, skipped
 
 
 def cmd_evaluate(args) -> int:
@@ -189,8 +190,8 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(path):
             _warn(f"file not found: {path}")
             return EXIT_USAGE
-    summaries, dup_summaries = _load_pairs(args.summaries, ("summary",))
-    references, dup_references = _load_pairs(args.references, ("reference", "summary"))
+    summaries, skipped_summaries = _load_pairs(args.summaries, ("summary",))
+    references, skipped_references = _load_pairs(args.references, ("reference", "summary"))
     shared = sorted(set(summaries) & set(references))
     if not shared:
         _warn("no overlapping ids between summaries and references")
@@ -211,7 +212,19 @@ def cmd_evaluate(args) -> int:
     for key in ("unmatched_summaries", "unmatched_references"):
         if payload[key]:
             _warn(f"{key}: {', '.join(payload[key])}")
-    return EXIT_PARTIAL if dup_summaries or dup_references else EXIT_OK
+    return EXIT_PARTIAL if skipped_summaries or skipped_references else EXIT_OK
+
+
+def _read_record(path):
+    """(article id, anchor word offsets, cluster texts) of one run-record
+    file; ValueError if the file is not JSON or not a run record."""
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    try:
+        offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
+        return record["article_id"], offsets, record_clusters(record)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a run record ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -219,14 +232,15 @@ def cmd_analyze(args) -> int:
         _warn(f"not a directory: {args.records}")
         return EXIT_USAGE
     records = []
+    partial = False
     for name in sorted(os.listdir(args.records)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(args.records, name), encoding="utf-8") as fh:
-            try:
-                records.append(json.load(fh))
-            except ValueError:
-                _warn(f"skipping unreadable record {name}")
+        try:
+            records.append(_read_record(os.path.join(args.records, name)))
+        except ValueError as exc:
+            _warn(f"skipping unreadable record {name}: {exc}")
+            partial = True
     if not records:
         _warn("no run records found")
         return EXIT_USAGE
@@ -234,14 +248,12 @@ def cmd_analyze(args) -> int:
     bin_edges = DEFAULT_BIN_EDGES
     report = {"per_article": [], "aggregate": {}}
     all_offsets: list[int] = []
-    for record in records:
-        offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
+    for article_id, offsets, clusters in records:
         all_offsets.extend(offsets)
         entry = {
-            "article_id": record["article_id"],
+            "article_id": article_id,
             "position_histogram": histogram_from_offsets(offsets, bin_edges).to_dict(),
         }
-        clusters = record_clusters(record)
         if clusters:
             entry["distance_diagnostics"] = distance_diagnostics(clusters).to_dict()
         report["per_article"].append(entry)
@@ -252,7 +264,7 @@ def cmd_analyze(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return EXIT_OK
+    return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def cmd_cache(args) -> int:

@@ -5,7 +5,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .lexical import TokenBag, distance, hausdorff, rouge1_f1, rouge2_f1, rougeL_f1
+# distance, hausdorff, rouge2_f1 and rougeL_f1 are unused here but stay
+# importable from this module: bench/spans.py patches them on it by name.
+from .lexical import (  # noqa: F401
+    TokenBag,
+    distance,
+    hausdorff,
+    rouge1_f1,
+    rouge2_f1,
+    rouge2_tokens,
+    rougeL_f1,
+    rougeL_tokens,
+    set_distances,
+    tokenize,
+)
 
 DEFAULT_BIN_EDGES = (1000, 2000, 3000)
 
@@ -50,22 +63,23 @@ class ScoreReport:
 
 
 def score(summaries: list[str], references: list[str], ids: list[str] | None = None) -> ScoreReport:
-    """Per-pair ROUGE-1/2/L F1 and corpus arithmetic means."""
+    """Per-pair ROUGE-1/2/L F1 and corpus arithmetic means; each text is
+    tokenized once."""
     if len(summaries) != len(references):
         raise ValueError(
             f"length mismatch: {len(summaries)} summaries vs {len(references)} references"
         )
     if ids is None:
         ids = [str(i + 1) for i in range(len(summaries))]
-    per_article = [
-        {
+    per_article = []
+    for i, (summ, ref) in enumerate(zip(summaries, references)):
+        ts, tr = tokenize(summ), tokenize(ref)
+        per_article.append({
             "id": ids[i],
-            "rouge1": rouge1_f1(summ, ref),
-            "rouge2": rouge2_f1(summ, ref),
-            "rougeL": rougeL_f1(summ, ref),
-        }
-        for i, (summ, ref) in enumerate(zip(summaries, references))
-    ]
+            "rouge1": rouge1_f1(TokenBag.from_tokens(ts), TokenBag.from_tokens(tr)),
+            "rouge2": rouge2_tokens(ts, tr),
+            "rougeL": rougeL_tokens(ts, tr),
+        })
     means = {}
     if per_article:
         for key in ("rouge1", "rouge2", "rougeL"):
@@ -152,22 +166,12 @@ def distance_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
     Hausdorff distance."""
     if not clusters:
         raise ValueError("need at least one retained cluster")
-    bags = [[TokenBag.from_text(text) for text in members] for members in clusters]
-    same: list[float] = []
-    for members in bags:
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                same.append(distance(members[i], members[j]))
+    same, between = set_distances(
+        [[TokenBag.from_text(text) for text in members] for members in clusters]
+    )
     mean_same = sum(same) / len(same) if same else 0.0
     max_same = max(same) if same else 0.0
-
-    mean_h = None
-    if len(bags) >= 2:
-        values = []
-        for i in range(len(bags)):
-            for j in range(i + 1, len(bags)):
-                values.append(hausdorff(bags[i], bags[j]))
-        mean_h = sum(values) / len(values)
+    mean_h = sum(between) / len(between) if between else None
     return DistanceDiagnostics(
         mean_same_cluster=mean_same,
         max_same_cluster=max_same,

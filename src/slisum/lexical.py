@@ -8,14 +8,15 @@ Conventions (fixed so scores are reproducible bit-for-bit):
   * two empty inputs score 1.0, exactly one empty input scores 0.0.
 
 Many-to-many comparisons go through a postings index (token -> the bags that
-hold it): with any distance threshold below 1, a pair that shares no token is
-never a match, so only token-sharing pairs need an overlap count.
+hold it): a pair that shares no token is at distance 1.0 (0.0 when both bags
+are empty), so only token-sharing pairs need an overlap count.
 """
 from __future__ import annotations
 
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
@@ -87,14 +88,20 @@ def _as_bag(value) -> TokenBag:
     return TokenBag.from_text(value)
 
 
+def _f1(overlap: int, la: int, lb: int) -> float:
+    """F1 of an overlap count between inputs of sizes la and lb, with the
+    empty-input conventions above."""
+    if la == 0 and lb == 0:
+        return 1.0
+    if la == 0 or lb == 0:
+        return 0.0
+    return 2.0 * overlap / (la + lb)
+
+
 def rouge1_f1(a, b) -> float:
     """Unigram-overlap F1 in [0, 1]; accepts strings or TokenBags."""
     bag_a, bag_b = _as_bag(a), _as_bag(b)
-    if bag_a.length == 0 and bag_b.length == 0:
-        return 1.0
-    if bag_a.length == 0 or bag_b.length == 0:
-        return 0.0
-    return 2.0 * bag_a.overlap(bag_b) / (bag_a.length + bag_b.length)
+    return _f1(bag_a.overlap(bag_b), bag_a.length, bag_b.length)
 
 
 def rouge1_recall(a, b) -> float:
@@ -116,40 +123,103 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def rouge2_tokens(ta: list[str], tb: list[str]) -> float:
+    """Bigram-overlap F1 of two token lists."""
+    ca, cb = _ngram_counts(ta, 2), _ngram_counts(tb, 2)
+    overlap = sum(min(c, cb[g]) for g, c in ca.items() if g in cb)
+    return _f1(overlap, sum(ca.values()), sum(cb.values()))
+
+
 def rouge2_f1(a: str, b: str) -> float:
     """Bigram-overlap F1 with the same empty-input conventions as rouge1_f1."""
-    ta, tb = tokenize(a), tokenize(b)
-    ca, cb = _ngram_counts(ta, 2), _ngram_counts(tb, 2)
-    na, nb = sum(ca.values()), sum(cb.values())
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    overlap = sum(min(c, cb[g]) for g, c in ca.items() if g in cb)
-    return 2.0 * overlap / (na + nb)
+    return rouge2_tokens(tokenize(a), tokenize(b))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, by the bit-parallel
+    recurrence (Allison & Dix 1986; Hyyro 2004). After each token of `a`, bit
+    j of `v` is clear where the dynamic-programming row steps up,
+    LCS(a[:i], b[:j+1]) > LCS(a[:i], b[:j]), so the clear bits count the
+    row's last cell. The shorter list is folded over masks of the longer one:
+    min(|a|, |b|) big-int steps instead of |a|*|b| table cells."""
+    if len(a) > len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        m = masks.get(tok)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def rougeL_tokens(ta: list[str], tb: list[str]) -> float:
+    """Longest-common-subsequence F1 of two token lists."""
+    return _f1(_lcs_length(ta, tb), len(ta), len(tb))
 
 
 def rougeL_f1(a: str, b: str) -> float:
     """Longest-common-subsequence F1 with the same empty-input conventions."""
-    ta, tb = tokenize(a), tokenize(b)
-    if not ta and not tb:
-        return 1.0
-    if not ta or not tb:
-        return 0.0
-    lcs = _lcs_length(ta, tb)
-    return 2.0 * lcs / (len(ta) + len(tb))
+    return rougeL_tokens(tokenize(a), tokenize(b))
+
+
+def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float]]:
+    """Distances under `distance` within and between sets of bags.
+
+    Returns (same, between): `same` holds the distance of every pair of
+    members of one set, sets in order and pairs (i, j), i < j, in order;
+    `between` holds the Hausdorff distance of every pair of sets (g, h),
+    g < h, in order. Every set must be non-empty to have a Hausdorff distance.
+
+    Members are scanned in order, each scored only against the earlier
+    members it shares a token with, found through a postings index that grows
+    as the scan goes; a pair sharing no token is at distance 1.0, or 0.0 when
+    both bags are empty. The distance is the float expression `distance`
+    evaluates, so every value equals a full pairwise scan.
+    """
+    bounds = list(accumulate((len(group) for group in groups), initial=0))
+    members = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    bags = [bag for group in groups for bag in group]
+    owner = [g for g, ids in enumerate(members) for _ in ids]
+    # nearest[i][h], for h other than i's own set: distance from member i to
+    # the nearest member of set h
+    nearest = [[1.0] * len(groups) for _ in bags]
+    empty = [i for i, bag in enumerate(bags) if bag.length == 0]
+    for i in empty:
+        for j in empty:
+            nearest[i][owner[j]] = 0.0
+    same_shared: dict[tuple[int, int], float] = {}
+    index: Postings = {}
+    for i, bag in enumerate(bags):
+        g = owner[i]
+        for j, o in overlaps(bag, index).items():
+            d = 1.0 - 2.0 * o / (bags[j].length + bag.length)
+            h = owner[j]
+            if d < nearest[i][h]:
+                nearest[i][h] = d
+            if d < nearest[j][g]:
+                nearest[j][g] = d
+            if h == g:
+                same_shared[j, i] = d
+        add_posting(index, i, bag)
+
+    same: list[float] = []
+    between: list[float] = []
+    for g, ids in enumerate(members):
+        for i in ids:
+            for j in range(i + 1, ids.stop):
+                d = same_shared.get((i, j))
+                if d is None:
+                    d = 0.0 if bags[i].length == bags[j].length == 0 else 1.0
+                same.append(d)
+        for h in range(g + 1, len(groups)):
+            between.append(max(max(nearest[i][h] for i in ids),
+                               max(nearest[j][g] for j in members[h])))
+    return same, between
 
 
 def hausdorff(xs: list, ys: list) -> float:
@@ -157,8 +227,5 @@ def hausdorff(xs: list, ys: list) -> float:
     members are strings or TokenBags."""
     if not xs or not ys:
         raise ValueError("hausdorff requires two non-empty sentence sets")
-    bx = [_as_bag(x) for x in xs]
-    by = [_as_bag(y) for y in ys]
-    forward = max(min(distance(x, y) for y in by) for x in bx)
-    backward = max(min(distance(x, y) for x in bx) for y in by)
-    return max(forward, backward)
+    _, between = set_distances([[_as_bag(x) for x in xs], [_as_bag(y) for y in ys]])
+    return between[0]

@@ -212,6 +212,24 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["per_article"][0]["rouge1"] == 1.0
 
+    @pytest.mark.parametrize("malformed", ["summaries", "references"])
+    def test_malformed_line_exits_partial(self, tmp_path, capsys, malformed):
+        rows = {
+            "summaries": [{"id": "a", "summary": "the cat sat"}],
+            "references": [{"id": "a", "reference": "the cat sat"}],
+        }
+        rows[malformed].append("{not json")
+        paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
+        for name, path in paths.items():
+            write_corpus(path, rows[name])
+        report_path = tmp_path / "report.json"
+        code = main(["evaluate", str(paths["summaries"]), str(paths["references"]),
+                     "-o", str(report_path)])
+        assert code == EXIT_PARTIAL
+        assert f"{paths[malformed]}:2: skipping malformed record" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert [row["id"] for row in report["per_article"]] == ["a"]
+
     def test_unmatched_ids_listed(self, tmp_path):
         summaries = tmp_path / "sums.jsonl"
         references = tmp_path / "refs.jsonl"
@@ -244,6 +262,21 @@ class TestAnalyze:
             assert aggregate["counts"][i] == sum(
                 entry["position_histogram"]["counts"][i] for entry in report["per_article"]
             )
+
+    @pytest.mark.parametrize("content", ["{bad", '{"article_id": "y"}', "[1, 2]"],
+                             ids=["not-json", "not-a-record", "json-list"])
+    def test_bad_record_file_skipped_exits_partial(self, corpus, tmp_path, capsys, content):
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        full_path = tmp_path / "full.json"
+        assert main(["analyze", str(out / "records"), "-o", str(full_path)]) == EXIT_OK
+        (out / "records" / "zz-bad.json").write_text(content)
+        capsys.readouterr()
+        report_path = tmp_path / "analysis.json"
+        code = main(["analyze", str(out / "records"), "-o", str(report_path)])
+        assert code == EXIT_PARTIAL
+        assert "skipping unreadable record zz-bad.json" in capsys.readouterr().err
+        assert report_path.read_bytes() == full_path.read_bytes()
 
     def test_empty_dir_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "records"

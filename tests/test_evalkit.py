@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from slisum.evalkit import (
+    DistanceDiagnostics,
     distance_diagnostics,
     histogram_from_offsets,
     position_histogram,
@@ -8,7 +11,48 @@ from slisum.evalkit import (
     score,
 )
 
-from conftest import oracle_distance, oracle_hausdorff
+from slisum.lexical import TokenBag, rouge1_f1, rouge2_f1, rougeL_f1
+
+from conftest import oracle_distance, oracle_hausdorff, zipf_texts
+
+
+def loop_distance(a: TokenBag, b: TokenBag) -> float:
+    """1 - ROUGE-1 F1 of two bags, pair by pair."""
+    if a.length == 0 and b.length == 0:
+        f1 = 1.0
+    elif a.length == 0 or b.length == 0:
+        f1 = 0.0
+    else:
+        f1 = 2.0 * a.overlap(b) / (a.length + b.length)
+    return 1.0 - f1
+
+
+def loop_hausdorff(xs: list[TokenBag], ys: list[TokenBag]) -> float:
+    forward = max(min(loop_distance(x, y) for y in ys) for x in xs)
+    backward = max(min(loop_distance(x, y) for x in xs) for y in ys)
+    return max(forward, backward)
+
+
+def loop_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
+    """The double loops over every member pair and every cluster pair: the
+    reference for the postings-indexed `distance_diagnostics`."""
+    bags = [[TokenBag.from_text(text) for text in members] for members in clusters]
+    same = []
+    for members in bags:
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                same.append(loop_distance(members[i], members[j]))
+    mean_h = None
+    if len(bags) >= 2:
+        values = [loop_hausdorff(bags[i], bags[j])
+                  for i in range(len(bags)) for j in range(i + 1, len(bags))]
+        mean_h = sum(values) / len(values)
+    return DistanceDiagnostics(
+        mean_same_cluster=sum(same) / len(same) if same else 0.0,
+        max_same_cluster=max(same) if same else 0.0,
+        mean_hausdorff=mean_h,
+        cluster_count=len(clusters),
+    )
 
 
 class TestScore:
@@ -38,6 +82,18 @@ class TestScore:
         forward = score(summaries, references)
         backward = score(summaries[::-1], references[::-1])
         assert forward.means == pytest.approx(backward.means)
+
+    def test_rows_equal_per_metric_functions(self):
+        rng = random.Random(8)
+        summaries = ["", "…", "a b"] + [" ".join(zipf_texts(rng, rng.randint(1, 40), vocab_size=50))
+                                        for _ in range(12)]
+        references = ["", "a b", "…"] + [" ".join(zipf_texts(rng, rng.randint(1, 40), vocab_size=50))
+                                         for _ in range(12)]
+        report = score(summaries, references)
+        for row, summ, ref in zip(report.per_article, summaries, references):
+            assert row["rouge1"] == rouge1_f1(summ, ref)
+            assert row["rouge2"] == rouge2_f1(summ, ref)
+            assert row["rougeL"] == rougeL_f1(summ, ref)
 
     def test_unavailable_metrics_reported(self):
         data = score(["a"], ["a"]).to_dict()
@@ -107,6 +163,26 @@ class TestDistanceDiagnostics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             distance_diagnostics([])
+
+    @pytest.mark.parametrize("clusters", [
+        [["…", "— …"], ["(?!)"], ["a b c"]],
+        [["…"], ["a b"]],
+        [["a b c", "…", "a b"], ["…", "x y"], ["—"]],
+        [["one"], ["two"], ["one two"], ["three"]],
+        [["same text", "same text"], ["same text"], ["other words"]],
+        [["a b c", "a b d", "…", "a b c"]],
+        [["lonely"]],
+    ], ids=["empty-bags", "empty-vs-full", "mixed-empty", "singletons", "duplicates",
+            "one-cluster", "one-member"])
+    def test_equals_loops_on_edge_cases(self, clusters):
+        assert distance_diagnostics(clusters) == loop_diagnostics(clusters)
+
+    def test_equals_loops_on_zipf_clusters(self):
+        rng = random.Random(17)
+        pool = zipf_texts(rng, 120, vocab_size=60) + ["…", "—"]
+        for _ in range(40):
+            clusters = [rng.choices(pool, k=rng.randint(1, 6)) for _ in range(rng.randint(1, 9))]
+            assert distance_diagnostics(clusters) == loop_diagnostics(clusters)
 
     def test_record_clusters_adapter(self):
         record = {"clusters": [{"texts": ["a", "b"]}, {"texts": ["c"]}]}

@@ -1,14 +1,18 @@
-"""Byte-identity gate: SHA-256 digests of MockEngine run records, pinned.
+"""Byte-identity gate: SHA-256 digests of MockEngine run records and of
+evaluation reports, pinned.
 
 Performance work on segmentation, clustering, voting, anchoring or
 integration must leave every record byte-identical, at any concurrency. A
 change that is meant to alter records has to update these digests and say why.
 """
 import hashlib
+import json
 import random
 
 import pytest
 
+from slisum.evalkit import distance_diagnostics, record_clusters, score
+from slisum.lexical import tokenize
 from slisum.pipeline import PipelineConfig, run
 from slisum.text import Article
 
@@ -52,3 +56,44 @@ def test_both_profiles_covered():
             assert article.total_words < 3000
         elif name.endswith("-long"):
             assert article.total_words >= 3000
+
+
+# Evaluation reports are pinned the same way: a faster ROUGE or diagnostics
+# kernel must reproduce every float of the loop versions bit for bit.
+
+def _score_pairs() -> tuple[list[str], list[str]]:
+    """Seeded Zipf summary/reference pairs from a few tokens to over 800,
+    plus empty and punctuation-only texts."""
+    rng = random.Random(21)
+    summaries, references = ["", "…", "— …", "Z1 z2."], ["", "z1 z2", "…", ""]
+    for sentences in (1, 3, 8, 20, 45, 70, 100):
+        summaries.append(" ".join(zipf_texts(rng, sentences, vocab_size=60)))
+        references.append(" ".join(zipf_texts(rng, sentences + rng.randint(0, 9), vocab_size=60)))
+    return summaries, references
+
+
+SCORE_GOLDEN = "27b3a13c10c26b08fd2a51000db49021bcb3a807d97f62177ef309e7c3f288fe"
+
+DIAGNOSTICS_GOLDEN = {
+    "planted": "ed21ff69da1f6bd09ca7b29040b8fbb4b5e290d5c56c23560419eb6305ce9ab4",
+    "random-short": "390277dc975148f89879580437c8f9181d61d632eb8638f949e448b676a57294",
+    "random-long": "390277dc975148f89879580437c8f9181d61d632eb8638f949e448b676a57294",
+    "zipf-short": "5a849c86638d5a6b2b88639bafbbbd894d6e27cea0c9ca2a8835a366bfee6118",
+    "zipf-long": "32c86c2d5c740d588af3051558b758f4a15c2de8830f3f8c5830f524eed2113f",
+}
+
+
+def test_score_digest():
+    summaries, references = _score_pairs()
+    assert max(len(tokenize(s)) for s in summaries) > 500
+    report = score(summaries, references)
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == SCORE_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_diagnostics_digest(name):
+    record = run(ARTICLES[name], PipelineConfig())
+    diag = distance_diagnostics(record_clusters(record)).to_dict()
+    digest = hashlib.sha256(json.dumps(diag, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == DIAGNOSTICS_GOLDEN[name]

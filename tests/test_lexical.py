@@ -6,16 +6,25 @@ from hypothesis import strategies as st
 
 from slisum.lexical import (
     TokenBag,
+    _lcs_length,
     distance,
     hausdorff,
     rouge1_f1,
     rouge1_recall,
     rouge2_f1,
     rougeL_f1,
+    set_distances,
     tokenize,
 )
 
-from conftest import oracle_hausdorff, oracle_rouge1, oracle_rouge2, oracle_rougeL
+from conftest import (
+    oracle_distance,
+    oracle_hausdorff,
+    oracle_rouge1,
+    oracle_rouge2,
+    oracle_rougeL,
+    zipf_texts,
+)
 
 words = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 texts = st.lists(words, min_size=0, max_size=10).map(" ".join)
@@ -149,3 +158,71 @@ class TestEpsilonSeparation:
         b = "n1 n2 n3 n4 z1 z2 z3 z4"
         assert rouge1_f1(a, b) <= 0.5
         assert distance(a, b) >= 0.5 > 0.25
+
+
+def dp_lcs_length(a: list[str], b: list[str]) -> int:
+    """The O(|a|*|b|) dynamic-programming loop, the reference for the
+    bit-parallel `_lcs_length`."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def zipf_tokens(rng: random.Random, n: int, vocab_size: int) -> list[str]:
+    """n tokens over a Zipf-weighted vocabulary: heavy repeats of a few tokens."""
+    weights = [1.0 / rank for rank in range(1, vocab_size + 1)]
+    return rng.choices([f"z{i}" for i in range(vocab_size)], weights=weights, k=n)
+
+
+class TestLcsLength:
+    @given(st.lists(st.sampled_from("abcd"), max_size=90),
+           st.lists(st.sampled_from("abcde"), max_size=90))
+    @settings(max_examples=300)
+    def test_matches_dp(self, a, b):
+        assert _lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @pytest.mark.parametrize("la, lb", [
+        (0, 0), (0, 70), (70, 0), (1, 1), (63, 64), (64, 64), (65, 130), (200, 3), (1100, 1300),
+    ])
+    def test_zipf_lengths_match_dp(self, la, lb):
+        rng = random.Random(la * 10_007 + lb)
+        for vocab_size in (3, 40, 400):
+            a, b = zipf_tokens(rng, la, vocab_size), zipf_tokens(rng, lb, vocab_size)
+            assert _lcs_length(a, b) == dp_lcs_length(a, b)
+            assert _lcs_length(a, a) == len(a)
+
+    def test_rouge_l_equals_oracle_on_zipf_texts(self):
+        rng = random.Random(3)
+        for _ in range(25):
+            a = " ".join(zipf_texts(rng, rng.randint(0, 14), vocab_size=30))
+            b = " ".join(zipf_texts(rng, rng.randint(0, 14), vocab_size=30))
+            assert len(tokenize(a)) + len(tokenize(b)) <= 400
+            assert rougeL_f1(a, b) == oracle_rougeL(a, b)
+            assert rouge2_f1(a, b) == oracle_rouge2(a, b)
+
+
+class TestSetDistances:
+    @pytest.mark.parametrize("xs, ys", [
+        (["…", "a b"], ["—", "c"]),
+        (["…"], ["a b"]),
+        (["(?!)", "— …"], ["…"]),
+        (["a b", "a b"], ["a b"]),
+        (["a b c"], ["d e", "…"]),
+    ])
+    def test_hausdorff_empty_bags_and_duplicates(self, xs, ys):
+        assert hausdorff(xs, ys) == oracle_hausdorff(xs, ys)
+        assert hausdorff(ys, xs) == oracle_hausdorff(xs, ys)
+
+    def test_same_and_between_orders(self):
+        groups = [["a b", "a c", "x"], ["…"], ["a b", "—"]]
+        same, between = set_distances([[TokenBag.from_text(t) for t in g] for g in groups])
+        assert same == [oracle_distance(g[i], g[j])
+                        for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
+        assert between == [oracle_hausdorff(groups[g], groups[h])
+                           for g in range(3) for h in range(g + 1, 3)]
