@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 usage error, 2 partial success.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import yaml
 
@@ -31,6 +31,7 @@ from .pipeline import (
     persist_record,
     run,
 )
+from .scheduler import CallScheduler
 from .text import Article, ConfigurationError
 
 EXIT_OK = 0
@@ -82,6 +83,10 @@ def _read_jsonl(path):
 
 
 def cmd_summarize(args) -> int:
+    if args.jobs != 1:
+        _warn("--jobs is deprecated and has no effect: --concurrency caps the backend "
+              "calls in flight across all articles")
+
     if not os.path.exists(args.input):
         _warn(f"input file not found: {args.input}")
         return EXIT_USAGE
@@ -133,22 +138,17 @@ def cmd_summarize(args) -> int:
         return EXIT_PARTIAL if partial else EXIT_OK
 
     def process(article: Article):
-        return run(article, config, record_dir=records_dir)
-
-    results: list = [None] * len(articles)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {pool.submit(process, a): i for i, a in enumerate(articles)}
-        for future, idx in futures.items():
-            try:
-                results[idx] = future.result()
-            except (EngineError, ConfigurationError) as exc:
-                _warn(f"article {articles[idx].id!r} failed: {exc}")
-                results[idx] = exc
+        return run(article, config, record_dir=records_dir, scheduler=scheduler)
 
     summaries_path = os.path.join(args.output, "summaries.jsonl")
-    with open(summaries_path, "w", encoding="utf-8") as fh:
-        for article, result in zip(articles, results):
-            if isinstance(result, Exception):
+    with CallScheduler(config.concurrency) as scheduler, \
+            open(summaries_path, "w", encoding="utf-8") as fh, \
+            contextlib.closing(scheduler.overlap(process, articles)) as futures:
+        for article, future in zip(articles, futures):
+            try:
+                result = future.result()
+            except (EngineError, ConfigurationError) as exc:
+                _warn(f"article {article.id!r} failed: {exc}")
                 partial = True
                 continue
             persist_record(result, records_dir)
@@ -292,7 +292,7 @@ def _add_config_flags(parser):
     parser.add_argument("--max-tokens", dest="max_tokens", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--concurrency", type=int,
-                        help="engine-call concurrency within one article")
+                        help="most backend calls in flight at once, across all articles")
     parser.add_argument("--cache-dir", dest="cache_dir")
 
 
@@ -303,7 +303,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="run the pipeline over a JSONL corpus")
     p_sum.add_argument("input", help="JSONL file with {id, article[, reference]} records")
     p_sum.add_argument("-o", "--output", required=True, help="output directory")
-    p_sum.add_argument("--jobs", type=int, default=1, help="articles processed in parallel")
+    # Deprecated and without effect; still accepted so existing scripts run.
+    p_sum.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p_sum.add_argument("--dry-run", action="store_true",
                        help="print window plans and call estimates, no engine calls")
     _add_config_flags(p_sum)

@@ -124,16 +124,24 @@ def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
     )
 
 
-def filter_clusters(cluster_set: ClusterSet) -> list[list[Statement]]:
-    """Keep clusters with size >= MinPts; log what gets dropped."""
+def filter_clusters(cluster_set: ClusterSet,
+                    summary_of: dict[int, int] | None = None) -> list[list[Statement]]:
+    """Keep clusters whose statements come from at least MinPts distinct local
+    summaries, so a claim one summary repeats is not support; log what gets
+    dropped. `summary_of` maps generation_seq to the local summary holding the
+    statement; without it each statement counts as its own summary."""
     retained = []
     for members in cluster_set.clusters:
-        if len(members) >= cluster_set.min_pts:
+        if summary_of is None:
+            support = len(members)
+        else:
+            support = len({summary_of[s.generation_seq] for s in members})
+        if support >= cluster_set.min_pts:
             retained.append(members)
         else:
             log.info(
-                "dropping undersized cluster (%d < MinPts %d): %r",
-                len(members), cluster_set.min_pts,
+                "dropping cluster seen in %d local summaries (< MinPts %d): %r",
+                support, cluster_set.min_pts,
                 [s.text for s in members],
             )
     if cluster_set.noise:

@@ -6,6 +6,7 @@ engine backend.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -13,7 +14,6 @@ import os
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import VoteOutcome, arrange, integrate, vote
@@ -27,6 +27,7 @@ from .engine import (
     render,
 )
 from .lexical import tokenize
+from .scheduler import CallScheduler
 from .text import (
     Article,
     ConfigurationError,
@@ -149,31 +150,51 @@ class ResponseCache:
 class CachedEngine:
     """Engine wrapper that serves repeats from the cache and logs every call.
 
-    `calls` gets one (task, cache_hit) entry per call; pool threads append to
-    it concurrently, which a list append tolerates.
+    With a scheduler, each backend call holds one of its call slots, and
+    concurrent calls for one cache key share a single backend call. `calls`
+    gets one (task, cache_hit) entry per call, where a shared call counts as
+    a hit; dispatch threads append to it concurrently, which a list append
+    tolerates.
     """
 
-    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None = None):
+    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None = None,
+                 scheduler: CallScheduler | None = None):
         self.engine = engine
         self.cache = cache
+        self.scheduler = scheduler
         self.calls: list[tuple[str, bool]] = []
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
         params = (params or EngineParams()).resolved(task)
         body = render(task, items)
-        key = None
-        if self.cache is not None:
+        if self.cache is None:
+            text, hit = self._fetch(task, items, params), False
+        else:
             key = ResponseCache.key(task, body, params, sample)
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                self.calls.append((task, True))
-                return entry["text"]
-        self.calls.append((task, False))
-        text = getattr(self.engine, task)(items, params)
-        if self.cache is not None:
-            self.cache.store(key, {"text": text, "task": task})
+            fetch = functools.partial(self._lookup_or_fetch, key, task, items, params)
+            if self.scheduler is None:
+                text, hit = fetch()
+            else:
+                (text, hit), shared = self.scheduler.single_flight(key, fetch)
+                hit = hit or shared
+        self.calls.append((task, hit))
         return text
+
+    def _lookup_or_fetch(self, key: str, task: str, items: str | list[str],
+                         params: EngineParams) -> tuple[str, bool]:
+        entry = self.cache.lookup(key)
+        if entry is not None:
+            return entry["text"], True
+        text = self._fetch(task, items, params)
+        self.cache.store(key, {"text": text, "task": task})
+        return text, False
+
+    def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
+        if self.scheduler is None:
+            return getattr(self.engine, task)(items, params)
+        with self.scheduler.slot():
+            return getattr(self.engine, task)(items, params)
 
     def summarize(self, window_text: str, params: EngineParams | None = None,
                   sample: int = 1) -> str:
@@ -257,19 +278,26 @@ def run(
     config: PipelineConfig,
     engine: SummaryEngine | None = None,
     record_dir: str | None = None,
+    scheduler: CallScheduler | None = None,
 ) -> RunRecord:
     """Execute the full pipeline for one article.
 
-    Window generations are dispatched concurrently up to the configured cap;
-    generation_seq numbering follows deterministic plan order, so concurrency
-    never changes the result. On an engine failure the partial record is
-    persisted (when record_dir is given) and the error re-raised.
+    Window generations are dispatched through the scheduler's call slots (a
+    scheduler of the configured concurrency when none is given), and the CPU
+    stages run in the scheduler's CPU turn; generation_seq numbering follows
+    deterministic plan order, so concurrency never changes the result. On an
+    engine failure the partial record is persisted (when record_dir is given)
+    and the error re-raised.
     """
+    if scheduler is None:
+        with CallScheduler(config.concurrency) as scheduler:
+            return run(article, config, engine, record_dir, scheduler)
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
     if engine is None:
         engine = make_engine(resolved.backend, model=resolved.model)
-    cached = CachedEngine(engine, ResponseCache(resolved.cache_dir) if resolved.cache_dir else None)
+    cache = ResponseCache(resolved.cache_dir) if resolved.cache_dir else None
+    cached = CachedEngine(engine, cache, scheduler)
     plan = build_window_plan(article, resolved.window_size, resolved.step_size)
 
     tasks = [
@@ -305,103 +333,17 @@ def run(
     )
 
     try:
-        with ThreadPoolExecutor(max_workers=resolved.concurrency) as pool:
-            summaries = list(
-                pool.map(
-                    lambda task: cached.summarize(window_text(article, task[0]), params,
-                                                  sample=task[1]),
-                    tasks,
-                )
-            )
-
-        statements: list[Statement] = []
-        summary_of_seq: dict[int, int] = {}
-        seq = 0
-        for (window, rep), summary in zip(tasks, summaries):
-            seqs = []
-            for pos, sent in enumerate(segment_sentences(summary), 1):
-                seq += 1
-                statements.append(
-                    Statement(
-                        text=sent.text,
-                        window_ordinal=window.ordinal,
-                        generation_seq=seq,
-                        position_in_summary=pos,
-                    )
-                )
-                seqs.append(seq)
-                summary_of_seq[seq] = len(record.local_summaries)
-            record.local_summaries.append(
-                {
-                    "window_ordinal": window.ordinal,
-                    "repetition": rep,
-                    "text": summary,
-                    "statement_seqs": seqs,
-                }
-            )
-
-        cluster_set = dbscan(statements, resolved.eps, resolved.min_pts)
-        retained = filter_clusters(cluster_set)
-        record.noise = [_statement_dict(s) for s in cluster_set.noise]
-        for cid, members in enumerate(retained, 1):
-            if len(members) > resolved.k:
-                record.flags.append(f"cluster {cid} exceeds K={resolved.k} statements")
-            record.clusters.append(
-                {
-                    "id": cid,
-                    "size": len(members),
-                    "statement_seqs": [s.generation_seq for s in members],
-                    "texts": [s.text for s in members],
-                    "local_summary_count": len({summary_of_seq[s.generation_seq] for s in members}),
-                }
-            )
-
-        outcomes: list[VoteOutcome] = []
-        for cid, members in enumerate(retained, 1):
-            normalized = {_normalized(s.text) for s in members}
-            if len(normalized) == 1:
-                partition = [list(range(1, len(members) + 1))]
-            else:
-                partition = cached.classify([s.text for s in members], params)
-            outcomes.append(vote(members, partition, cluster_id=cid))
-        record.votes = [
-            {
-                "cluster_id": o.cluster_id,
-                "partition": o.partition,
-                "winner_category": o.winner_category,
-                "winner_seq": o.winner_statement.generation_seq,
-                "rationale": o.rationale,
-            }
-            for o in outcomes
+        futures = [
+            scheduler.submit(cached.summarize, window_text(article, window), params, sample=rep)
+            for window, rep in tasks
         ]
-
-        if not outcomes:
-            record.flags.append("no cluster survived MinPts")
-            connected, fallback = "", False
-            arranged = []
-            winner_cluster = {}
-        else:
-            selected = [o.winner_statement for o in outcomes]
-            winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
-            arranged = arrange(selected, article)
-            connected, fallback = integrate([s for s, _ in arranged], cached, params)
-
-        offsets = _word_offsets(article)
-        record.final = {
-            "statements": [
-                {
-                    "text": s.text,
-                    "source_anchor": anchor_idx,
-                    "anchor_word_offset": offsets[anchor_idx - 1],
-                    "window_ordinal": s.window_ordinal,
-                    "generation_seq": s.generation_seq,
-                    "cluster_id": winner_cluster[s.generation_seq] if arranged else None,
-                }
-                for s, anchor_idx in arranged
-            ],
-            "connected_text": connected,
-            "fallback": fallback,
-        }
+        try:
+            summaries = [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+        with scheduler.cpu_turn():
+            _filter_and_aggregate(article, resolved, tasks, summaries, cached, params, record)
         record.status = "complete"
         return record
     except EngineError:
@@ -411,6 +353,101 @@ def run(
         raise
     finally:
         record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started)
+
+
+def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
+                          summaries: list[str], cached: CachedEngine, params: EngineParams,
+                          record: RunRecord) -> None:
+    """Fill the record from the local summaries: split them into statements,
+    cluster, vote inside each retained cluster, arrange and connect."""
+    statements: list[Statement] = []
+    summary_of_seq: dict[int, int] = {}
+    seq = 0
+    for (window, rep), summary in zip(tasks, summaries):
+        seqs = []
+        for pos, sent in enumerate(segment_sentences(summary), 1):
+            seq += 1
+            statements.append(
+                Statement(
+                    text=sent.text,
+                    window_ordinal=window.ordinal,
+                    generation_seq=seq,
+                    position_in_summary=pos,
+                )
+            )
+            seqs.append(seq)
+            summary_of_seq[seq] = len(record.local_summaries)
+        record.local_summaries.append(
+            {
+                "window_ordinal": window.ordinal,
+                "repetition": rep,
+                "text": summary,
+                "statement_seqs": seqs,
+            }
+        )
+
+    cluster_set = dbscan(statements, resolved.eps, resolved.min_pts)
+    retained = filter_clusters(cluster_set, summary_of_seq)
+    record.noise = [_statement_dict(s) for s in cluster_set.noise]
+    for cid, members in enumerate(retained, 1):
+        if len(members) > resolved.k:
+            record.flags.append(f"cluster {cid} exceeds K={resolved.k} statements")
+        record.clusters.append(
+            {
+                "id": cid,
+                "size": len(members),
+                "statement_seqs": [s.generation_seq for s in members],
+                "texts": [s.text for s in members],
+                "local_summary_count": len({summary_of_seq[s.generation_seq] for s in members}),
+            }
+        )
+
+    outcomes: list[VoteOutcome] = []
+    for cid, members in enumerate(retained, 1):
+        normalized = {_normalized(s.text) for s in members}
+        if len(normalized) == 1:
+            partition = [list(range(1, len(members) + 1))]
+        else:
+            partition = cached.classify([s.text for s in members], params)
+        outcomes.append(vote(members, partition, cluster_id=cid))
+    record.votes = [
+        {
+            "cluster_id": o.cluster_id,
+            "partition": o.partition,
+            "winner_category": o.winner_category,
+            "winner_seq": o.winner_statement.generation_seq,
+            "rationale": o.rationale,
+        }
+        for o in outcomes
+    ]
+
+    if not outcomes:
+        record.flags.append("no cluster survived MinPts")
+        connected, fallback = "", False
+        arranged = []
+        winner_cluster = {}
+    else:
+        selected = [o.winner_statement for o in outcomes]
+        winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
+        arranged = arrange(selected, article)
+        connected, fallback = integrate([s for s, _ in arranged], cached, params)
+
+    offsets = _word_offsets(article)
+    record.final = {
+        "statements": [
+            {
+                "text": s.text,
+                "source_anchor": anchor_idx,
+                "anchor_word_offset": offsets[anchor_idx - 1],
+                "window_ordinal": s.window_ordinal,
+                "generation_seq": s.generation_seq,
+                "cluster_id": winner_cluster[s.generation_seq] if arranged else None,
+            }
+            for s, anchor_idx in arranged
+        ],
+        "connected_text": connected,
+        "fallback": fallback,
+    }
 
 
 def _word_offsets(article: Article) -> list[int]:

@@ -9,11 +9,14 @@ from __future__ import annotations
 import functools
 import random
 import string
+import threading
+import time
 
 import pytest
 
 from slisum.cluster import Statement
-from slisum.text import Article
+from slisum.engine import INSTRUCTIONS, MockEngine
+from slisum.text import Article, segment_sentences
 
 STRIP = string.punctuation + "‘’“”–—…"
 
@@ -210,3 +213,50 @@ def planted_article() -> Article:
 @pytest.fixture
 def planted():
     return planted_article()
+
+
+# ---------------------------------------------------------------- fake engines
+
+class SamplingEngine(MockEngine):
+    """Answers each summarize call with the next sentence of the window in
+    turn, slowly, like a backend sampling at a temperature above zero."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.draws = 0
+
+    def summarize(self, window_text, params=None):
+        with self.lock:
+            draw = self.draws
+            self.draws += 1
+        time.sleep(0.005)
+        sentences = segment_sentences(window_text)
+        return sentences[draw % len(sentences)].text
+
+
+class PeakTransport:
+    """Chat transport answering like MockEngine, slowly, that records the peak
+    number of requests in flight."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def __call__(self, payload, timeout):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.005)
+            system, user = (m["content"] for m in payload["messages"])
+            task = next(t for t, text in INSTRUCTIONS.items() if text == system)
+            if task == "summarize":
+                text = MockEngine().summarize(user)
+            elif task == "classify":
+                text = MockEngine().classify([line.split(". ", 1)[1] for line in user.splitlines()])
+            else:
+                text = MockEngine().connect(user.splitlines())
+            return 200, {"choices": [{"message": {"content": text}}]}
+        finally:
+            with self.lock:
+                self.in_flight -= 1

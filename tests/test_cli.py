@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 
@@ -6,9 +7,10 @@ import pytest
 import yaml
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
+from slisum.engine import EngineError, HttpEngine, MockEngine
 from slisum.pipeline import PipelineConfig
 
-from conftest import planted_article
+from conftest import PeakTransport, SamplingEngine, planted_article
 
 
 def write_corpus(path, records):
@@ -84,11 +86,94 @@ class TestSummarize:
         ])
         assert main(["summarize", str(path), "-o", str(tmp_path / "out")]) == EXIT_PARTIAL
 
-    def test_jobs_do_not_change_outputs(self, corpus, tmp_path):
-        out1, out4 = tmp_path / "jobs1", tmp_path / "jobs4"
-        assert main(["summarize", str(corpus), "-o", str(out1), "--jobs", "1"]) == EXIT_OK
-        assert main(["summarize", str(corpus), "-o", str(out4), "--jobs", "4"]) == EXIT_OK
-        assert read_bytes_tree(out1) == read_bytes_tree(out4)
+    def test_jobs_do_not_change_outputs(self, corpus, tmp_path, monkeypatch):
+        """Backend calls in flight never exceed --concurrency across the whole
+        process, whatever --jobs says, and outputs do not depend on either."""
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "fourth", "article": planted_article().raw_text
+                                 .replace("Alpha", "Beta")}) + "\n")
+        transport = None
+
+        def make_engine(backend, **kwargs):
+            return HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+                              transport=transport)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
+        trees, peaks = [], []
+        for concurrency, jobs in ((1, 1), (2, 3), (8, 1)):
+            transport = PeakTransport()
+            out = tmp_path / f"c{concurrency}-j{jobs}"
+            assert main(["summarize", str(corpus), "-o", str(out), "--concurrency",
+                         str(concurrency), "--jobs", str(jobs)]) == EXIT_OK
+            assert transport.peak <= concurrency
+            trees.append(read_bytes_tree(out))
+            peaks.append(transport.peak)
+        assert len(trees[0]) == 5
+        assert trees[0] == trees[1] == trees[2]
+        assert peaks[2] > 1
+
+    def test_identical_articles_share_calls(self, tmp_path, monkeypatch, capsys):
+        """Two open articles with the same text draw each sample once, so the
+        warm rerun makes no backend call and reproduces both records."""
+        engine = SamplingEngine()
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: engine)
+        text = " ".join(f"Fact{i} holds for case{i} here." for i in range(1, 8))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "a", "article": text}, {"id": "b", "article": text}])
+        cache = tmp_path / "cache"
+        argv = ["summarize", str(path), "--concurrency", "4", "--jobs", "2",
+                "--cache-dir", str(cache)]
+        assert main(argv + ["-o", str(tmp_path / "cold")]) == EXIT_OK
+        assert engine.draws == 3
+        engine.draws = 0
+        capsys.readouterr()
+        assert main(argv + ["-o", str(tmp_path / "warm")]) == EXIT_OK
+        assert engine.draws == 0
+        assert "backend_calls=0 " in capsys.readouterr().err
+        assert read_bytes_tree(tmp_path / "cold") == read_bytes_tree(tmp_path / "warm")
+
+    def test_failed_article_leaves_the_others_intact(self, corpus, tmp_path, monkeypatch,
+                                                     capsys):
+        """An engine error in one article mid-corpus aborts that article only:
+        exit 2, its partial record kept as aborted, and every other article's
+        record and summary line as in a run without it, in input order."""
+
+        class FlakyEngine(MockEngine):
+            """Raises on the second summarize call of the article mentioning Quartz."""
+
+            def __init__(self):
+                self.calls = itertools.count(1)
+
+            def summarize(self, window_text, params=None):
+                if "Quartz" in window_text and next(self.calls) == 2:
+                    raise EngineError("backend down")
+                return super().summarize(window_text, params)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine",
+                            lambda backend, **kwargs: FlakyEngine())
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        failing = {"id": "quartz", "article": " ".join(
+            f"Quartz sample{i} glows under lamp{i} light." for i in range(1, 40))}
+        healthy = tmp_path / "healthy.jsonl"
+        mixed = tmp_path / "mixed.jsonl"
+        write_corpus(healthy, rows)
+        write_corpus(mixed, rows[:2] + [failing] + rows[2:])
+        argv = ["--concurrency", "2"]
+        assert main(["summarize", str(healthy), "-o", str(tmp_path / "h")] + argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(["summarize", str(mixed), "-o", str(tmp_path / "m")] + argv) == EXIT_PARTIAL
+        assert "article 'quartz' failed: backend down" in capsys.readouterr().err
+
+        with open(tmp_path / "m" / "records" / "quartz.json") as fh:
+            aborted = json.load(fh)
+        assert aborted["status"] == "aborted"
+        assert "aborted: engine error" in aborted["flags"]
+        mixed_tree = read_bytes_tree(tmp_path / "m")
+        del mixed_tree[os.path.join("records", "quartz.json")]
+        assert mixed_tree == read_bytes_tree(tmp_path / "h")
+        ids = [json.loads(line)["id"]
+               for line in (tmp_path / "m" / "summaries.jsonl").read_text().splitlines()]
+        assert ids == ["planted", "tiny", "third"]
 
     def test_dry_run_prints_plan(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"

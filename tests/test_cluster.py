@@ -127,6 +127,13 @@ class TestFilterClusters:
         assert filter_clusters(cs) == [stmts]
 
 
+    def test_counts_local_summaries_not_statements(self):
+        stmts = make_statements(["a b"] * 5)
+        cs = ClusterSet(clusters=[stmts[:2], stmts[2:]], noise=[], eps=0.25, min_pts=2)
+        summary_of = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}
+        assert filter_clusters(cs, summary_of) == [stmts[2:]]
+
+
 class TestDefaultMinPts:
     @pytest.mark.parametrize("k,expected", [(5, 3), (3, 2), (1, 1), (2, 1), (4, 2), (10, 5)])
     def test_half_up_rule(self, k, expected):

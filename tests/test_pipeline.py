@@ -16,9 +16,15 @@ from slisum.pipeline import (
     persist_record,
     run,
 )
-from slisum.text import Article, ConfigurationError, segment_sentences
+from slisum.text import Article, ConfigurationError, Window, build_window_plan, window_text
 
-from conftest import PLANTED_EVENTS, planted_article, random_article
+from conftest import (
+    PLANTED_EVENTS,
+    PeakTransport,
+    SamplingEngine,
+    planted_article,
+    random_article,
+)
 
 
 class TestResolveProfile:
@@ -162,6 +168,27 @@ class TestRun:
         assert record.final["connected_text"] == ""
         assert record.final["statements"] == []
 
+    def test_claim_repeated_in_one_summary_is_not_support(self):
+        """A cluster needs MinPts distinct local summaries, not MinPts
+        statements: a claim one summary states twice is dropped."""
+        article = Article.from_text("moon", " ".join(
+            f"Topic{i} words{i} fill{i} this{i} sentence{i}." for i in range(1, 13)))
+        config = PipelineConfig(window_size=30, step_size=10, concurrency=1)
+        first_window = window_text(article, build_window_plan(article, 30, 10).windows[0])
+
+        class RepeatingEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                if window_text == first_window:
+                    return ("The moon is made of green cheese. "
+                            "The moon is made of green cheese!")
+                return super().summarize(window_text, params)
+
+        record = run(article, config, engine=RepeatingEngine())
+        assert (record.config["k"], record.config["min_pts"]) == (3, 2)
+        assert all(c["local_summary_count"] >= 2 for c in record.clusters)
+        assert "moon" not in record.final["connected_text"]
+        assert record.final["statements"]
+
     def test_engine_call_accounting(self, planted, tmp_path):
         record = run(planted, PipelineConfig(concurrency=1))
         expected = record.plan["total_generations"]
@@ -215,6 +242,25 @@ class TestRun:
         warm = run(article, config, engine=warm_engine)
         assert warm_engine.draws == 0
         assert warm.stats.backend_calls == 0
+        assert warm.to_json() == cold.to_json()
+
+    def test_repeated_window_text_drawn_once(self, tmp_path):
+        """Windows with the same text share one cache key per sample; with
+        several of them in flight together, each key still gets one draw."""
+        passage = "Alpha beta gamma delta epsilon. Zeta eta theta iota kappa. "
+        article = Article.from_text("echo", passage * 4)
+        config = PipelineConfig(window_size=20, step_size=10, concurrency=4, seed=3,
+                                cache_dir=str(tmp_path / "cache"))
+        cold_engine = SamplingEngine()
+        cold = run(article, config, engine=cold_engine)
+        prompts = [(window_text(article, Window(**w)), w["repetitions"])
+                   for w in cold.plan["windows"]]
+        assert len(prompts) == 5 and len(set(prompts)) == 2
+        assert cold_engine.draws == 2
+
+        warm_engine = SamplingEngine()
+        warm = run(article, config, engine=warm_engine)
+        assert warm_engine.draws == 0
         assert warm.to_json() == cold.to_json()
 
     def test_repetitions_send_consecutive_seeds(self):
@@ -313,51 +359,6 @@ class TestRun:
         clustered = {seq for c in record.clusters for seq in c["statement_seqs"]}
         noise = {s["generation_seq"] for s in record.noise}
         assert clustered | noise <= set(seen)
-
-
-class SamplingEngine(MockEngine):
-    """Answers each summarize call with the next sentence of the window in
-    turn, slowly, like a backend sampling at a temperature above zero."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.draws = 0
-
-    def summarize(self, window_text, params=None):
-        with self.lock:
-            draw = self.draws
-            self.draws += 1
-        time.sleep(0.005)
-        sentences = segment_sentences(window_text)
-        return sentences[draw % len(sentences)].text
-
-
-class PeakTransport:
-    """Chat transport answering like MockEngine, slowly, that records the peak
-    number of requests in flight."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.in_flight = self.peak = 0
-
-    def __call__(self, payload, timeout):
-        with self.lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        try:
-            time.sleep(0.005)
-            system, user = (m["content"] for m in payload["messages"])
-            task = next(t for t, text in INSTRUCTIONS.items() if text == system)
-            if task == "summarize":
-                text = MockEngine().summarize(user)
-            elif task == "classify":
-                text = MockEngine().classify([line.split(". ", 1)[1] for line in user.splitlines()])
-            else:
-                text = MockEngine().connect(user.splitlines())
-            return 200, {"choices": [{"message": {"content": text}}]}
-        finally:
-            with self.lock:
-                self.in_flight -= 1
 
 
 class TestRandomizedPipeline:
