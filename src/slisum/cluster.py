@@ -124,18 +124,23 @@ def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
     )
 
 
-def filter_clusters(cluster_set: ClusterSet,
-                    summary_of: dict[int, int] | None = None) -> list[list[Statement]]:
+def local_summary_count(members: list[Statement]) -> int:
+    """Number of distinct local summaries the statements come from.
+
+    Positions restart at 1 in each summary and generation_seq runs on
+    consecutively through it, so generation_seq - position_in_summary is the
+    seq before a summary's first statement: one value per summary.
+    """
+    return len({s.generation_seq - s.position_in_summary for s in members})
+
+
+def filter_clusters(cluster_set: ClusterSet) -> list[list[Statement]]:
     """Keep clusters whose statements come from at least MinPts distinct local
     summaries, so a claim one summary repeats is not support; log what gets
-    dropped. `summary_of` maps generation_seq to the local summary holding the
-    statement; without it each statement counts as its own summary."""
+    dropped."""
     retained = []
     for members in cluster_set.clusters:
-        if summary_of is None:
-            support = len(members)
-        else:
-            support = len({summary_of[s.generation_seq] for s in members})
+        support = local_summary_count(members)
         if support >= cluster_set.min_pts:
             retained.append(members)
         else:

@@ -17,7 +17,14 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import VoteOutcome, arrange, integrate, vote
-from .cluster import ClusterSet, Statement, dbscan, default_min_pts, filter_clusters
+from .cluster import (
+    ClusterSet,
+    Statement,
+    dbscan,
+    default_min_pts,
+    filter_clusters,
+    local_summary_count,
+)
 from .engine import (
     EngineError,
     EngineParams,
@@ -150,15 +157,14 @@ class ResponseCache:
 class CachedEngine:
     """Engine wrapper that serves repeats from the cache and logs every call.
 
-    With a scheduler, each backend call holds one of its call slots, and
-    concurrent calls for one cache key share a single backend call. `calls`
-    gets one (task, cache_hit) entry per call, where a shared call counts as
-    a hit; dispatch threads append to it concurrently, which a list append
-    tolerates.
+    Each backend call holds one of the scheduler's call slots, and concurrent
+    calls for one cache key share a single backend call. `calls` gets one
+    (task, cache_hit) entry per call, where a shared call counts as a hit;
+    dispatch threads append to it concurrently, which a list append tolerates.
     """
 
-    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None = None,
-                 scheduler: CallScheduler | None = None):
+    def __init__(self, engine: SummaryEngine, cache: ResponseCache | None,
+                 scheduler: CallScheduler):
         self.engine = engine
         self.cache = cache
         self.scheduler = scheduler
@@ -173,11 +179,8 @@ class CachedEngine:
         else:
             key = ResponseCache.key(task, body, params, sample)
             fetch = functools.partial(self._lookup_or_fetch, key, task, items, params)
-            if self.scheduler is None:
-                text, hit = fetch()
-            else:
-                (text, hit), shared = self.scheduler.single_flight(key, fetch)
-                hit = hit or shared
+            (text, hit), shared = self.scheduler.single_flight(key, fetch)
+            hit = hit or shared
         self.calls.append((task, hit))
         return text
 
@@ -191,8 +194,6 @@ class CachedEngine:
         return text, False
 
     def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
-        if self.scheduler is None:
-            return getattr(self.engine, task)(items, params)
         with self.scheduler.slot():
             return getattr(self.engine, task)(items, params)
 
@@ -361,7 +362,6 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     """Fill the record from the local summaries: split them into statements,
     cluster, vote inside each retained cluster, arrange and connect."""
     statements: list[Statement] = []
-    summary_of_seq: dict[int, int] = {}
     seq = 0
     for (window, rep), summary in zip(tasks, summaries):
         seqs = []
@@ -376,7 +376,6 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
                 )
             )
             seqs.append(seq)
-            summary_of_seq[seq] = len(record.local_summaries)
         record.local_summaries.append(
             {
                 "window_ordinal": window.ordinal,
@@ -387,7 +386,7 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         )
 
     cluster_set = dbscan(statements, resolved.eps, resolved.min_pts)
-    retained = filter_clusters(cluster_set, summary_of_seq)
+    retained = filter_clusters(cluster_set)
     record.noise = [_statement_dict(s) for s in cluster_set.noise]
     for cid, members in enumerate(retained, 1):
         if len(members) > resolved.k:
@@ -398,7 +397,7 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
                 "size": len(members),
                 "statement_seqs": [s.generation_seq for s in members],
                 "texts": [s.text for s in members],
-                "local_summary_count": len({summary_of_seq[s.generation_seq] for s in members}),
+                "local_summary_count": local_summary_count(members),
             }
         )
 

@@ -56,17 +56,22 @@ class CallScheduler:
 
     def single_flight(self, key: str, fn: Callable[[], object]) -> tuple[object, bool]:
         """(fn(), False) for the first caller of `key`. A caller arriving
-        while that call runs waits for it and gets (its result, True), or its
-        exception. Once the call returns, the next caller runs fn again, so fn
-        must make its result findable (a cache store) before returning."""
-        with self._flights_lock:
-            flight = self._flights.get(key)
-            leader = flight is None
+        while that call runs waits for it and gets (its result, True); if it
+        raised, the waiting caller starts over and may run fn itself, so one
+        caller's failed call does not fail the others. Once the call returns,
+        the next caller runs fn again, so fn must make its result findable (a
+        cache store) before returning."""
+        while True:
+            with self._flights_lock:
+                flight = self._flights.get(key)
+                leader = flight is None
+                if leader:
+                    flight = self._flights[key] = Future()
             if leader:
-                flight = self._flights[key] = Future()
-        if not leader:
+                break
             with self._idle():
-                return flight.result(), True
+                if flight.exception() is None:
+                    return flight.result(), True
         try:
             result = fn()
         except BaseException as exc:

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import os
+import threading
+import time
 
 import pytest
 import yaml
@@ -131,6 +133,48 @@ class TestSummarize:
         assert engine.draws == 0
         assert "backend_calls=0 " in capsys.readouterr().err
         assert read_bytes_tree(tmp_path / "cold") == read_bytes_tree(tmp_path / "warm")
+
+    def test_failed_call_shared_by_identical_article_fails_one(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """Two open articles with the same text share their calls; when the
+        first article's engine raises, the other article makes the call with
+        its own engine and completes."""
+        made = itertools.count()
+        down_called = threading.Event()
+
+        class DownEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                down_called.set()
+                time.sleep(0.05)
+                raise EngineError("backend down")
+
+        def make_engine(backend, **kwargs):
+            # The second article starts once the first one's calls are in
+            # flight, so it asks for keys the failing engine is answering.
+            if next(made) == 0:
+                return DownEngine()
+            assert down_called.wait(timeout=10)
+            return MockEngine()
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
+        text = " ".join(f"Fact{i} holds for case{i} here." for i in range(1, 8))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "a", "article": text}, {"id": "b", "article": text}])
+        argv = ["summarize", str(path), "--concurrency", "4"]
+        assert main(argv + ["-o", str(tmp_path / "m"),
+                            "--cache-dir", str(tmp_path / "cache-m")]) == EXIT_PARTIAL
+        assert "failed: backend down" in capsys.readouterr().err
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: MockEngine())
+        assert main(argv + ["-o", str(tmp_path / "h"),
+                            "--cache-dir", str(tmp_path / "cache-h")]) == EXIT_OK
+
+        mixed = read_bytes_tree(tmp_path / "m" / "records")
+        healthy = read_bytes_tree(tmp_path / "h" / "records")
+        statuses = sorted(json.loads(data)["status"] for data in mixed.values())
+        assert statuses == ["aborted", "complete"]
+        for name, data in mixed.items():
+            if json.loads(data)["status"] == "complete":
+                assert data == healthy[name]
 
     def test_failed_article_leaves_the_others_intact(self, corpus, tmp_path, monkeypatch,
                                                      capsys):

@@ -126,12 +126,14 @@ class TestFilterClusters:
         cs = ClusterSet(clusters=[stmts], noise=[], eps=0.25, min_pts=3)
         assert filter_clusters(cs) == [stmts]
 
-
     def test_counts_local_summaries_not_statements(self):
-        stmts = make_statements(["a b"] * 5)
+        # Summaries of 2, 2 and 1 statements: seqs 1-2, 3-4 and 5.
+        stmts = [
+            Statement(text="a b", window_ordinal=1, generation_seq=seq, position_in_summary=pos)
+            for seq, pos in [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1)]
+        ]
         cs = ClusterSet(clusters=[stmts[:2], stmts[2:]], noise=[], eps=0.25, min_pts=2)
-        summary_of = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}
-        assert filter_clusters(cs, summary_of) == [stmts[2:]]
+        assert filter_clusters(cs) == [stmts[2:]]
 
 
 class TestDefaultMinPts:

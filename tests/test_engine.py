@@ -16,6 +16,7 @@ from slisum.engine import (
     replay_transport,
 )
 from slisum.pipeline import CachedEngine
+from slisum.scheduler import CallScheduler
 
 
 class TestRender:
@@ -172,7 +173,9 @@ class TestHttpEngine:
         transport = ScriptedTransport([(200, ok_body(raw))])
         engine, _ = self.engine(transport)
         statements = ["d1", "d2", "d3", "d4", "d5"]
-        assert CachedEngine(engine).classify(statements) == [[2], [1, 4], [3, 5]]
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(engine, None, scheduler)
+            assert cached.classify(statements) == [[2], [1, 4], [3, 5]]
         assert transport.calls[0]["messages"][1]["content"] == render("classify", statements)
 
     def test_temperature_defaults_per_task(self):

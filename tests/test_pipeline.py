@@ -16,6 +16,7 @@ from slisum.pipeline import (
     persist_record,
     run,
 )
+from slisum.scheduler import CallScheduler
 from slisum.text import Article, ConfigurationError, Window, build_window_plan, window_text
 
 from conftest import (
@@ -89,18 +90,19 @@ class TestResponseCache:
         assert not os.path.exists(path)
 
     def test_cached_engine_counts(self, tmp_path):
-        cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)))
-        first = cached.summarize("One fine sentence.", EngineParams(model="m"))
-        again = cached.summarize("One fine sentence.", EngineParams(model="m"))
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
+            first = cached.summarize("One fine sentence.", EngineParams(model="m"))
+            again = cached.summarize("One fine sentence.", EngineParams(model="m"))
         assert first == again
         assert cached.calls == [("summarize", False), ("summarize", True)]
 
     def test_call_log_loses_no_concurrent_call(self):
-        cached = CachedEngine(MockEngine())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
+            with CallScheduler(8) as scheduler, ThreadPoolExecutor(max_workers=8) as pool:
+                cached = CachedEngine(MockEngine(), None, scheduler)
                 list(pool.map(lambda i: cached.connect([f"Fact {i}."]), range(2000), timeout=60))
         finally:
             sys.setswitchinterval(interval)

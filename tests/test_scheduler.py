@@ -4,6 +4,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from slisum.engine import EngineParams, MockEngine
 from slisum.pipeline import CachedEngine, ResponseCache
 from slisum.scheduler import CallScheduler
@@ -99,3 +101,22 @@ def test_cpu_turn_is_given_up_while_waiting_for_a_slot():
         for future in futures:
             future.result(timeout=30)
     assert computing == ["first", "second", "first"]
+
+
+def test_caller_waiting_on_a_failed_call_runs_its_own():
+    """A caller that joined a shared call which raised does not inherit the
+    error: it calls again itself."""
+    started = threading.Event()
+
+    def failing():
+        started.set()
+        time.sleep(0.05)
+        raise ValueError("backend down")
+
+    with CallScheduler(2) as scheduler, ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(scheduler.single_flight, "key", failing)
+        assert started.wait(timeout=10)
+        second = pool.submit(scheduler.single_flight, "key", lambda: "own answer")
+        with pytest.raises(ValueError, match="backend down"):
+            first.result(timeout=10)
+        assert second.result(timeout=10) == ("own answer", False)
