@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 usage error, 2 partial success.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
 import sys
+from collections import deque
 
 import yaml
 
@@ -29,7 +29,8 @@ from .pipeline import (
     PipelineConfig,
     ResponseCache,
     persist_record,
-    run,
+    run,  # noqa: F401  (bench/spans.py traces slisum.cli.run by name)
+    start,
 )
 from .scheduler import CallScheduler
 from .text import Article, ConfigurationError
@@ -137,29 +138,36 @@ def cmd_summarize(args) -> int:
                       f" ({w.word_count} words) x{w.repetitions}")
         return EXIT_PARTIAL if partial else EXIT_OK
 
-    def process(article: Article):
-        return run(article, config, record_dir=records_dir, scheduler=scheduler)
-
     summaries_path = os.path.join(args.output, "summaries.jsonl")
     with CallScheduler(config.concurrency) as scheduler, \
-            open(summaries_path, "w", encoding="utf-8") as fh, \
-            contextlib.closing(scheduler.overlap(process, articles)) as futures:
-        for article, future in zip(articles, futures):
+            open(summaries_path, "w", encoding="utf-8") as fh:
+        # Up to concurrency + 1 articles have their generations submitted while
+        # the oldest of them is finished here, so outputs come in input order.
+        started: deque = deque()
+        last = len(articles) - 1
+        for index, article in enumerate(articles):
             try:
-                result = future.result()
-            except (EngineError, ConfigurationError) as exc:
+                started.append((article, start(article, config, None, records_dir, scheduler)))
+            except ConfigurationError as exc:
                 _warn(f"article {article.id!r} failed: {exc}")
                 partial = True
-                continue
-            persist_record(result, records_dir)
-            fh.write(json.dumps(
-                {"id": article.id, "summary": result.final["connected_text"]},
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
-            _warn(
-                f"{article.id}: backend_calls={result.stats.backend_calls} "
-                f"cache_hits={result.stats.cache_hits} elapsed={result.stats.elapsed_s:.2f}s"
-            )
+            while started and (len(started) > scheduler.concurrency or index == last):
+                oldest, finish = started.popleft()
+                try:
+                    result = finish()
+                except EngineError as exc:
+                    _warn(f"article {oldest.id!r} failed: {exc}")
+                    partial = True
+                    continue
+                persist_record(result, records_dir)
+                fh.write(json.dumps(
+                    {"id": oldest.id, "summary": result.final["connected_text"]},
+                    ensure_ascii=False, sort_keys=True,
+                ) + "\n")
+                _warn(
+                    f"{oldest.id}: backend_calls={result.stats.backend_calls} "
+                    f"cache_hits={result.stats.cache_hits} elapsed={result.stats.elapsed_s:.2f}s"
+                )
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

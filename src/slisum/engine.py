@@ -288,6 +288,8 @@ class HttpEngine(SummaryEngine):
     def _extract_content(body: dict, req_id: str) -> str:
         try:
             text = body["choices"][0]["message"]["content"]
+            if not isinstance(text, (str, type(None))):
+                raise TypeError(f"content is {type(text).__name__}")
         except (KeyError, IndexError, TypeError):
             raise EngineError(f"request {req_id}: malformed response body")
         text = (text or "").strip()

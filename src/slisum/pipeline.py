@@ -14,6 +14,7 @@ import os
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import VoteOutcome, arrange, integrate, vote
@@ -142,8 +143,20 @@ class ResponseCache:
                 pass
             return None
 
-    def store(self, key: str, entry: dict) -> None:
-        _write_atomic(self._path(key), json.dumps(entry, ensure_ascii=False))
+    def store(self, key: str, entry: dict) -> str:
+        """Store `entry` unless another writer stored `key` first, and return
+        the text stored under `key`: the first writer wins, so processes that
+        share the directory agree on every answer. An unreadable competing
+        entry is quarantined by `lookup` and replaced."""
+        path, text = self._path(key), json.dumps(entry, ensure_ascii=False)
+        try:
+            _write_atomic(path, text, os.link)
+        except FileExistsError:
+            stored = self.lookup(key)
+            if stored is not None:
+                return stored["text"]
+            _write_atomic(path, text, os.replace)
+        return entry["text"]
 
     def clear(self) -> int:
         removed = 0
@@ -190,11 +203,10 @@ class CachedEngine:
         if entry is not None:
             return entry["text"], True
         text = self._fetch(task, items, params)
-        self.cache.store(key, {"text": text, "task": task})
-        return text, False
+        return self.cache.store(key, {"text": text, "task": task}), False
 
     def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
-        with self.scheduler.slot():
+        with self.scheduler.slots:
             return getattr(self.engine, task)(items, params)
 
     def summarize(self, window_text: str, params: EngineParams | None = None,
@@ -281,18 +293,32 @@ def run(
     record_dir: str | None = None,
     scheduler: CallScheduler | None = None,
 ) -> RunRecord:
-    """Execute the full pipeline for one article.
-
-    Window generations are dispatched through the scheduler's call slots (a
-    scheduler of the configured concurrency when none is given), and the CPU
-    stages run in the scheduler's CPU turn; generation_seq numbering follows
-    deterministic plan order, so concurrency never changes the result. On an
-    engine failure the partial record is persisted (when record_dir is given)
-    and the error re-raised.
-    """
+    """Execute the full pipeline for one article: `start(...)()`, with a
+    scheduler of the configured concurrency when none is given."""
     if scheduler is None:
         with CallScheduler(config.concurrency) as scheduler:
-            return run(article, config, engine, record_dir, scheduler)
+            return start(article, config, engine, record_dir, scheduler)()
+    return start(article, config, engine, record_dir, scheduler)()
+
+
+def start(
+    article: Article,
+    config: PipelineConfig,
+    engine: SummaryEngine | None,
+    record_dir: str | None,
+    scheduler: CallScheduler,
+) -> Callable[[], RunRecord]:
+    """Resolve the settings, plan the windows and submit the article's window
+    generations to the scheduler's dispatch threads; return `finish`.
+
+    `finish()` waits for the generations and runs the rest on the calling
+    thread: statement split, clustering, filtering, voting (with its classify
+    calls), arranging and connecting. generation_seq numbering follows
+    deterministic plan order, so concurrency never changes the result. On an
+    engine failure `finish` cancels the generations not yet started, persists
+    the partial record (when record_dir is given) and re-raises the error.
+    Settings out of range raise ConfigurationError here, before any call.
+    """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
     if engine is None:
@@ -332,28 +358,28 @@ def run(
         final={"statements": [], "connected_text": "", "fallback": False},
         flags=[],
     )
+    futures = [
+        scheduler.submit(cached.summarize, window_text(article, window), params, sample=rep)
+        for window, rep in tasks
+    ]
 
-    try:
-        futures = [
-            scheduler.submit(cached.summarize, window_text(article, window), params, sample=rep)
-            for window, rep in tasks
-        ]
+    def finish() -> RunRecord:
         try:
             summaries = [future.result() for future in futures]
-        finally:
+            _filter_and_aggregate(article, resolved, tasks, summaries, cached, params, record)
+            record.status = "complete"
+            return record
+        except EngineError:
             for future in futures:
                 future.cancel()
-        with scheduler.cpu_turn():
-            _filter_and_aggregate(article, resolved, tasks, summaries, cached, params, record)
-        record.status = "complete"
-        return record
-    except EngineError:
-        record.flags.append("aborted: engine error")
-        if record_dir:
-            persist_record(record, record_dir)
-        raise
-    finally:
-        record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started)
+            record.flags.append("aborted: engine error")
+            if record_dir:
+                persist_record(record, record_dir)
+            raise
+        finally:
+            record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started)
+
+    return finish
 
 
 def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
@@ -469,20 +495,20 @@ def record_filename(article_id: str) -> str:
 def persist_record(record: RunRecord, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, record_filename(record.article_id))
-    _write_atomic(path, record.to_json() + "\n")
+    _write_atomic(path, record.to_json() + "\n", os.replace)
     return path
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temp file in the same directory and a
-    rename, so a crash mid-write leaves the previous file, never a truncated
-    one. The temp name is unique per process and thread."""
+def _write_atomic(path: str, text: str, publish: Callable[[str, str], None]) -> None:
+    """Write `text` to `path` through a temp file in the same directory and
+    `publish(temp, path)`, so a crash mid-write leaves the previous file, never
+    a truncated one. `os.replace` overwrites `path`; `os.link` raises
+    FileExistsError instead. The temp name is unique per process and thread."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        publish(tmp, path)
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise

@@ -219,6 +219,101 @@ class TestSummarize:
                for line in (tmp_path / "m" / "summaries.jsonl").read_text().splitlines()]
         assert ids == ["planted", "tiny", "third"]
 
+    def test_non_string_content_fails_only_its_article(self, corpus, tmp_path, monkeypatch,
+                                                       capsys):
+        """A reply whose content is a list of parts is a malformed body: that
+        article is reported failed with an aborted record, the others complete."""
+        answer = PeakTransport()
+
+        def transport(payload, timeout):
+            if "Quartz" in payload["messages"][1]["content"]:
+                parts = [{"type": "text", "text": "x"}]
+                return 200, {"choices": [{"message": {"content": parts}}]}
+            return answer(payload, timeout)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: HttpEngine(
+            base_url="http://example.invalid", model="m", api_key="k", transport=transport))
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        failing = {"id": "quartz", "article": "Quartz glows under lamp light. Quartz is hard."}
+        path = tmp_path / "mixed.jsonl"
+        write_corpus(path, [rows[0], failing, rows[1]])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "2"]) == EXIT_PARTIAL
+        assert "malformed response body" in capsys.readouterr().err
+        with open(out / "records" / "quartz.json") as fh:
+            assert json.load(fh)["status"] == "aborted"
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["planted", "tiny"]
+        for name in ("planted", "tiny"):
+            with open(out / "records" / f"{name}.json") as fh:
+                assert json.load(fh)["status"] == "complete"
+
+    def test_settings_out_of_range_fail_only_their_article(self, tmp_path, capsys):
+        """MinPts 4 is out of range for a short article (K=3) but not for a
+        long one (K=5): only the short article fails."""
+        long_text = " ".join(f"Long{i} topic has detail{i} and point{i} with several more "
+                             f"words in it so that sentence{i} reaches twenty words here."
+                             for i in range(170))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [
+            {"id": "short", "article": "Birds sing at dawn. Birds sing at sunrise."},
+            {"id": "long", "article": long_text},
+        ])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--min-pts", "4"]) == EXIT_PARTIAL
+        assert "article 'short' failed: min_pts 4 outside [1, 3]" in capsys.readouterr().err
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["long"]
+        with open(out / "records" / "long.json") as fh:
+            record = json.load(fh)
+        assert (record["status"], record["config"]["k"]) == ("complete", 5)
+        assert os.listdir(out / "records") == ["long.json"]
+
+    def test_articles_finish_in_order_with_bounded_lookahead(self, tmp_path, monkeypatch):
+        """summarize starts at most --concurrency + 1 articles ahead and
+        finishes each on the calling thread, beside at most --concurrency call
+        threads; outputs do not depend on the concurrency."""
+        caller = threading.get_ident()
+        texts = [planted_article().raw_text.replace("nx", f"a{a}nx") for a in range(8)]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": f"a{a}", "article": text} for a, text in enumerate(texts)])
+        thread_names: set[str] = set()
+        connect_threads: set[int] = set()
+
+        class SlowEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                thread_names.update(t.name for t in threading.enumerate())
+                time.sleep(0.002)
+                return super().summarize(window_text, params)
+
+            def connect(self, statements, params=None):
+                connect_threads.add(threading.get_ident())
+                return super().connect(statements, params)
+
+        trees = []
+        for concurrency in (1, 3):
+            out = tmp_path / f"c{concurrency}"
+            written = []
+
+            def make_engine(backend, **kwargs):
+                assert threading.get_ident() == caller
+                records = out / "records"
+                written.append(len(os.listdir(records)) if records.exists() else 0)
+                return SlowEngine()
+
+            monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
+            thread_names.clear()
+            assert main(["summarize", str(path), "-o", str(out), "--concurrency",
+                         str(concurrency)]) == EXIT_OK
+            assert written == [max(0, i - (concurrency + 1)) for i in range(1, len(texts) + 1)]
+            assert not [name for name in thread_names if name.startswith("slisum-article")]
+            calls = [name for name in thread_names if name.startswith("slisum-call")]
+            assert 1 <= len(calls) <= concurrency
+            assert connect_threads == {caller}
+            trees.append(read_bytes_tree(out))
+        assert len(trees[0]) == len(texts) + 1
+        assert trees[0] == trees[1]
+
     def test_dry_run_prints_plan(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["summarize", str(corpus), "-o", str(out), "--dry-run"])

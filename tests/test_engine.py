@@ -168,6 +168,14 @@ class TestHttpEngine:
         with pytest.raises(EngineError, match="empty response"):
             engine.summarize("text")
 
+    @pytest.mark.parametrize("content", [[{"type": "text", "text": "x"}], 5, {"text": "x"}])
+    def test_non_string_content_is_malformed(self, content):
+        transport = ScriptedTransport([(200, ok_body(content))])
+        engine, sleeps = self.engine(transport)
+        with pytest.raises(EngineError, match="malformed response body"):
+            engine.summarize("text")
+        assert sleeps == []
+
     def test_classify_parses_partition(self):
         raw = "Category 1: 2\nCategory 2: 1, 4\nCategory 3: 3, 5"
         transport = ScriptedTransport([(200, ok_body(raw))])

@@ -7,7 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from slisum.engine import INSTRUCTIONS, EngineError, EngineParams, HttpEngine, MockEngine
+from slisum.engine import (
+    INSTRUCTIONS,
+    EngineError,
+    EngineParams,
+    HttpEngine,
+    MockEngine,
+    render,
+)
 from slisum.pipeline import (
     CachedEngine,
     PipelineConfig,
@@ -88,6 +95,34 @@ class TestResponseCache:
         assert cache.lookup(key) is None
         assert os.path.exists(path + ".quarantine")
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("competitor, expected", [
+        ('{"text": "first writer", "task": "summarize"}', "first writer"),
+        ('{"text": "trunc', "own answer"),
+    ], ids=["readable", "unreadable"])
+    def test_first_writer_wins(self, tmp_path, competitor, expected):
+        """Another process stores the key while this one calls the backend:
+        its entry stays and this call returns its text, unless the entry is
+        unreadable, which is quarantined and replaced."""
+        directory = str(tmp_path)
+
+        class RacedEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                path = os.path.join(directory, ResponseCache.key(
+                    "summarize", render("summarize", window_text), params) + ".json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(competitor)
+                return "own answer"
+
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(RacedEngine(), ResponseCache(directory), scheduler)
+            assert cached.summarize("One fine sentence.", EngineParams(model="m")) == expected
+            assert cached.summarize("One fine sentence.", EngineParams(model="m")) == expected
+        assert cached.calls == [("summarize", False), ("summarize", True)]
+        names = sorted(os.listdir(directory))
+        assert not [name for name in names if name.endswith(".tmp")]
+        assert len([name for name in names if name.endswith(".quarantine")]) == (
+            expected == "own answer")
 
     def test_cached_engine_counts(self, tmp_path):
         with CallScheduler(1) as scheduler:
@@ -297,6 +332,8 @@ class TestRun:
         assert peak > 1
 
     def test_partial_record_persisted_on_engine_error(self, planted, tmp_path):
+        """The failed article's record is kept as aborted, and its generations
+        not yet started are cancelled."""
         class FailingEngine(MockEngine):
             def __init__(self):
                 self.calls = 0
@@ -304,13 +341,18 @@ class TestRun:
             def summarize(self, window_text, params=None):
                 self.calls += 1
                 if self.calls > 3:
+                    time.sleep(0.02)
                     raise EngineError("backend down")
                 return super().summarize(window_text, params)
 
         record_dir = str(tmp_path / "records")
-        with pytest.raises(EngineError):
-            run(planted, PipelineConfig(concurrency=1),
-                engine=FailingEngine(), record_dir=record_dir)
+        engine = FailingEngine()
+        with CallScheduler(1) as scheduler:
+            with pytest.raises(EngineError):
+                run(planted, PipelineConfig(concurrency=1), engine=engine,
+                    record_dir=record_dir, scheduler=scheduler)
+            scheduler.submit(lambda: None).result(timeout=10)  # after every call not cancelled
+        assert engine.calls < build_window_plan(planted, 150, 50).total_generations
         files = os.listdir(record_dir)
         assert files == ["planted.json"]
         with open(os.path.join(record_dir, files[0])) as fh:

@@ -1,4 +1,3 @@
-import random
 import sys
 import threading
 import time
@@ -51,56 +50,6 @@ def test_shared_calls_and_slots_under_contention(tmp_path):
     assert engine.calls == {t: 1 for t in texts}
     assert engine.peak <= 3
     assert sum(not hit for _, hit in cached.calls) == len(texts)
-
-
-def test_overlap_keeps_input_order_and_bounds_open_items():
-    rng = random.Random(3)
-    delays = [rng.uniform(0, 0.004) for _ in range(40)]
-    lock = threading.Lock()
-    state = {"open": 0, "peak": 0}
-
-    def work(i):
-        with lock:
-            state["open"] += 1
-            state["peak"] = max(state["peak"], state["open"])
-        time.sleep(delays[i])
-        with lock:
-            state["open"] -= 1
-        return i
-
-    with CallScheduler(2) as scheduler:
-        results = [future.result(timeout=60)
-                   for future in scheduler.overlap(work, range(len(delays)))]
-    assert results == list(range(len(delays)))
-    assert 1 < state["peak"] <= 3
-
-
-def test_cpu_turn_is_given_up_while_waiting_for_a_slot():
-    """One article holds the CPU turn through a backend call; another article
-    computes meanwhile, and never two at once."""
-    computing = []
-    in_call = threading.Event()
-    other_done = threading.Event()
-
-    def first(scheduler):
-        with scheduler.cpu_turn():
-            computing.append("first")
-            with scheduler.slot():
-                in_call.set()
-                assert other_done.wait(timeout=10)
-            computing.append("first")
-
-    def second(scheduler):
-        assert in_call.wait(timeout=10)
-        with scheduler.cpu_turn():
-            computing.append("second")
-        other_done.set()
-
-    with CallScheduler(1) as scheduler, ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(first, scheduler), pool.submit(second, scheduler)]
-        for future in futures:
-            future.result(timeout=30)
-    assert computing == ["first", "second", "first"]
 
 
 def test_caller_waiting_on_a_failed_call_runs_its_own():
