@@ -84,15 +84,10 @@ def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:
     return best
 
 
-def anchor(statement: Statement, article: Article) -> int:
-    """Index of the article sentence best lexically matching the statement;
-    ties go to the smallest index."""
-    return arrange([statement], article)[0][1]
-
-
 def arrange(statements: list[Statement], article: Article) -> list[tuple[Statement, int]]:
-    """Anchor each statement to its best-matching article sentence, then
-    stable-sort the (statement, anchor) pairs by (anchor, generation_seq)."""
+    """Anchor each statement to the article sentence best lexically matching
+    it (ties go to the earliest sentence), then stable-sort the (statement,
+    anchor) pairs by (anchor, generation_seq)."""
     if not article.sentences:
         raise ValueError("article has no sentences")
     sentences = article.sentences

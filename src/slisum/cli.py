@@ -17,9 +17,8 @@ from collections import deque
 
 import yaml
 
-from .engine import EngineError
+from .engine import BACKENDS, EngineError
 from .evalkit import (
-    DEFAULT_BIN_EDGES,
     distance_diagnostics,
     histogram_from_offsets,
     record_clusters,
@@ -55,18 +54,21 @@ def _warn(message: str) -> None:
 
 def build_config(args) -> PipelineConfig:
     """Merge settings with precedence flags > environment > file > length
-    defaults. Config-file keys are PipelineConfig field names; any other key
-    is a usage error."""
+    defaults. Config-file keys are PipelineConfig field names, and a value
+    must be null (unset) or of the type its flag parses; anything else is a
+    usage error."""
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} is not a mapping")
+        flags = _add_config_flags(argparse.ArgumentParser())
         for key, val in loaded.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigurationError(f"config file {args.config}: unknown key {key!r}")
-            values[key] = val
+            if val is not None:
+                values[key] = _file_value(args.config, key, val, flags[key])
     if os.environ.get("SLISUM_MODEL"):
         values["model"] = os.environ["SLISUM_MODEL"]
     for field in _CONFIG_FIELDS:
@@ -74,6 +76,17 @@ def build_config(args) -> PipelineConfig:
         if flag is not None:
             values[field] = flag
     return PipelineConfig(**values)
+
+
+def _file_value(path: str, key: str, value, flag: argparse.Action):
+    """`value` as the type `flag` parses: an int is accepted for a float, a
+    bool for nothing; ConfigurationError if it does not fit."""
+    kind = flag.type or str
+    fits = isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool) or not fits or (flag.choices and value not in flag.choices):
+        expected = f"one of {', '.join(flag.choices)}" if flag.choices else kind.__name__
+        raise ConfigurationError(f"config file {path}: {key} must be {expected}, got {value!r}")
+    return kind(value)
 
 
 def _read_jsonl(path):
@@ -181,6 +194,8 @@ def _load_pairs(path, value_fields):
             obj = json.loads(line)
             key = str(obj["id"])
             value = next(obj[f] for f in value_fields if f in obj)
+            if not isinstance(value, str):
+                raise TypeError("text is not a string")
         except (ValueError, KeyError, TypeError, StopIteration):
             _warn(f"{path}:{lineno}: skipping malformed record")
             skipped = True
@@ -253,19 +268,18 @@ def cmd_analyze(args) -> int:
         _warn("no run records found")
         return EXIT_USAGE
 
-    bin_edges = DEFAULT_BIN_EDGES
     report = {"per_article": [], "aggregate": {}}
     all_offsets: list[int] = []
     for article_id, offsets, clusters in records:
         all_offsets.extend(offsets)
         entry = {
             "article_id": article_id,
-            "position_histogram": histogram_from_offsets(offsets, bin_edges).to_dict(),
+            "position_histogram": histogram_from_offsets(offsets).to_dict(),
         }
         if clusters:
             entry["distance_diagnostics"] = distance_diagnostics(clusters).to_dict()
         report["per_article"].append(entry)
-    report["aggregate"]["position_histogram"] = histogram_from_offsets(all_offsets, bin_edges).to_dict()
+    report["aggregate"]["position_histogram"] = histogram_from_offsets(all_offsets).to_dict()
 
     text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
     if args.output:
@@ -289,19 +303,24 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser) -> dict[str, argparse.Action]:
+    """Add --config and one flag per PipelineConfig field; return the fields'
+    flags by field name."""
     parser.add_argument("--config", help="YAML/JSON config file")
-    parser.add_argument("--backend", choices=["mock", "http"])
-    parser.add_argument("--window-size", dest="window_size", type=int)
-    parser.add_argument("--step-size", dest="step_size", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--min-pts", dest="min_pts", type=int)
-    parser.add_argument("--model")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--concurrency", type=int,
-                        help="most backend calls in flight at once, across all articles")
-    parser.add_argument("--cache-dir", dest="cache_dir")
+    flags = [
+        parser.add_argument("--backend", choices=BACKENDS),
+        parser.add_argument("--window-size", dest="window_size", type=int),
+        parser.add_argument("--step-size", dest="step_size", type=int),
+        parser.add_argument("--eps", type=float),
+        parser.add_argument("--min-pts", dest="min_pts", type=int),
+        parser.add_argument("--model"),
+        parser.add_argument("--max-tokens", dest="max_tokens", type=int),
+        parser.add_argument("--seed", type=int),
+        parser.add_argument("--concurrency", type=int,
+                            help="most backend calls in flight at once, across all articles"),
+        parser.add_argument("--cache-dir", dest="cache_dir"),
+    ]
+    return {flag.dest: flag for flag in flags}
 
 
 def make_parser() -> argparse.ArgumentParser:

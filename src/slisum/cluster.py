@@ -38,7 +38,6 @@ class Statement:
 class ClusterSet:
     clusters: list[list[Statement]]
     noise: list[Statement]
-    eps: float
     min_pts: int
 
 
@@ -119,7 +118,6 @@ def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
     return ClusterSet(
         clusters=[[points[i] for i in members] for members in clusters],
         noise=[points[i] for i, label in enumerate(labels) if label == _NOISE],
-        eps=eps,
         min_pts=min_pts,
     )
 

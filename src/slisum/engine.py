@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .lexical import TokenBag, rouge1_f1, tokenize
 from .text import segment_sentences
@@ -39,21 +39,18 @@ INSTRUCTIONS = {
     ),
 }
 
-# Voting benefits from mild sampling diversity; parsing benefits from determinism.
-DEFAULT_TEMPERATURES = {"summarize": 0.3, "classify": 0.0, "connect": 0.0}
+# Sampling temperature sent per task: voting benefits from mild sampling
+# diversity; parsing benefits from determinism.
+TEMPERATURES = {"summarize": 0.3, "classify": 0.0, "connect": 0.0}
+
+BACKENDS = ("mock", "http")
 
 
 @dataclass(frozen=True)
 class EngineParams:
     model: str | None = None
-    temperature: float | None = None
     max_tokens: int = 1024
     seed: int | None = None
-
-    def resolved(self, task: str) -> "EngineParams":
-        if self.temperature is not None:
-            return self
-        return replace(self, temperature=DEFAULT_TEMPERATURES[task])
 
 
 def render(task: str, items: str | list[str]) -> str:
@@ -199,8 +196,8 @@ def replay_transport(path):
 class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
-    Retries with exponential backoff on transport errors, 429 and 5xx; other
-    4xx fail immediately.
+    Retries on transport errors, 429 and 5xx after a backoff that starts at
+    backoff_base seconds and doubles per attempt; other 4xx fail immediately.
     """
 
     def __init__(
@@ -212,7 +209,6 @@ class HttpEngine(SummaryEngine):
         timeout: float = 120.0,
         max_attempts: int = 5,
         backoff_base: float = 1.0,
-        backoff_factor: float = 2.0,
         transport=None,
         recorder: FixtureRecorder | None = None,
         sleep=time.sleep,
@@ -224,7 +220,6 @@ class HttpEngine(SummaryEngine):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self._transport = transport or self._http_transport
         self.recorder = recorder
         self._sleep = sleep
@@ -245,14 +240,14 @@ class HttpEngine(SummaryEngine):
         return resp.status_code, body
 
     def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
-        params = (params or EngineParams()).resolved(task)
+        params = params or EngineParams()
         payload = {
             "model": params.model or self.model,
             "messages": [
                 {"role": "system", "content": INSTRUCTIONS[task]},
                 {"role": "user", "content": render(task, items)},
             ],
-            "temperature": params.temperature,
+            "temperature": TEMPERATURES[task],
             "max_tokens": params.max_tokens,
         }
         if params.seed is not None:
@@ -276,7 +271,7 @@ class HttpEngine(SummaryEngine):
                 else:
                     raise EngineError(f"request {req_id}: non-retryable status {status}")
             if attempt < self.max_attempts:
-                delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
+                delay = self.backoff_base * 2 ** (attempt - 1)
                 log.warning("request %s attempt %d failed (%s); retrying in %.1fs",
                             req_id, attempt, last_error, delay)
                 self._sleep(delay)
@@ -308,8 +303,6 @@ class HttpEngine(SummaryEngine):
 
 
 def make_engine(backend: str, **kwargs) -> SummaryEngine:
-    if backend == "mock":
-        return MockEngine()
-    if backend == "http":
-        return HttpEngine(**kwargs)
-    raise ValueError(f"unknown backend {backend!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    return MockEngine() if backend == "mock" else HttpEngine(**kwargs)

@@ -20,7 +20,7 @@ from .lexical import (  # noqa: F401
     tokenize,
 )
 
-DEFAULT_BIN_EDGES = (1000, 2000, 3000)
+BIN_EDGES = (1000, 2000, 3000)  # word offsets closing each position bin but the last
 
 # Learned faithfulness metrics need external models and are reported as
 # unavailable rather than silently zero.
@@ -89,7 +89,6 @@ def score(summaries: list[str], references: list[str], ids: list[str] | None = N
 
 @dataclass
 class PositionHistogram:
-    bin_edges: tuple[int, ...]
     counts: list[int]
     percentages: list[float]
     total: int
@@ -100,7 +99,7 @@ class PositionHistogram:
 
     def labels(self) -> list[str]:
         labels, lo = [], 1
-        for edge in self.bin_edges:
+        for edge in BIN_EDGES:
             labels.append(f"{lo}-{edge}")
             lo = edge + 1
         labels.append(f"{lo}-")
@@ -116,12 +115,11 @@ class PositionHistogram:
         }
 
 
-def histogram_from_offsets(offsets: list[int], bin_edges=DEFAULT_BIN_EDGES) -> PositionHistogram:
+def histogram_from_offsets(offsets: list[int]) -> PositionHistogram:
     """Histogram of 1-based word offsets over the position bins."""
-    edges = tuple(bin_edges)
-    counts = [0] * (len(edges) + 1)
+    counts = [0] * (len(BIN_EDGES) + 1)
     for offset in offsets:
-        for i, edge in enumerate(edges):
+        for i, edge in enumerate(BIN_EDGES):
             if offset <= edge:
                 counts[i] += 1
                 break
@@ -129,18 +127,7 @@ def histogram_from_offsets(offsets: list[int], bin_edges=DEFAULT_BIN_EDGES) -> P
             counts[-1] += 1
     total = len(offsets)
     percentages = [100.0 * c / total if total else 0.0 for c in counts]
-    return PositionHistogram(bin_edges=edges, counts=counts, percentages=percentages, total=total)
-
-
-def position_histogram(run_record, bin_edges=DEFAULT_BIN_EDGES) -> PositionHistogram:
-    """Position distribution of the selected statements' anchor sentences.
-
-    Accepts a RunRecord or its serialized dict (anchor word offsets are stored
-    in the record's final statements).
-    """
-    final = run_record.final if hasattr(run_record, "final") else run_record["final"]
-    offsets = [s["anchor_word_offset"] for s in final["statements"]]
-    return histogram_from_offsets(offsets, bin_edges)
+    return PositionHistogram(counts=counts, percentages=percentages, total=total)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .cluster import (
     local_summary_count,
 )
 from .engine import (
+    TEMPERATURES,
     EngineError,
     EngineParams,
     SummaryEngine,
@@ -87,7 +88,6 @@ class PipelineConfig:
             window_size=window_size if self.window_size is None else self.window_size,
             step_size=step_size if self.step_size is None else self.step_size,
             eps=DEFAULT_EPS if self.eps is None else self.eps,
-            concurrency=max(1, self.concurrency),
         )
         k = config.k
         if config.min_pts is None:
@@ -102,9 +102,9 @@ class PipelineConfig:
 class ResponseCache:
     """Content-addressed on-disk cache of engine responses.
 
-    Keys hash the task, the prompt body, every field of the resolved
-    EngineParams and the sample number; entries are written atomically.
-    Unreadable entries are quarantined and treated as misses.
+    Keys hash the task, the prompt body, every field of the EngineParams with
+    the task's temperature, and the sample number; entries are written
+    atomically. Unreadable entries are quarantined and treated as misses.
     """
 
     def __init__(self, directory: str):
@@ -114,7 +114,8 @@ class ResponseCache:
     @staticmethod
     def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
         material = json.dumps(
-            {"task": task, "prompt_body": prompt_body, "params": asdict(params),
+            {"task": task, "prompt_body": prompt_body,
+             "params": {**asdict(params), "temperature": TEMPERATURES[task]},
              "sample": sample},
             sort_keys=True,
             ensure_ascii=False,
@@ -185,7 +186,7 @@ class CachedEngine:
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
-        params = (params or EngineParams()).resolved(task)
+        params = params or EngineParams()
         body = render(task, items)
         if self.cache is None:
             text, hit = self._fetch(task, items, params), False
@@ -446,16 +447,13 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         for o in outcomes
     ]
 
-    if not outcomes:
-        record.flags.append("no cluster survived MinPts")
-        connected, fallback = "", False
-        arranged = []
-        winner_cluster = {}
-    else:
-        selected = [o.winner_statement for o in outcomes]
-        winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
-        arranged = arrange(selected, article)
+    winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
+    arranged, connected, fallback = [], "", False
+    if outcomes:
+        arranged = arrange([o.winner_statement for o in outcomes], article)
         connected, fallback = integrate([s for s, _ in arranged], cached, params)
+    else:
+        record.flags.append("no cluster survived MinPts")
 
     offsets = _word_offsets(article)
     record.final = {
@@ -466,7 +464,7 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
                 "anchor_word_offset": offsets[anchor_idx - 1],
                 "window_ordinal": s.window_ordinal,
                 "generation_seq": s.generation_seq,
-                "cluster_id": winner_cluster[s.generation_seq] if arranged else None,
+                "cluster_id": winner_cluster[s.generation_seq],
             }
             for s, anchor_idx in arranged
         ],

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slisum.aggregate import anchor, arrange, integrate, vote
+from slisum.aggregate import arrange, integrate, vote
 from slisum.cluster import Statement
 from slisum.engine import MockEngine
 from slisum.text import Article
@@ -77,6 +77,11 @@ ARTICLE = Article.from_text(
     "Cats chase mice daily. Dogs guard houses loyally. Birds sing at dawn. "
     "Fish swim in rivers. Snakes shed their skin.",
 )
+
+
+def anchor(statement: Statement, article: Article) -> int:
+    """The anchor `arrange` gives a single statement."""
+    return arrange([statement], article)[0][1]
 
 
 class TestAnchor:

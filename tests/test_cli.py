@@ -386,6 +386,31 @@ class TestConfig:
         from_flags = build_config(parser.parse_args(base + flags))
         assert from_file == from_flags == PipelineConfig(**self.VALUES)
 
+    @pytest.mark.parametrize("line", [
+        "backend: nope", "eps: high", "concurrency: two", "window_size: 150.0", "seed: abc",
+        "max_tokens: [1]", "concurrency: true",
+    ])
+    def test_bad_file_value_exits_one(self, corpus, tmp_path, capsys, line):
+        config = tmp_path / "config.yaml"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main(["summarize", str(corpus), "-o", str(out), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"slisum: config file {config}: {line.split(':')[0]} must be ")
+        assert err.count("\n") == 1
+        assert not (out / "summaries.jsonl").exists()
+
+    def test_null_is_unset_and_an_int_stands_for_a_float(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SLISUM_MODEL", raising=False)
+        config = tmp_path / "config.yaml"
+        config.write_text("eps: 1\nbackend: null\nseed: null\n")
+        args = make_parser().parse_args(["summarize", "corpus.jsonl", "-o", "out",
+                                         "--config", str(config)])
+        built = build_config(args)
+        assert built == PipelineConfig(eps=1.0)
+        assert isinstance(built.eps, float)
+
 
 class TestEvaluate:
     def test_perfect_match(self, tmp_path, capsys):
@@ -436,13 +461,22 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["per_article"][0]["rouge1"] == 1.0
 
-    @pytest.mark.parametrize("malformed", ["summaries", "references"])
-    def test_malformed_line_exits_partial(self, tmp_path, capsys, malformed):
+    @pytest.mark.parametrize("malformed, bad_line", [
+        *(pytest.param(name, "{not json", id=name) for name in ("summaries", "references")),
+        *(pytest.param(name, {"id": "b", field: value}, id=f"{name}-{type(value).__name__}")
+          for name, field in (("summaries", "summary"), ("references", "reference"))
+          for value in (7, None, ["a", "dog"], {"text": "a dog ran"})),
+    ])
+    def test_malformed_line_exits_partial(self, tmp_path, capsys, malformed, bad_line):
+        """A line that is not JSON, or whose text is not a string, is skipped
+        with a warning, and the other file's line with its id goes unmatched."""
         rows = {
-            "summaries": [{"id": "a", "summary": "the cat sat"}],
-            "references": [{"id": "a", "reference": "the cat sat"}],
+            "summaries": [{"id": "a", "summary": "the cat sat"},
+                          {"id": "b", "summary": "a dog ran"}],
+            "references": [{"id": "a", "reference": "the cat sat"},
+                           {"id": "b", "reference": "a dog ran"}],
         }
-        rows[malformed].append("{not json")
+        rows[malformed][1] = bad_line
         paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
         for name, path in paths.items():
             write_corpus(path, rows[name])

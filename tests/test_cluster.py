@@ -111,19 +111,18 @@ class TestFilterClusters:
         cs = ClusterSet(
             clusters=[stmts[:3], stmts[3:5], stmts[5:]],
             noise=[],
-            eps=0.25,
             min_pts=2,
         )
         retained = filter_clusters(cs)
         assert [len(c) for c in retained] == [3, 2]
 
     def test_empty(self):
-        cs = ClusterSet(clusters=[], noise=[], eps=0.25, min_pts=2)
+        cs = ClusterSet(clusters=[], noise=[], min_pts=2)
         assert filter_clusters(cs) == []
 
     def test_cluster_at_k_cap_retained(self):
         stmts = make_statements(["same old text"] * 5)
-        cs = ClusterSet(clusters=[stmts], noise=[], eps=0.25, min_pts=3)
+        cs = ClusterSet(clusters=[stmts], noise=[], min_pts=3)
         assert filter_clusters(cs) == [stmts]
 
     def test_counts_local_summaries_not_statements(self):
@@ -132,7 +131,7 @@ class TestFilterClusters:
             Statement(text="a b", window_ordinal=1, generation_seq=seq, position_in_summary=pos)
             for seq, pos in [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1)]
         ]
-        cs = ClusterSet(clusters=[stmts[:2], stmts[2:]], noise=[], eps=0.25, min_pts=2)
+        cs = ClusterSet(clusters=[stmts[:2], stmts[2:]], noise=[], min_pts=2)
         assert filter_clusters(cs) == [stmts[2:]]
 
 

@@ -6,7 +6,6 @@ from slisum.evalkit import (
     DistanceDiagnostics,
     distance_diagnostics,
     histogram_from_offsets,
-    position_histogram,
     record_clusters,
     score,
 )
@@ -115,13 +114,6 @@ class TestPositionHistogram:
         hist = histogram_from_offsets([])
         assert hist.empty
         assert hist.counts == [0, 0, 0, 0]
-
-    def test_from_run_record_dict(self):
-        record = {"final": {"statements": [
-            {"anchor_word_offset": 10}, {"anchor_word_offset": 2100},
-        ]}}
-        hist = position_histogram(record)
-        assert hist.counts == [1, 0, 1, 0]
 
 
 class TestDistanceDiagnostics:

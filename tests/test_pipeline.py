@@ -67,7 +67,7 @@ class TestResolveProfile:
 
 class TestResponseCache:
     def params(self):
-        return EngineParams(model="m", temperature=0.3, max_tokens=64)
+        return EngineParams(model="m", max_tokens=64)
 
     def test_hit_after_store(self, tmp_path):
         cache = ResponseCache(str(tmp_path))
@@ -77,13 +77,35 @@ class TestResponseCache:
         assert cache.lookup(key)["text"] == "cached"
 
     def test_key_includes_params(self):
-        a = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3))
-        b = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.0))
-        c = ResponseCache.key("classify", "body", EngineParams(model="m", temperature=0.3))
-        d = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3, seed=7))
-        e = ResponseCache.key("summarize", "body", EngineParams(model="m", temperature=0.3),
-                              sample=2)
-        assert len({a, b, c, d, e}) == 5
+        params = EngineParams(model="m")
+        keys = {
+            ResponseCache.key("summarize", "body", params),
+            ResponseCache.key("classify", "body", params),
+            ResponseCache.key("summarize", "other body", params),
+            ResponseCache.key("summarize", "body", EngineParams(model="n")),
+            ResponseCache.key("summarize", "body", EngineParams(model="m", max_tokens=64)),
+            ResponseCache.key("summarize", "body", EngineParams(model="m", seed=7)),
+            ResponseCache.key("summarize", "body", params, sample=2),
+        }
+        assert len(keys) == 7
+
+    @pytest.mark.parametrize("task, args, kwargs, name", [
+        ("summarize", ("One fine sentence.",), {"sample": 2},
+         "f0012ec47c53451b17528b40cb1746b6e8a477dcf58ff9b86d1d011ca2058eb9.json"),
+        ("classify", (["A cat sat.", "A dog ran."],), {},
+         "f61ceaa33039a68f4cbe864c636c064e6c6bb0bdeb5dbbf201f302d7caad030c.json"),
+        ("connect", (["A cat sat.", "A dog ran."],), {},
+         "44fd14220167dc194a3dc3596f1e0f973224cd0e6df19f2b3432f635a5e52790.json"),
+    ])
+    def test_cache_file_names_are_pinned(self, tmp_path, task, args, kwargs, name):
+        """A call's cache file name hashes its task, prompt body, parameters,
+        the task's temperature and its sample number. Any change to that
+        material turns every warm cache cold, so one name per task is pinned."""
+        params = EngineParams(model="m", max_tokens=64, seed=3)
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
+            getattr(cached, task)(*args, params, **kwargs)
+        assert os.listdir(tmp_path) == [name]
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         cache = ResponseCache(str(tmp_path))
