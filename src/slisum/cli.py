@@ -60,7 +60,12 @@ def build_config(args) -> PipelineConfig:
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                problem = " ".join(str(exc).split())  # one line, with the mark
+                raise ConfigurationError(
+                    f"config file {args.config} is not valid YAML: {problem}") from None
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} is not a mapping")
         flags = _add_config_flags(argparse.ArgumentParser())
@@ -298,8 +303,7 @@ def cmd_cache(args) -> int:
         removed = cache.clear()
         print(f"removed {removed} entries from {args.cache_dir}")
     else:
-        entries = [n for n in os.listdir(args.cache_dir) if n.endswith(".json")]
-        print(f"{len(entries)} entries in {args.cache_dir}")
+        print(f"{cache.count()} entries in {args.cache_dir}")
     return EXIT_OK
 
 

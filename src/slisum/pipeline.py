@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 from collections import Counter
@@ -54,6 +55,10 @@ SHORT_GEOMETRY = (150, 50)  # window/step words, K=3
 LONG_GEOMETRY = (750, 150)  # K=5
 DEFAULT_EPS = 0.25
 BREAKEVEN_FACTOR = 1.36
+LOG_NAME = "responses.jsonl"  # the response cache's log, in its directory
+_KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
+_LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
+_CHUNK = 1 << 16  # bytes of the log read at a time while indexing it
 
 
 @dataclass
@@ -100,16 +105,26 @@ class PipelineConfig:
 
 
 class ResponseCache:
-    """Content-addressed on-disk cache of engine responses.
+    """Content-addressed cache of engine responses: one append-only log per
+    directory (as in Bitcask) and an in-memory index of its keys.
 
     Keys hash the task, the prompt body, every field of the EngineParams with
-    the task's temperature, and the sample number; entries are written
-    atomically. Unreadable entries are quarantined and treated as misses.
+    the task's temperature, and the sample number. `responses.jsonl` holds one
+    line per stored entry, `<key>\\t<entry as JSON>`, written by one append;
+    the first readable line for a key is its entry, so every process sharing
+    the directory on a local filesystem serves the same answer. The index maps
+    each key to its line's (offset, length), not to the text, and learns
+    appended lines lazily. An unreadable line is skipped with a warning.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
+        self.path = os.path.join(directory, LOG_NAME)
+        self._index: dict[str, tuple[int, int]] = {}
+        self._indexed_to = 0  # every complete line before this offset is indexed
+        self._unreadable: set[int] = set()  # offsets of lines found unreadable
+        self._lock = threading.Lock()
 
     @staticmethod
     def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
@@ -122,50 +137,116 @@ class ResponseCache:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".json")
-
     def lookup(self, key: str) -> dict | None:
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if not isinstance(entry, dict) or "text" not in entry:
-                raise ValueError("malformed cache entry")
-            return entry
-        except (ValueError, OSError) as exc:
-            quarantine = path + ".quarantine"
-            log.warning("quarantining unreadable cache entry %s (%s)", path, exc)
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                pass
-            return None
+        """The entry of the key's first readable line, or None."""
+        return self._first_entry(key)
 
     def store(self, key: str, entry: dict) -> str:
-        """Store `entry` unless another writer stored `key` first, and return
-        the text stored under `key`: the first writer wins, so processes that
-        share the directory agree on every answer. An unreadable competing
-        entry is quarantined by `lookup` and replaced."""
-        path, text = self._path(key), json.dumps(entry, ensure_ascii=False)
+        """Append `entry` under `key` and return the text of the key's first
+        readable line: another writer's, if it stored the key first."""
+        line = f"{key}\t{json.dumps(entry, ensure_ascii=False)}\n".encode("utf-8")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            _write_atomic(path, text, os.link)
-        except FileExistsError:
-            stored = self.lookup(key)
-            if stored is not None:
-                return stored["text"]
-            _write_atomic(path, text, os.replace)
-        return entry["text"]
+            if os.write(fd, line) != len(line):
+                raise OSError(f"short append to {self.path}")
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
+        span = (end - len(line), len(line) - 1)
+        with self._lock:
+            if self._indexed_to == span[0]:  # nothing was appended before this line
+                self._index.setdefault(key, span)
+                self._indexed_to = end
+            if self._index.get(key) == span:
+                return entry["text"]
+        stored = self._first_entry(key)
+        return entry["text"] if stored is None else stored["text"]
+
+    def count(self) -> int:
+        """Number of distinct keys in the log."""
+        with self._lock:
+            self._catch_up()
+            return len(self._index)
 
     def clear(self) -> int:
-        removed = 0
-        for name in os.listdir(self.directory):
-            if name.endswith(".json") or name.endswith(".quarantine"):
-                os.unlink(os.path.join(self.directory, name))
-                removed += 1
+        """Delete the log, and the per-key files of the earlier layout; return
+        the number of entries deleted."""
+        removed = self.count()
+        with self._lock:
+            for name in os.listdir(self.directory):
+                if name == LOG_NAME:
+                    os.unlink(self.path)
+                elif name.endswith((".json", ".quarantine")):
+                    os.unlink(os.path.join(self.directory, name))
+                    removed += 1
+            self._index.clear()
+            self._unreadable.clear()
+            self._indexed_to = 0
         return removed
+
+    def _first_entry(self, key: str) -> dict | None:
+        while True:
+            with self._lock:
+                if key not in self._index:
+                    self._catch_up()
+                span = self._index.get(key)
+            if span is None:
+                return None
+            offset, length = span
+            try:
+                line = self._read(offset, length)
+                if line[:_KEY_LEN] != key.encode("ascii"):
+                    raise ValueError("the log changed under its index")
+                entry = json.loads(line[_KEY_LEN + 1:])
+                if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+                    raise ValueError("malformed cache entry")
+                return entry
+            except (ValueError, OSError) as exc:
+                log.warning("skipping unreadable line at byte %d of %s (%s)",
+                            offset, self.path, exc)
+            with self._lock:  # index the key's next line, if any
+                self._unreadable.add(offset)
+                if self._index.get(key) == span:
+                    del self._index[key]
+                    self._indexed_to = min(self._indexed_to, offset)
+
+    def _catch_up(self) -> None:
+        """Index the complete lines appended since the last read, reading the
+        log a chunk at a time; the caller holds the lock."""
+        try:
+            size = os.stat(self.path).st_size
+        except FileNotFoundError:
+            return
+        chunk = _CHUNK
+        while self._indexed_to < size:
+            data = self._read(self._indexed_to, min(chunk, size - self._indexed_to))
+            end = data.rfind(b"\n") + 1
+            if not end:  # a line longer than the chunk, or an incomplete last line
+                if len(data) == size - self._indexed_to:
+                    return
+                chunk *= 2
+                continue
+            pos = 0
+            while pos < end:
+                newline = data.index(b"\n", pos)
+                offset = self._indexed_to + pos
+                if offset not in self._unreadable:
+                    if _LINE_KEY.match(data, pos, newline):
+                        key = data[pos:pos + _KEY_LEN].decode("ascii")
+                        self._index.setdefault(key, (offset, newline - pos))
+                    else:
+                        log.warning("skipping unreadable line at byte %d of %s",
+                                    offset, self.path)
+                        self._unreadable.add(offset)
+                pos = newline + 1
+            self._indexed_to += end
+
+    def _read(self, offset: int, length: int) -> bytes:
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            return os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
 
 
 class CachedEngine:
@@ -324,7 +405,11 @@ def start(
     resolved = config.resolved(article.total_words)
     if engine is None:
         engine = make_engine(resolved.backend, model=resolved.model)
-    cache = ResponseCache(resolved.cache_dir) if resolved.cache_dir else None
+    cache = None
+    if resolved.cache_dir:  # one cache per directory for all of the scheduler's articles
+        cache = scheduler.caches.get(resolved.cache_dir)
+        if cache is None:
+            cache = scheduler.caches[resolved.cache_dir] = ResponseCache(resolved.cache_dir)
     cached = CachedEngine(engine, cache, scheduler)
     plan = build_window_plan(article, resolved.window_size, resolved.step_size)
 
@@ -493,20 +578,19 @@ def record_filename(article_id: str) -> str:
 def persist_record(record: RunRecord, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, record_filename(record.article_id))
-    _write_atomic(path, record.to_json() + "\n", os.replace)
+    _write_atomic(path, record.to_json() + "\n")
     return path
 
 
-def _write_atomic(path: str, text: str, publish: Callable[[str, str], None]) -> None:
+def _write_atomic(path: str, text: str) -> None:
     """Write `text` to `path` through a temp file in the same directory and
-    `publish(temp, path)`, so a crash mid-write leaves the previous file, never
-    a truncated one. `os.replace` overwrites `path`; `os.link` raises
-    FileExistsError instead. The temp name is unique per process and thread."""
+    rename it into place, so a crash mid-write leaves the previous file, never
+    a truncated one. The temp name is unique per process and thread."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        publish(tmp, path)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

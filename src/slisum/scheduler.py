@@ -6,18 +6,23 @@ in the process, however many articles are started; a cache hit takes none.
 Concurrent requests for one cache key share the first one's call
 (single-flight, as in Go's golang.org/x/sync/singleflight), so a key is drawn
 from the backend once even when two articles or two windows ask for it at the
-same moment.
+same moment. The scheduler also holds the run's open response caches, one
+per cache directory, so all its articles share one log index.
 """
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .pipeline import ResponseCache
 
 
 class CallScheduler:
-    """Call slots, single-flight and dispatch threads shared by every article
-    of a run.
+    """Call slots, single-flight, dispatch threads and response caches shared
+    by every article of a run.
 
     Use it as a context manager: leaving it waits for the dispatch threads.
     """
@@ -28,6 +33,7 @@ class CallScheduler:
         self._dispatch = ThreadPoolExecutor(self.concurrency, thread_name_prefix="slisum-call")
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
+        self.caches: dict[str, ResponseCache] = {}  # by cache directory, set by pipeline.start
 
     def __enter__(self) -> "CallScheduler":
         return self

@@ -10,7 +10,7 @@ import yaml
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
-from slisum.pipeline import PipelineConfig
+from slisum.pipeline import PipelineConfig, ResponseCache
 
 from conftest import PeakTransport, SamplingEngine, planted_article
 
@@ -401,6 +401,20 @@ class TestConfig:
         assert err.count("\n") == 1
         assert not (out / "summaries.jsonl").exists()
 
+    @pytest.mark.parametrize("text", ["eps: [\n", "eps: 0.2\n\tseed: 1\n", "eps: 0.2: 1\n",
+                                      "eps: 0.2\x00\n"],
+                             ids=["unclosed", "tab", "nested", "nul"])
+    def test_invalid_yaml_exits_one(self, corpus, tmp_path, capsys, text):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        out = tmp_path / "out"
+        code = main(["summarize", str(corpus), "-o", str(out), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"slisum: config file {config} is not valid YAML: ")
+        assert err.count("\n") == 1
+        assert not (out / "summaries.jsonl").exists()
+
     def test_null_is_unset_and_an_int_stands_for_a_float(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SLISUM_MODEL", raising=False)
         config = tmp_path / "config.yaml"
@@ -548,14 +562,41 @@ class TestAnalyze:
 
 class TestCache:
     def test_stats_and_clear(self, corpus, tmp_path, capsys):
+        """stats counts the distinct keys in the log, one per backend call of
+        the run; clear deletes the log and the per-key files of the earlier
+        layout."""
         cache = tmp_path / "cache"
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), "--cache-dir", str(cache)]) == EXIT_OK
-        capsys.readouterr()
+        calls = sum(int(word.split("=")[1]) for word in capsys.readouterr().err.split()
+                    if word.startswith("backend_calls="))
+        assert calls > 0
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
-        assert "entries in" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"{calls} entries in {cache}\n"
+        for legacy in ("0" * 64 + ".json", "1" * 64 + ".json.quarantine"):
+            (cache / legacy).write_text("{}")
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == EXIT_OK
-        assert [n for n in os.listdir(cache) if n.endswith(".json")] == []
+        assert capsys.readouterr().out == f"removed {calls + 2} entries from {cache}\n"
+        assert os.listdir(cache) == []
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
+        assert capsys.readouterr().out == f"0 entries in {cache}\n"
+
+    def test_one_cache_per_run(self, corpus, tmp_path, monkeypatch):
+        """All articles of a summarize run share one open cache, and a second
+        run opens its own."""
+        opened = []
+
+        class CountedCache(ResponseCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                opened.append(directory)
+
+        monkeypatch.setattr("slisum.pipeline.ResponseCache", CountedCache)
+        cache = str(tmp_path / "cache")
+        for out in ("cold", "warm"):
+            assert main(["summarize", str(corpus), "-o", str(tmp_path / out),
+                         "--cache-dir", cache]) == EXIT_OK
+        assert opened == [cache, cache]
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -16,6 +17,7 @@ from slisum.engine import (
     render,
 )
 from slisum.pipeline import (
+    LOG_NAME,
     CachedEngine,
     PipelineConfig,
     ResponseCache,
@@ -33,6 +35,11 @@ from conftest import (
     planted_article,
     random_article,
 )
+
+
+def log_lines(directory):
+    with open(os.path.join(directory, LOG_NAME), encoding="utf-8") as fh:
+        return fh.read().splitlines()
 
 
 class TestResolveProfile:
@@ -89,51 +96,57 @@ class TestResponseCache:
         }
         assert len(keys) == 7
 
-    @pytest.mark.parametrize("task, args, kwargs, name", [
+    @pytest.mark.parametrize("task, args, kwargs, key", [
         ("summarize", ("One fine sentence.",), {"sample": 2},
-         "f0012ec47c53451b17528b40cb1746b6e8a477dcf58ff9b86d1d011ca2058eb9.json"),
+         "f0012ec47c53451b17528b40cb1746b6e8a477dcf58ff9b86d1d011ca2058eb9"),
         ("classify", (["A cat sat.", "A dog ran."],), {},
-         "f61ceaa33039a68f4cbe864c636c064e6c6bb0bdeb5dbbf201f302d7caad030c.json"),
+         "f61ceaa33039a68f4cbe864c636c064e6c6bb0bdeb5dbbf201f302d7caad030c"),
         ("connect", (["A cat sat.", "A dog ran."],), {},
-         "44fd14220167dc194a3dc3596f1e0f973224cd0e6df19f2b3432f635a5e52790.json"),
+         "44fd14220167dc194a3dc3596f1e0f973224cd0e6df19f2b3432f635a5e52790"),
     ])
-    def test_cache_file_names_are_pinned(self, tmp_path, task, args, kwargs, name):
-        """A call's cache file name hashes its task, prompt body, parameters,
-        the task's temperature and its sample number. Any change to that
-        material turns every warm cache cold, so one name per task is pinned."""
+    def test_cache_file_names_are_pinned(self, tmp_path, task, args, kwargs, key):
+        """A call's cache key hashes its task, prompt body, parameters, the
+        task's temperature and its sample number. Any change to that material
+        turns every warm cache cold, so one key per task is pinned."""
         params = EngineParams(model="m", max_tokens=64, seed=3)
         with CallScheduler(1) as scheduler:
             cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
             getattr(cached, task)(*args, params, **kwargs)
-        assert os.listdir(tmp_path) == [name]
+        assert os.listdir(tmp_path) == [LOG_NAME]
+        assert [line.split("\t")[0] for line in log_lines(tmp_path)] == [key]
 
-    def test_corrupt_entry_quarantined(self, tmp_path):
-        cache = ResponseCache(str(tmp_path))
+    def test_unreadable_line_skipped(self, tmp_path, caplog):
+        """A line whose key or entry does not parse is skipped with a warning
+        and its key misses; a later store of that key is served, here and by
+        a fresh cache on the same directory."""
         key = ResponseCache.key("summarize", "body", self.params())
-        cache.store(key, {"text": "ok"})
-        path = os.path.join(str(tmp_path), key + ".json")
-        with open(path, "w") as fh:
-            fh.write('{"text": "trunc')
-        assert cache.lookup(key) is None
-        assert os.path.exists(path + ".quarantine")
-        assert not os.path.exists(path)
+        other = ResponseCache.key("summarize", "other", self.params())
+        with open(tmp_path / LOG_NAME, "w", encoding="utf-8") as fh:
+            fh.write(f'{key}\t{{"text": "trunc\nnot a key\n{other}\t{{"text": "fine"}}\n')
+        cache = ResponseCache(str(tmp_path))
+        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+            assert cache.lookup(key) is None
+        assert len([r for r in caplog.records if "unreadable line" in r.getMessage()]) == 2
+        assert cache.lookup(other)["text"] == "fine"
+        assert cache.store(key, {"text": "ok"}) == "ok"
+        assert cache.lookup(key)["text"] == "ok"
+        assert ResponseCache(str(tmp_path)).lookup(key)["text"] == "ok"
 
     @pytest.mark.parametrize("competitor, expected", [
         ('{"text": "first writer", "task": "summarize"}', "first writer"),
         ('{"text": "trunc', "own answer"),
     ], ids=["readable", "unreadable"])
     def test_first_writer_wins(self, tmp_path, competitor, expected):
-        """Another process stores the key while this one calls the backend:
-        its entry stays and this call returns its text, unless the entry is
-        unreadable, which is quarantined and replaced."""
+        """Another process appends a line for the key while this one calls the
+        backend: its line comes first, so this call returns its text, unless
+        the line is unreadable, which is skipped."""
         directory = str(tmp_path)
 
         class RacedEngine(MockEngine):
             def summarize(self, window_text, params=None):
-                path = os.path.join(directory, ResponseCache.key(
-                    "summarize", render("summarize", window_text), params) + ".json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(competitor)
+                key = ResponseCache.key("summarize", render("summarize", window_text), params)
+                with open(os.path.join(directory, LOG_NAME), "a", encoding="utf-8") as fh:
+                    fh.write(f"{key}\t{competitor}\n")
                 return "own answer"
 
         with CallScheduler(1) as scheduler:
@@ -141,10 +154,111 @@ class TestResponseCache:
             assert cached.summarize("One fine sentence.", EngineParams(model="m")) == expected
             assert cached.summarize("One fine sentence.", EngineParams(model="m")) == expected
         assert cached.calls == [("summarize", False), ("summarize", True)]
-        names = sorted(os.listdir(directory))
-        assert not [name for name in names if name.endswith(".tmp")]
-        assert len([name for name in names if name.endswith(".quarantine")]) == (
-            expected == "own answer")
+        assert os.listdir(directory) == [LOG_NAME]
+        assert len(log_lines(directory)) == 2
+
+    def test_processes_storing_one_key_agree(self, tmp_path):
+        """Two processes that both missed a key store different texts; both,
+        and a later lookup, get the text of whichever appended first."""
+        key = ResponseCache.key("summarize", "body", self.params())
+        child = (
+            "import os, sys, time\n"
+            "from slisum.pipeline import ResponseCache\n"
+            "directory, key, me = sys.argv[1:]\n"
+            "cache = ResponseCache(directory)\n"
+            "assert cache.lookup(key) is None\n"
+            "open(os.path.join(directory, 'ready-' + me), 'w').close()\n"
+            "while len([n for n in os.listdir(directory) if n.startswith('ready-')]) < 2:\n"
+            "    time.sleep(0.001)\n"
+            "print(cache.store(key, {'text': 'from ' + me}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        children = [subprocess.Popen([sys.executable, "-c", child, str(tmp_path), key, me],
+                                     stdout=subprocess.PIPE, text=True, env=env)
+                    for me in ("a", "b")]
+        answers = {child.communicate(timeout=60)[0].strip() for child in children}
+        assert [child.returncode for child in children] == [0, 0]
+        assert answers == {ResponseCache(str(tmp_path)).lookup(key)["text"]}
+        assert answers <= {"from a", "from b"}
+        assert len(log_lines(tmp_path)) == 2
+
+    def test_torn_tail_loses_only_the_fused_line(self, tmp_path):
+        """A crash mid-append leaves a last line without a newline; the next
+        append is fused with it, so those two entries miss and no other."""
+        kept, torn, fused, later = (ResponseCache.key("summarize", body, self.params())
+                                    for body in ("kept", "torn", "fused", "later"))
+        with open(tmp_path / LOG_NAME, "w", encoding="utf-8") as fh:
+            fh.write(f'{kept}\t{{"text": "kept"}}\n{torn}\t{{"text": "to')
+        cache = ResponseCache(str(tmp_path))
+        assert cache.lookup(torn) is None
+        assert cache.store(fused, {"text": "fused"}) == "fused"
+        assert cache.store(later, {"text": "later"}) == "later"
+        for reader in (cache, ResponseCache(str(tmp_path))):
+            assert reader.lookup(kept)["text"] == "kept"
+            assert reader.lookup(torn) is None
+            assert reader.lookup(fused) is None
+            assert reader.lookup(later)["text"] == "later"
+        assert cache.store(fused, {"text": "again"}) == "again"
+        assert ResponseCache(str(tmp_path)).lookup(fused)["text"] == "again"
+
+    def test_clear_under_an_open_cache_serves_no_wrong_answer(self, tmp_path, caplog):
+        """Another process clears the cache and stores another key at the
+        same offset while this one holds an index of the old log: the stale
+        entry misses, and is never the other key's answer."""
+        old, new = (ResponseCache.key("summarize", body, self.params()) for body in ("old", "new"))
+        reader = ResponseCache(str(tmp_path))
+        reader.store(old, {"text": "old answer"})
+        other = ResponseCache(str(tmp_path))
+        other.clear()
+        other.store(new, {"text": "new answer"})
+        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+            assert reader.lookup(old) is None
+        assert "the log changed under its index" in caplog.text
+
+    def test_log_read_in_chunks(self, tmp_path):
+        """Indexing reads the log a chunk at a time; lines that straddle
+        chunks, and a line longer than a chunk, are all found."""
+        cache = ResponseCache(str(tmp_path))
+        texts = {ResponseCache.key("summarize", str(i), self.params()): f"{i} " * (i * 40)
+                 for i in range(1, 60)}
+        texts[ResponseCache.key("connect", "long", self.params())] = "long " * 40000
+        for key, text in texts.items():
+            assert cache.store(key, {"text": text}) == text
+        assert os.path.getsize(tmp_path / LOG_NAME) > 4 * 65536
+        fresh = ResponseCache(str(tmp_path))
+        assert {key: fresh.lookup(key)["text"] for key in texts} == texts
+        assert fresh.count() == len(texts)
+
+    def test_concurrent_stores_lose_nothing(self, tmp_path):
+        """Threads storing at once into one cache: every key is found, here
+        and by a fresh cache, and a key stored by several threads gives them
+        all one text."""
+        cache = ResponseCache(str(tmp_path))
+        shared = [ResponseCache.key("connect", f"shared {i}", self.params()) for i in range(20)]
+
+        def work(worker):
+            own = [ResponseCache.key("summarize", f"{worker} {i}", self.params())
+                   for i in range(25)]
+            stored = {}
+            for key in own + shared:
+                if cache.lookup(key) is None:
+                    stored[key] = cache.store(key, {"text": f"{worker} {key}"})
+                else:
+                    stored[key] = cache.lookup(key)["text"]
+            return stored
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = ResponseCache(str(tmp_path))
+        for stored in results:
+            for key, text in stored.items():
+                assert cache.lookup(key)["text"] == fresh.lookup(key)["text"] == text
+        assert fresh.count() == 8 * 25 + len(shared)
 
     def test_cached_engine_counts(self, tmp_path):
         with CallScheduler(1) as scheduler:
