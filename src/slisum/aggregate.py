@@ -10,7 +10,7 @@ from .cluster import Statement
 from .engine import EngineError, EngineParams, SummaryEngine
 # `rouge1_f1` is the score _best_matches reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
-from .lexical import TokenBag, overlaps, postings, rouge1_f1, rouge1_recall
+from .lexical import TokenBag, rouge1_f1, rouge1_recall
 from .text import Article, segment_sentences
 
 log = logging.getLogger(__name__)
@@ -63,11 +63,22 @@ def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:
     target; ties go to the smallest position.
 
     Only targets sharing a token with the bag can score above 0, so they are
-    scored through a postings index over the targets; with none, every target
+    found through a postings index over the targets; with none, every target
     scores 0 and position 0 wins. An empty bag scores 1.0 against the first
     empty target, if there is one.
+
+    The bag's tokens are walked rarest first (fewest postings, then by token),
+    and each target first met through one is scored exactly. Once `rest` of
+    the bag's tokens are left unwalked, a target not met yet shares at most
+    `rest` of them, so it scores at most 2 * rest / (la + rest): when that is
+    below the best score, no such target can win or tie, and the walk stops
+    (the max-score rule of Turtle & Flood, 1995). The operands are small
+    integers and float division is monotone, so the bound holds in floats.
     """
-    index = postings(targets)
+    index: dict[str, list[int]] = {}  # token -> positions of the targets holding it
+    for j, target in enumerate(targets):
+        for tok in target.counts:
+            index.setdefault(tok, []).append(j)
     first_empty = next((i for i, t in enumerate(targets) if t.length == 0), 0)
     best = []
     for bag in bags:
@@ -76,10 +87,20 @@ def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:
             best.append(first_empty)
             continue
         pos, score = 0, 0.0
-        for j, o in overlaps(bag, index).items():
-            s = 2.0 * o / (la + targets[j].length)
-            if s > score or (s == score and j < pos):
-                pos, score = j, s
+        rest = la
+        seen: set[int] = set()
+        for tok in sorted(bag.counts, key=lambda t: (len(index.get(t, ())), t)):
+            if 2.0 * rest / (la + rest) < score:
+                break
+            rest -= bag.counts[tok]
+            for j in index.get(tok, ()):
+                if j in seen:
+                    continue
+                seen.add(j)
+                target = targets[j]
+                s = 2.0 * bag.overlap(target) / (la + target.length)
+                if s > score or (s == score and j < pos):
+                    pos, score = j, s
         best.append(pos)
     return best
 

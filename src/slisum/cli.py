@@ -15,8 +15,6 @@ import os
 import sys
 from collections import deque
 
-import yaml
-
 from .engine import BACKENDS, EngineError
 from .evalkit import (
     distance_diagnostics,
@@ -59,6 +57,8 @@ def build_config(args) -> PipelineConfig:
     usage error."""
     values: dict = {}
     if getattr(args, "config", None):
+        import yaml  # only here: importing it is a large share of start-up
+
         with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = yaml.safe_load(fh) or {}

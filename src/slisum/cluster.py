@@ -3,7 +3,7 @@ plus the MinPts-based filter that discards unimportant or hallucinated statement
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # `distance` is the metric dbscan's neighbour test reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
@@ -20,14 +20,16 @@ class Statement:
     """One sentence of one local summary.
 
     generation_seq is a global monotone counter assigned in generation order;
-    it also fixes every order-dependent tie in clustering and voting.
+    it also fixes every order-dependent tie in clustering and voting. The
+    token bag of the text is built from it unless given, and takes no part in
+    equality or hashing.
     """
 
     text: str
     window_ordinal: int
     generation_seq: int
     position_in_summary: int
-    token_bag: TokenBag = None
+    token_bag: TokenBag = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.token_bag is None:
@@ -86,7 +88,18 @@ def dbscan(statements: list[Statement], eps: float, min_pts: int) -> ClusterSet:
 
     points = sorted(statements, key=lambda s: s.generation_seq)
     n = len(points)
-    neighbors = _neighbors([p.token_bag for p in points], eps)
+    # Overlapping windows repeat statements verbatim. Identical texts have
+    # identical bags and so identical neighbour rows: score each distinct text
+    # once, then give every copy the ascending indices of all copies of its
+    # neighbouring texts.
+    distinct: dict[str, int] = {}
+    ids = [distinct.setdefault(p.text, len(distinct)) for p in points]
+    copies: list[list[int]] = [[] for _ in distinct]
+    for i, d in enumerate(ids):
+        copies[d].append(i)
+    bags = [points[members[0]].token_bag for members in copies]
+    rows = [sorted(i for d in row for i in copies[d]) for row in _neighbors(bags, eps)]
+    neighbors = [rows[d] for d in ids]
 
     labels = [_UNVISITED] * n
     clusters: list[list[int]] = []

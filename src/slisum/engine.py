@@ -156,6 +156,11 @@ def request_hash(payload: dict) -> str:
     ).hexdigest()
 
 
+def _request_id(payload: dict) -> str:
+    """Short name of a request in warnings and errors, computed only for them."""
+    return request_hash(payload)[:12]
+
+
 class FixtureRecorder:
     """Appends one JSON object per wire exchange to a fixture file."""
 
@@ -252,7 +257,6 @@ class HttpEngine(SummaryEngine):
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        req_id = request_hash(payload)[:12]
 
         last_error = None
         for attempt in range(1, self.max_attempts + 1):
@@ -262,34 +266,36 @@ class HttpEngine(SummaryEngine):
                 last_error = f"transport error: {exc}"
             else:
                 if status == 200:
-                    text = self._extract_content(body, req_id)
+                    text = self._extract_content(body, payload)
                     if self.recorder is not None:
                         self.recorder.record(payload, body)
                     return text
                 if status == 429 or status >= 500:
                     last_error = f"status {status}"
                 else:
-                    raise EngineError(f"request {req_id}: non-retryable status {status}")
+                    raise EngineError(
+                        f"request {_request_id(payload)}: non-retryable status {status}")
             if attempt < self.max_attempts:
                 delay = self.backoff_base * 2 ** (attempt - 1)
                 log.warning("request %s attempt %d failed (%s); retrying in %.1fs",
-                            req_id, attempt, last_error, delay)
+                            _request_id(payload), attempt, last_error, delay)
                 self._sleep(delay)
         raise EngineError(
-            f"request {req_id}: failed after {self.max_attempts} attempts ({last_error})"
+            f"request {_request_id(payload)}: failed after {self.max_attempts} attempts "
+            f"({last_error})"
         )
 
     @staticmethod
-    def _extract_content(body: dict, req_id: str) -> str:
+    def _extract_content(body: dict, payload: dict) -> str:
         try:
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, (str, type(None))):
                 raise TypeError(f"content is {type(text).__name__}")
         except (KeyError, IndexError, TypeError):
-            raise EngineError(f"request {req_id}: malformed response body")
+            raise EngineError(f"request {_request_id(payload)}: malformed response body")
         text = (text or "").strip()
         if not text:
-            raise EngineError(f"request {req_id}: empty response")
+            raise EngineError(f"request {_request_id(payload)}: empty response")
         return text
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:

@@ -33,14 +33,18 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenBag:
-    """Multiset of word tokens plus its cardinality."""
+    """Multiset of word tokens plus its cardinality. `counts` maps each token
+    to its count; treat it as read-only."""
 
-    counts: tuple[tuple[str, int], ...]
+    counts: dict[str, int]
     length: int
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "TokenBag":
-        return cls(counts=tuple(sorted(Counter(tokens).items())), length=len(tokens))
+        counts: dict[str, int] = {}
+        for tok in tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+        return cls(counts=counts, length=len(tokens))
 
     @classmethod
     def from_text(cls, text: str) -> "TokenBag":
@@ -48,27 +52,23 @@ class TokenBag:
 
     def overlap(self, other: "TokenBag") -> int:
         """Clipped unigram overlap (multiset intersection size)."""
-        a = dict(self.counts)
-        b = dict(other.counts)
+        a, b = self.counts, other.counts
         if len(b) < len(a):
             a, b = b, a
-        return sum(min(c, b[t]) for t, c in a.items() if t in b)
+        total = 0
+        for tok, count in a.items():
+            c = b.get(tok)
+            if c is not None:
+                total += count if count < c else c
+        return total
 
 
 Postings = dict[str, list[tuple[int, int]]]
 
 
-def postings(bags: list[TokenBag]) -> Postings:
-    """Inverted index: token -> [(bag index, count in that bag)], indices ascending."""
-    index: Postings = {}
-    for i, bag in enumerate(bags):
-        add_posting(index, i, bag)
-    return index
-
-
 def add_posting(index: Postings, i: int, bag: TokenBag) -> None:
     """Index `bag` as bag number i; i must exceed every index already present."""
-    for tok, count in bag.counts:
+    for tok, count in bag.counts.items():
         index.setdefault(tok, []).append((i, count))
 
 
@@ -76,7 +76,7 @@ def overlaps(bag: TokenBag, index: Postings) -> dict[int, int]:
     """Clipped unigram overlap of `bag` with every indexed bag it shares a
     token with; bags sharing none are absent."""
     acc: dict[int, int] = {}
-    for tok, count in bag.counts:
+    for tok, count in bag.counts.items():
         for j, other in index.get(tok, ()):
             acc[j] = acc.get(j, 0) + (count if count < other else other)
     return acc

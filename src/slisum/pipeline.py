@@ -36,7 +36,7 @@ from .engine import (
     parse_classification_response,
     render,
 )
-from .lexical import tokenize
+from .lexical import TokenBag, tokenize
 from .scheduler import CallScheduler
 from .text import (
     Article,
@@ -56,6 +56,7 @@ LONG_GEOMETRY = (750, 150)  # K=5
 DEFAULT_EPS = 0.25
 BREAKEVEN_FACTOR = 1.36
 LOG_NAME = "responses.jsonl"  # the response cache's log, in its directory
+_PARAM_FIELDS = tuple(f.name for f in fields(EngineParams))
 _KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
 _LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
 _CHUNK = 1 << 16  # bytes of the log read at a time while indexing it
@@ -130,7 +131,8 @@ class ResponseCache:
     def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
         material = json.dumps(
             {"task": task, "prompt_body": prompt_body,
-             "params": {**asdict(params), "temperature": TEMPERATURES[task]},
+             "params": ({f: getattr(params, f) for f in _PARAM_FIELDS}
+                        | {"temperature": TEMPERATURES[task]}),
              "sample": sample},
             sort_keys=True,
             ensure_ascii=False,
@@ -364,10 +366,6 @@ def _statement_dict(stmt: Statement) -> dict:
     }
 
 
-def _normalized(text: str) -> str:
-    return " ".join(tokenize(text))
-
-
 def run(
     article: Article,
     config: PipelineConfig,
@@ -474,17 +472,25 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     """Fill the record from the local summaries: split them into statements,
     cluster, vote inside each retained cluster, arrange and connect."""
     statements: list[Statement] = []
+    # Each distinct statement text is tokenized once: text -> (token bag,
+    # normalized form). The normalized form is the tokens joined by spaces.
+    lexicon: dict[str, tuple[TokenBag, str]] = {}
     seq = 0
     for (window, rep), summary in zip(tasks, summaries):
         seqs = []
         for pos, sent in enumerate(segment_sentences(summary), 1):
             seq += 1
+            entry = lexicon.get(sent.text)
+            if entry is None:
+                tokens = tokenize(sent.text)
+                entry = lexicon[sent.text] = (TokenBag.from_tokens(tokens), " ".join(tokens))
             statements.append(
                 Statement(
                     text=sent.text,
                     window_ordinal=window.ordinal,
                     generation_seq=seq,
                     position_in_summary=pos,
+                    token_bag=entry[0],
                 )
             )
             seqs.append(seq)
@@ -515,7 +521,7 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
 
     outcomes: list[VoteOutcome] = []
     for cid, members in enumerate(retained, 1):
-        normalized = {_normalized(s.text) for s in members}
+        normalized = {lexicon[s.text][1] for s in members}
         if len(normalized) == 1:
             partition = [list(range(1, len(members) + 1))]
         else:

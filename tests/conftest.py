@@ -13,12 +13,17 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
 
 from slisum.cluster import Statement
 from slisum.engine import INSTRUCTIONS, MockEngine
 from slisum.text import Article, segment_sentences
 
 STRIP = string.punctuation + "‘’“”–—…"
+
+# `pytest --hypothesis-profile=deep` runs property tests that do not fix their
+# own example count on many more examples, without a deadline.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 # ---------------------------------------------------------------- tokenizing

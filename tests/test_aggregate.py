@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from slisum.aggregate import arrange, integrate, vote
+from slisum.aggregate import _best_matches, arrange, integrate, vote
 from slisum.cluster import Statement
 from slisum.engine import MockEngine
+from slisum.lexical import TokenBag
 from slisum.text import Article
 
 from conftest import make_statements, oracle_rouge1, zipf_texts
@@ -170,6 +173,52 @@ class TestArrangeMatchesBruteForce:
             assert {s.text: a for s, a in arranged} == {
                 t: brute_force_anchor(t, article) for t in texts
             }
+
+
+# Word r of the vocabulary is drawn with weight 1/r, as in Zipf's law; each
+# occurrence may be upper-cased or carry punctuation, which tokenize away.
+ZIPF_WORDS = [f"w{r}" for r in range(1, 13) for _ in range(60 // r)]
+variant_words = st.tuples(st.sampled_from(ZIPF_WORDS), st.sampled_from(["", ",", ".", "!", "…"]),
+                          st.booleans()).map(lambda w: (w[0].upper() if w[2] else w[0]) + w[1])
+variant_texts = st.one_of(
+    st.lists(variant_words, max_size=10).map(" ".join),
+    st.sampled_from(["", "…", "— !", "(?!)"]),
+)
+
+
+def brute_force_best(text: str, targets: list[str]) -> int:
+    """Position of the highest oracle ROUGE-1 F1 target, the smallest on ties."""
+    scores = [oracle_rouge1(text, t) for t in targets]
+    return scores.index(max(scores))
+
+
+class TestBestMatches:
+    """`_best_matches` stops scoring at a bound; it must still pick what a full
+    scan picks."""
+
+    @given(st.data(), st.lists(variant_texts, min_size=1, max_size=14))
+    def test_equals_brute_force(self, data, targets):
+        # Statements include verbatim copies of targets and variants of them
+        # that tokenize identically.
+        copies = st.sampled_from(targets).flatmap(
+            lambda t: st.sampled_from([t, t.upper(), f"«{t}»", t + " !"]))
+        texts = data.draw(st.lists(st.one_of(variant_texts, copies), min_size=1, max_size=8))
+        best = _best_matches([TokenBag.from_text(t) for t in texts],
+                             [TokenBag.from_text(t) for t in targets])
+        assert best == [brute_force_best(t, targets) for t in texts]
+
+    def test_tie_with_a_target_sharing_only_the_most_frequent_token(self):
+        """The target "Rat cat." is met through the rare token and scores 0.8;
+        the bound on targets not met yet is then 2 * 2 / (3 + 2) = 0.8 as well.
+        "Cat cat.", at the smaller position, shares only "cat" and also scores
+        0.8, so the walk must go on while the bound equals the best score."""
+        targets = ["Cat cat.", "Rat cat."]
+        assert [oracle_rouge1("rat cat cat", t) for t in targets] == [0.8, 0.8]
+        assert brute_force_best("rat cat cat", targets) == 0
+        bag = TokenBag.from_text("rat cat cat")
+        assert _best_matches([bag], [TokenBag.from_text(t) for t in targets]) == [0]
+        article = Article.from_text("tie", " ".join(targets))
+        assert anchor(make_statements(["rat cat cat"])[0], article) == 1
 
 
 class RewritingEngine(MockEngine):

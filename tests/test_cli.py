@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -414,6 +416,14 @@ class TestConfig:
         assert err.startswith(f"slisum: config file {config} is not valid YAML: ")
         assert err.count("\n") == 1
         assert not (out / "summaries.jsonl").exists()
+
+    def test_yaml_imported_only_for_a_config_file(self):
+        """PyYAML is a large share of start-up, so only `--config` loads it."""
+        probe = "import sys, slisum.cli; print('yaml' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_null_is_unset_and_an_int_stands_for_a_float(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SLISUM_MODEL", raising=False)

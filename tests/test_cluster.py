@@ -97,12 +97,37 @@ class TestDbscan:
         assert got == expected
         assert sum(len(row) for row in got) > n  # some pairs besides the diagonal
 
+    @pytest.mark.parametrize("eps", [0.15, 0.25, 0.4, 0.6])
+    def test_duplicated_statements_match_oracle(self, eps):
+        """Overlapping windows repeat statements verbatim; dbscan scores each
+        distinct text once, and every copy must still get its own label."""
+        rng = random.Random(int(eps * 100))
+        for _ in range(4):
+            texts = zipf_texts(rng, rng.randint(1, 8), vocab_size=12) + ["…"]
+            copies = [t for t in texts for _ in range(rng.randint(1, 5))]
+            rng.shuffle(copies)  # copies of one text get interleaved seqs
+            stmts = make_statements(copies)
+            for min_pts in range(1, 6):
+                got = as_partition(dbscan(stmts, eps, min_pts))
+                assert got == oracle_dbscan(stmts, eps, min_pts)
+
     def test_deterministic_across_input_order(self):
         texts = ["a b c d", "a b c e", "a b c f", "x y z w", "x y z q"]
         stmts = make_statements(texts)
         shuffled = list(stmts)
         random.Random(1).shuffle(shuffled)
         assert as_partition(dbscan(stmts, 0.3, 2)) == as_partition(dbscan(shuffled, 0.3, 2))
+
+
+class TestStatement:
+    def test_equality_and_hash_ignore_the_bag(self):
+        fields = dict(text="A b.", window_ordinal=2, generation_seq=7, position_in_summary=1)
+        built = Statement(**fields)
+        given_bag = Statement(**fields, token_bag=TokenBag.from_text("unrelated words"))
+        assert built == given_bag
+        assert hash(built) == hash(given_bag)
+        assert len({built, given_bag}) == 1
+        assert built != Statement(**{**fields, "generation_seq": 8})
 
 
 class TestFilterClusters:

@@ -14,6 +14,7 @@ from slisum.engine import (
     render,
     render_partition,
     replay_transport,
+    request_hash,
 )
 from slisum.pipeline import CachedEngine
 from slisum.scheduler import CallScheduler
@@ -161,6 +162,18 @@ class TestHttpEngine:
         with pytest.raises(EngineError, match="non-retryable status 401"):
             engine.summarize("text")
         assert sleeps == []
+
+    def test_request_id_names_the_payload(self, caplog):
+        """Warnings and errors name a request by the first 12 hex digits of the
+        SHA-256 of its canonical JSON payload."""
+        transport = ScriptedTransport([(503, {}), (400, {})])
+        engine, _ = self.engine(transport)
+        with pytest.raises(EngineError) as info:
+            engine.summarize("text")
+        req_id = "02a11501cb8c"
+        assert req_id == request_hash(transport.calls[0])[:12]
+        assert str(info.value) == f"request {req_id}: non-retryable status 400"
+        assert f"request {req_id} attempt 1 failed (status 503)" in caplog.text
 
     def test_empty_response_is_engine_error(self):
         transport = ScriptedTransport([(200, ok_body("   "))])

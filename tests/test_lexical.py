@@ -43,6 +43,10 @@ class TestTokenize:
         assert bag.length == 4
         assert dict(bag.counts)["a"] == 2
 
+    def test_bag_equality_ignores_token_order(self):
+        assert TokenBag.from_text("a b a c") == TokenBag.from_text("C, a. B A")
+        assert TokenBag.from_text("a b a c") != TokenBag.from_text("a b c c")
+
 
 class TestRouge1:
     def test_identity(self):
