@@ -30,7 +30,7 @@ from .pipeline import (
     start,
 )
 from .scheduler import CallScheduler
-from .text import Article, ConfigurationError
+from .text import Article, ConfigurationError, build_window_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,8 +106,8 @@ def cmd_summarize(args) -> int:
         _warn("--jobs is deprecated and has no effect: --concurrency caps the backend "
               "calls in flight across all articles")
 
-    if not os.path.exists(args.input):
-        _warn(f"input file not found: {args.input}")
+    if not os.path.isfile(args.input):
+        _warn(f"not a file: {args.input}")
         return EXIT_USAGE
     try:
         config = build_config(args)
@@ -116,7 +116,11 @@ def cmd_summarize(args) -> int:
         return EXIT_USAGE
 
     records_dir = os.path.join(args.output, "records")
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        _warn(f"cannot create output directory {args.output}: {exc.strerror}")
+        return EXIT_USAGE
 
     articles: list[Article] = []
     seen_ids: set[str] = set()
@@ -145,10 +149,13 @@ def cmd_summarize(args) -> int:
 
     if args.dry_run:
         for article in articles:
-            resolved = config.resolved(article.total_words)
-            from .text import build_window_plan
-
-            plan = build_window_plan(article, resolved.window_size, resolved.step_size)
+            try:
+                resolved = config.resolved(article.total_words)
+                plan = build_window_plan(article, resolved.window_size, resolved.step_size)
+            except ConfigurationError as exc:
+                _warn(f"article {article.id!r} failed: {exc}")
+                partial = True
+                continue
             print(f"{article.id}: {article.total_words} words, K={plan.k_ratio}, "
                   f"{len(plan.windows)} windows, {plan.total_generations} summarize calls")
             for w in plan.windows:
@@ -295,8 +302,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    if not args.cache_dir:
-        _warn("--cache-dir is required")
+    if not os.path.isdir(args.cache_dir):
+        _warn(f"not a directory: {args.cache_dir}")
         return EXIT_USAGE
     cache = ResponseCache(args.cache_dir)
     if args.action == "clear":

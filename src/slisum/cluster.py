@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 # `distance` is the metric dbscan's neighbour test reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
-from .lexical import Postings, TokenBag, add_posting, distance, overlaps
+from .lexical import TokenBag, distance, earlier_distances
 
 log = logging.getLogger(__name__)
 
@@ -45,28 +45,12 @@ class ClusterSet:
 
 def _neighbors(bags: list[TokenBag], eps: float) -> list[list[int]]:
     """For each bag, the ascending indices of bags within `distance` eps,
-    itself included.
-
-    Each bag is scored only against the earlier bags it shares a token with,
-    found through a postings index that grows as the scan goes; a pair sharing
-    no token is at distance 1 > eps. The distance is the same float expression
-    `distance` evaluates, so the lists equal a full pairwise scan. Empty bags
-    share no token but are at distance 0 from each other.
-    """
+    itself included. Pairs come from `earlier_distances`, and every pair it
+    does not yield is at distance 1 > eps, so the lists equal a full pairwise
+    scan."""
     rows: list[list[int]] = []
-    index: Postings = {}
-    empty: list[int] = []
-    for i, bag in enumerate(bags):
-        la = bag.length
-        if la == 0:
-            near = list(empty)
-            empty.append(i)
-        else:
-            near = sorted(
-                j for j, o in overlaps(bag, index).items()
-                if 1.0 - 2.0 * o / (la + bags[j].length) <= eps
-            )
-            add_posting(index, i, bag)
+    for i, pairs in enumerate(earlier_distances(bags)):
+        near = sorted(j for j, d in pairs if d <= eps)
         for j in near:
             rows[j].append(i)
         near.append(i)

@@ -7,16 +7,17 @@ Conventions (fixed so scores are reproducible bit-for-bit):
   * unigram/bigram overlap is clipped (multiset intersection);
   * two empty inputs score 1.0, exactly one empty input scores 0.0.
 
-Many-to-many comparisons go through a postings index (token -> the bags that
-hold it): a pair that shares no token is at distance 1.0 (0.0 when both bags
-are empty), so only token-sharing pairs need an overlap count.
+Clustering and the distance diagnostics share one many-to-many scan,
+`earlier_distances`: a postings index (token -> the bags that hold it) finds
+the pairs that share a token, and only those need an overlap count. Every other
+pair is at distance 1.0, except two empty bags, which are at 0.0; the scan is
+the one place that rule lives.
 """
 from __future__ import annotations
 
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
@@ -63,25 +64,6 @@ class TokenBag:
         return total
 
 
-Postings = dict[str, list[tuple[int, int]]]
-
-
-def add_posting(index: Postings, i: int, bag: TokenBag) -> None:
-    """Index `bag` as bag number i; i must exceed every index already present."""
-    for tok, count in bag.counts.items():
-        index.setdefault(tok, []).append((i, count))
-
-
-def overlaps(bag: TokenBag, index: Postings) -> dict[int, int]:
-    """Clipped unigram overlap of `bag` with every indexed bag it shares a
-    token with; bags sharing none are absent."""
-    acc: dict[int, int] = {}
-    for tok, count in bag.counts.items():
-        for j, other in index.get(tok, ()):
-            acc[j] = acc.get(j, 0) + (count if count < other else other)
-    return acc
-
-
 def _as_bag(value) -> TokenBag:
     if isinstance(value, TokenBag):
         return value
@@ -117,6 +99,33 @@ def rouge1_recall(a, b) -> float:
 def distance(a, b) -> float:
     """Sentence distance: one minus the unigram-overlap F1. Symmetric, in [0, 1]."""
     return 1.0 - rouge1_f1(a, b)
+
+
+def earlier_distances(bags: list[TokenBag]):
+    """For each bag in order, the pairs (j, distance(bags[j], bag)) of the
+    earlier bags j at a distance below 1.0.
+
+    A growing postings index finds the earlier bags that share a token with
+    the bag, and each is scored with the float expression `distance`
+    evaluates. An empty bag shares no token but is at 0.0 from every earlier
+    empty bag; every pair not yielded is at 1.0. Consume a bag's pairs before
+    asking for the next bag's.
+    """
+    index: dict[str, list[tuple[int, int]]] = {}
+    empty: list[int] = []
+    for i, bag in enumerate(bags):
+        la = bag.length
+        if la == 0:
+            yield [(j, 0.0) for j in empty]
+            empty.append(i)
+            continue
+        acc: dict[int, int] = {}
+        for tok, count in bag.counts.items():
+            for j, other in index.get(tok, ()):
+                acc[j] = acc.get(j, 0) + (count if count < other else other)
+        yield ((j, 1.0 - 2.0 * o / (la + bags[j].length)) for j, o in acc.items())
+        for tok, count in bag.counts.items():
+            index.setdefault(tok, []).append((i, count))
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -175,50 +184,48 @@ def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float
     `between` holds the Hausdorff distance of every pair of sets (g, h),
     g < h, in order. Every set must be non-empty to have a Hausdorff distance.
 
-    Members are scanned in order, each scored only against the earlier
-    members it shares a token with, found through a postings index that grows
-    as the scan goes; a pair sharing no token is at distance 1.0, or 0.0 when
-    both bags are empty. The distance is the float expression `distance`
-    evaluates, so every value equals a full pairwise scan.
+    A cluster holds its statement's copies from overlapping windows. Copies
+    are at 0.0 from each other and equally far from any other bag, so each
+    set's distinct bags are scanned once: the pairs come from
+    `earlier_distances` over them, and every value equals a full pairwise scan.
     """
-    bounds = list(accumulate((len(group) for group in groups), initial=0))
-    members = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    bags = [bag for group in groups for bag in group]
-    owner = [g for g, ids in enumerate(members) for _ in ids]
-    # nearest[i][h], for h other than i's own set: distance from member i to
-    # the nearest member of set h
+    bags: list[TokenBag] = []  # each set's distinct bags, sets in order
+    owner: list[int] = []  # the set of each distinct bag
+    ids: list[list[int]] = []  # ids[g]: the distinct bag of each member of set g
+    for g, group in enumerate(groups):
+        first: dict[frozenset, int] = {}
+        row = []
+        for bag in group:
+            u = first.setdefault(frozenset(bag.counts.items()), len(bags))
+            if u == len(bags):
+                bags.append(bag)
+                owner.append(g)
+            row.append(u)
+        ids.append(row)
+    # nearest[u][h], for h other than u's own set: distance from bag u to the
+    # nearest member of set h
     nearest = [[1.0] * len(groups) for _ in bags]
-    empty = [i for i, bag in enumerate(bags) if bag.length == 0]
-    for i in empty:
-        for j in empty:
-            nearest[i][owner[j]] = 0.0
-    same_shared: dict[tuple[int, int], float] = {}
-    index: Postings = {}
-    for i, bag in enumerate(bags):
+    same_scored: dict[tuple[int, int], float] = {}
+    for i, pairs in enumerate(earlier_distances(bags)):
         g = owner[i]
-        for j, o in overlaps(bag, index).items():
-            d = 1.0 - 2.0 * o / (bags[j].length + bag.length)
+        for j, d in pairs:
             h = owner[j]
             if d < nearest[i][h]:
                 nearest[i][h] = d
             if d < nearest[j][g]:
                 nearest[j][g] = d
             if h == g:
-                same_shared[j, i] = d
-        add_posting(index, i, bag)
+                same_scored[j, i] = d
 
     same: list[float] = []
     between: list[float] = []
-    for g, ids in enumerate(members):
-        for i in ids:
-            for j in range(i + 1, ids.stop):
-                d = same_shared.get((i, j))
-                if d is None:
-                    d = 0.0 if bags[i].length == bags[j].length == 0 else 1.0
-                same.append(d)
+    for g, row in enumerate(ids):
+        for k, i in enumerate(row):
+            same.extend(0.0 if i == j else same_scored.get((min(i, j), max(i, j)), 1.0)
+                        for j in row[k + 1:])
         for h in range(g + 1, len(groups)):
-            between.append(max(max(nearest[i][h] for i in ids),
-                               max(nearest[j][g] for j in members[h])))
+            between.append(max(max(nearest[i][h] for i in row),
+                               max(nearest[j][g] for j in ids[h])))
     return same, between
 
 

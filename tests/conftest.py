@@ -14,6 +14,7 @@ import time
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from slisum.cluster import Statement
 from slisum.engine import INSTRUCTIONS, MockEngine
@@ -154,6 +155,16 @@ def make_statements(texts: list[str], start_seq: int = 1) -> list[Statement]:
         Statement(text=t, window_ordinal=1, generation_seq=start_seq + i, position_in_summary=1)
         for i, t in enumerate(texts)
     ]
+
+
+def text_pools():
+    """Strategy for a few short texts to draw statements from, so that drawn
+    lists repeat texts verbatim. There are twelve words, so many pairs share
+    tokens; punctuation-only texts have empty bags."""
+    words = st.text(alphabet="abc", min_size=1, max_size=2)
+    text = st.one_of(st.lists(words, max_size=8).map(" ".join),
+                     st.sampled_from(["…", "—", "(?!)", "— …"]))
+    return st.lists(text, min_size=1, max_size=8)
 
 
 def random_article(rng: random.Random, n_sentences: int, min_words=3, max_words=40) -> Article:

@@ -82,6 +82,20 @@ class TestSummarize:
     def test_missing_input_usage_error(self, tmp_path):
         assert main(["summarize", str(tmp_path / "nope.jsonl"), "-o", str(tmp_path)]) == EXIT_USAGE
 
+    def test_input_directory_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["summarize", str(tmp_path), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: not a file: {tmp_path}\n"
+        assert not out.exists()
+
+    def test_output_path_is_a_file_usage_error(self, corpus, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["summarize", str(corpus), "-o", str(taken)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"slisum: cannot create output directory {taken}: File exists\n")
+        assert taken.read_text() == "keep"
+
     def test_duplicate_id_partial(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(path, [
@@ -261,6 +275,13 @@ class TestSummarize:
             {"id": "short", "article": "Birds sing at dawn. Birds sing at sunrise."},
             {"id": "long", "article": long_text},
         ])
+        dry = tmp_path / "dry"
+        assert main(["summarize", str(path), "-o", str(dry), "--min-pts", "4",
+                     "--dry-run"]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert "article 'short' failed: min_pts 4 outside [1, 3]" in captured.err
+        assert captured.out.startswith("long: 3230 words, K=5, ")
+        assert "short" not in captured.out
         out = tmp_path / "out"
         assert main(["summarize", str(path), "-o", str(out), "--min-pts", "4"]) == EXIT_PARTIAL
         assert "article 'short' failed: min_pts 4 outside [1, 3]" in capsys.readouterr().err
@@ -590,6 +611,13 @@ class TestCache:
         assert os.listdir(cache) == []
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
         assert capsys.readouterr().out == f"0 entries in {cache}\n"
+
+    @pytest.mark.parametrize("action", ["stats", "clear"])
+    def test_missing_dir_usage_error_and_not_created(self, tmp_path, capsys, action):
+        missing = tmp_path / "missing"
+        assert main(["cache", action, "--cache-dir", str(missing)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: not a directory: {missing}\n"
+        assert not missing.exists()
 
     def test_one_cache_per_run(self, corpus, tmp_path, monkeypatch):
         """All articles of a summarize run share one open cache, and a second

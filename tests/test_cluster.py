@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slisum.cluster import (
     ClusterSet,
@@ -12,7 +14,7 @@ from slisum.cluster import (
 )
 from slisum.lexical import TokenBag, distance
 
-from conftest import make_statements, oracle_dbscan, zipf_texts
+from conftest import make_statements, oracle_dbscan, text_pools, zipf_texts
 
 
 def as_partition(cluster_set: ClusterSet):
@@ -96,6 +98,15 @@ class TestDbscan:
         got = _neighbors(bags, eps)
         assert got == expected
         assert sum(len(row) for row in got) > n  # some pairs besides the diagonal
+
+    @given(text_pools().flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=16)),
+           st.one_of(st.sampled_from([0.25, 0.5, 0.6]),  # distances some pairs are at
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    def test_neighbors_equal_pairwise_scan_with_repeats_and_empty_bags(self, texts, eps):
+        bags = [TokenBag.from_text(t) for t in texts]
+        n = len(bags)
+        expected = [[j for j in range(n) if distance(bags[i], bags[j]) <= eps] for i in range(n)]
+        assert _neighbors(bags, eps) == expected
 
     @pytest.mark.parametrize("eps", [0.15, 0.25, 0.4, 0.6])
     def test_duplicated_statements_match_oracle(self, eps):

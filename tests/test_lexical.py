@@ -23,6 +23,7 @@ from conftest import (
     oracle_rouge1,
     oracle_rouge2,
     oracle_rougeL,
+    text_pools,
     zipf_texts,
 )
 
@@ -222,6 +223,15 @@ class TestSetDistances:
     def test_hausdorff_empty_bags_and_duplicates(self, xs, ys):
         assert hausdorff(xs, ys) == oracle_hausdorff(xs, ys)
         assert hausdorff(ys, xs) == oracle_hausdorff(xs, ys)
+
+    @given(text_pools().flatmap(lambda pool: st.lists(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=5), min_size=1, max_size=5)))
+    def test_equals_oracles_with_repeats_and_empty_bags(self, groups):
+        same, between = set_distances([[TokenBag.from_text(t) for t in g] for g in groups])
+        assert same == [oracle_distance(g[i], g[j])
+                        for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
+        assert between == [oracle_hausdorff(groups[g], groups[h])
+                           for g in range(len(groups)) for h in range(g + 1, len(groups))]
 
     def test_same_and_between_orders(self):
         groups = [["a b", "a c", "x"], ["…"], ["a b", "—"]]
