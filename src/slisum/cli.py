@@ -37,6 +37,7 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+_AT_LEAST_ONE = ("max_tokens", "concurrency")  # run settings whose value must be >= 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +54,8 @@ def _warn(message: str) -> None:
 def build_config(args) -> PipelineConfig:
     """Merge settings with precedence flags > environment > file > length
     defaults. Config-file keys are PipelineConfig field names, and a value
-    must be null (unset) or of the type its flag parses; anything else is a
-    usage error."""
+    must be null (unset) or of the type its flag parses; anything else, or a
+    max_tokens or concurrency below 1, is a usage error."""
     values: dict = {}
     if getattr(args, "config", None):
         import yaml  # only here: importing it is a large share of start-up
@@ -79,6 +80,9 @@ def build_config(args) -> PipelineConfig:
     for field in _CONFIG_FIELDS:
         flag = getattr(args, field, None)
         if flag is not None:
+            if field in _AT_LEAST_ONE and flag < 1:
+                raise ConfigurationError(
+                    f"--{field.replace('_', '-')} must be >= 1, got {flag}")
             values[field] = flag
     return PipelineConfig(**values)
 
@@ -88,17 +92,14 @@ def _file_value(path: str, key: str, value, flag: argparse.Action):
     bool for nothing; ConfigurationError if it does not fit."""
     kind = flag.type or str
     fits = isinstance(value, (int, float) if kind is float else kind)
-    if isinstance(value, bool) or not fits or (flag.choices and value not in flag.choices):
+    below_one = key in _AT_LEAST_ONE and fits and value < 1
+    if (isinstance(value, bool) or not fits or below_one
+            or (flag.choices and value not in flag.choices)):
         expected = f"one of {', '.join(flag.choices)}" if flag.choices else kind.__name__
+        if key in _AT_LEAST_ONE:
+            expected += " >= 1"
         raise ConfigurationError(f"config file {path}: {key} must be {expected}, got {value!r}")
     return kind(value)
-
-
-def _read_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                yield lineno, line
 
 
 def cmd_summarize(args) -> int:
@@ -122,24 +123,14 @@ def cmd_summarize(args) -> int:
         _warn(f"cannot create output directory {args.output}: {exc.strerror}")
         return EXIT_USAGE
 
+    bodies, partial = _load_pairs(args.input, ("article",))
     articles: list[Article] = []
-    seen_ids: set[str] = set()
-    partial = False
-    for lineno, line in _read_jsonl(args.input):
-        try:
-            obj = json.loads(line)
-            article_id = str(obj["id"])
-            body = obj["article"]
-            if not isinstance(body, str) or not body.strip():
-                raise ValueError("empty article")
-            if article_id in seen_ids:
-                raise ValueError(f"duplicate id {article_id!r}")
-        except (ValueError, KeyError, TypeError) as exc:
-            _warn(f"{args.input}:{lineno}: skipping malformed record ({exc})")
+    for article_id, body in bodies.items():
+        if body.strip():
+            articles.append(Article.from_text(article_id, body))
+        else:
+            _warn(f"{args.input}: skipping blank article {article_id!r}")
             partial = True
-            continue
-        seen_ids.add(article_id)
-        articles.append(Article.from_text(article_id, body))
 
     if not articles:
         _warn("no valid articles in input")
@@ -197,33 +188,51 @@ def cmd_summarize(args) -> int:
 
 
 def _load_pairs(path, value_fields):
-    """id -> value of the first well-formed line with that id, and whether any
-    line was skipped as malformed or as a repeated id."""
+    """id -> text of the first line with that id whose JSON parses and has a
+    string text (the first of `value_fields` present), in file order, and
+    whether any non-blank line was skipped: one that is not UTF-8, not such a
+    JSON object, or repeats an id. A line ends at a newline byte."""
     pairs = {}
     skipped = False
-    for lineno, line in _read_jsonl(path):
-        try:
-            obj = json.loads(line)
-            key = str(obj["id"])
-            value = next(obj[f] for f in value_fields if f in obj)
-            if not isinstance(value, str):
-                raise TypeError("text is not a string")
-        except (ValueError, KeyError, TypeError, StopIteration):
-            _warn(f"{path}:{lineno}: skipping malformed record")
-            skipped = True
-            continue
-        if key in pairs:
-            _warn(f"{path}:{lineno}: skipping duplicate id {key!r}")
-            skipped = True
-            continue
-        pairs[key] = value
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                key = str(obj["id"])
+                value = next(obj[f] for f in value_fields if f in obj)
+                if not isinstance(value, str):
+                    raise TypeError("text is not a string")
+            except (ValueError, KeyError, TypeError, StopIteration):
+                _warn(f"{path}:{lineno}: skipping malformed record")
+                skipped = True
+                continue
+            if key in pairs:
+                _warn(f"{path}:{lineno}: skipping duplicate id {key!r}")
+                skipped = True
+                continue
+            pairs[key] = value
     return pairs, skipped
+
+
+def _write_report(path, text) -> bool:
+    """Write `text` and a newline to `path`; False, after one warning, if it
+    cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        _warn(f"cannot write {path}: {exc.strerror}")
+        return False
+    return True
 
 
 def cmd_evaluate(args) -> int:
     for path in (args.summaries, args.references):
-        if not os.path.exists(path):
-            _warn(f"file not found: {path}")
+        if not os.path.isfile(path):
+            _warn(f"not a file: {path}")
             return EXIT_USAGE
     summaries, skipped_summaries = _load_pairs(args.summaries, ("summary",))
     references, skipped_references = _load_pairs(args.references, ("reference", "summary"))
@@ -239,10 +248,9 @@ def cmd_evaluate(args) -> int:
     payload = report.to_dict()
     payload["unmatched_summaries"] = sorted(set(summaries) - set(references))
     payload["unmatched_references"] = sorted(set(references) - set(summaries))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
-            fh.write("\n")
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+    if args.output and not _write_report(args.output, text):
+        return EXIT_USAGE
     print(report.to_text())
     for key in ("unmatched_summaries", "unmatched_references"):
         if payload[key]:
@@ -286,17 +294,16 @@ def cmd_analyze(args) -> int:
         all_offsets.extend(offsets)
         entry = {
             "article_id": article_id,
-            "position_histogram": histogram_from_offsets(offsets).to_dict(),
+            "position_histogram": histogram_from_offsets(offsets),
         }
         if clusters:
-            entry["distance_diagnostics"] = distance_diagnostics(clusters).to_dict()
+            entry["distance_diagnostics"] = distance_diagnostics(clusters)
         report["per_article"].append(entry)
-    report["aggregate"]["position_histogram"] = histogram_from_offsets(all_offsets).to_dict()
+    report["aggregate"]["position_histogram"] = histogram_from_offsets(all_offsets)
 
     text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.output and not _write_report(args.output, text):
+        return EXIT_USAGE
     print(text)
     return EXIT_PARTIAL if partial else EXIT_OK
 

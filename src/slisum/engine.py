@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .lexical import TokenBag, rouge1_f1, tokenize
-from .text import segment_sentences
+from .text import ConfigurationError, segment_sentences
 
 log = logging.getLogger(__name__)
 
@@ -203,6 +203,8 @@ class HttpEngine(SummaryEngine):
 
     Retries on transport errors, 429 and 5xx after a backoff that starts at
     backoff_base seconds and doubles per attempt; other 4xx fail immediately.
+    Without a transport, the base URL (SLISUM_BASE_URL by default) must be an
+    http:// or https:// URL, or construction raises ConfigurationError.
     """
 
     def __init__(
@@ -219,6 +221,10 @@ class HttpEngine(SummaryEngine):
         sleep=time.sleep,
     ):
         self.base_url = (base_url or os.environ.get("SLISUM_BASE_URL", "")).rstrip("/")
+        if transport is None and not self.base_url.startswith(("http://", "https://")):
+            raise ConfigurationError(
+                f"the http backend needs an http:// or https:// base URL "
+                f"(set SLISUM_BASE_URL), got {self.base_url!r}")
         self.model = model or os.environ.get("SLISUM_MODEL")
         self.api_key = api_key if api_key is not None else os.environ.get("SLISUM_API_KEY")
         self.path = path

@@ -1,5 +1,9 @@
 """Reference-based scoring and run diagnostics: ROUGE score reports,
-position-distribution histograms, and intra/inter-cluster distance statistics."""
+position-distribution histograms, and intra/inter-cluster distance statistics.
+
+`score` returns a `ScoreReport`, which formats itself as text or JSON. The
+reports `analyze` writes, the position histogram and the distance
+diagnostics, are plain dicts, ready for `json.dumps`."""
 from __future__ import annotations
 
 import json
@@ -87,36 +91,9 @@ def score(summaries: list[str], references: list[str], ids: list[str] | None = N
     return ScoreReport(per_article=per_article, means=means, count=len(per_article))
 
 
-@dataclass
-class PositionHistogram:
-    counts: list[int]
-    percentages: list[float]
-    total: int
-
-    @property
-    def empty(self) -> bool:
-        return self.total == 0
-
-    def labels(self) -> list[str]:
-        labels, lo = [], 1
-        for edge in BIN_EDGES:
-            labels.append(f"{lo}-{edge}")
-            lo = edge + 1
-        labels.append(f"{lo}-")
-        return labels
-
-    def to_dict(self) -> dict:
-        return {
-            "bins": self.labels(),
-            "counts": self.counts,
-            "percentages": self.percentages,
-            "total": self.total,
-            "empty": self.empty,
-        }
-
-
-def histogram_from_offsets(offsets: list[int]) -> PositionHistogram:
-    """Histogram of 1-based word offsets over the position bins."""
+def histogram_from_offsets(offsets: list[int]) -> dict:
+    """Histogram of 1-based word offsets over the position bins: `{bins,
+    counts, percentages, total, empty}`."""
     counts = [0] * (len(BIN_EDGES) + 1)
     for offset in offsets:
         for i, edge in enumerate(BIN_EDGES):
@@ -126,45 +103,34 @@ def histogram_from_offsets(offsets: list[int]) -> PositionHistogram:
         else:
             counts[-1] += 1
     total = len(offsets)
-    percentages = [100.0 * c / total if total else 0.0 for c in counts]
-    return PositionHistogram(counts=counts, percentages=percentages, total=total)
+    bins = [f"{lo + 1}-{hi}" for lo, hi in zip((0,) + BIN_EDGES, BIN_EDGES)]
+    return {
+        "bins": bins + [f"{BIN_EDGES[-1] + 1}-"],
+        "counts": counts,
+        "percentages": [100.0 * c / total if total else 0.0 for c in counts],
+        "total": total,
+        "empty": total == 0,
+    }
 
 
-@dataclass
-class DistanceDiagnostics:
-    mean_same_cluster: float
-    max_same_cluster: float
-    mean_hausdorff: float | None  # absent with fewer than two clusters
-    cluster_count: int
-
-    def to_dict(self) -> dict:
-        data = {
-            "mean_same_cluster": self.mean_same_cluster,
-            "max_same_cluster": self.max_same_cluster,
-            "cluster_count": self.cluster_count,
-        }
-        if self.mean_hausdorff is not None:
-            data["mean_hausdorff"] = self.mean_hausdorff
-        return data
-
-
-def distance_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
-    """Intra-cluster distance statistics and the mean pairwise inter-cluster
-    Hausdorff distance."""
+def distance_diagnostics(clusters: list[list[str]]) -> dict:
+    """Intra-cluster distance statistics, `{mean_same_cluster,
+    max_same_cluster, cluster_count}`, plus `mean_hausdorff`, the mean
+    pairwise inter-cluster Hausdorff distance, when there are two or more
+    clusters."""
     if not clusters:
         raise ValueError("need at least one retained cluster")
     same, between = set_distances(
         [[TokenBag.from_text(text) for text in members] for members in clusters]
     )
-    mean_same = sum(same) / len(same) if same else 0.0
-    max_same = max(same) if same else 0.0
-    mean_h = sum(between) / len(between) if between else None
-    return DistanceDiagnostics(
-        mean_same_cluster=mean_same,
-        max_same_cluster=max_same,
-        mean_hausdorff=mean_h,
-        cluster_count=len(clusters),
-    )
+    diagnostics = {
+        "mean_same_cluster": sum(same) / len(same) if same else 0.0,
+        "max_same_cluster": max(same, default=0.0),
+        "cluster_count": len(clusters),
+    }
+    if between:
+        diagnostics["mean_hausdorff"] = sum(between) / len(between)
+    return diagnostics
 
 
 def record_clusters(run_record) -> list[list[str]]:

@@ -253,12 +253,12 @@ def test_cached_rerun_zero_backend_calls(tmp_path, capsys):
 
 def test_position_histogram_sums_to_100():
     quarter = histogram_from_offsets([100, 1500, 2500, 3500])
-    ok = quarter.percentages == [25.0, 25.0, 25.0, 25.0]
+    ok = quarter["percentages"] == [25.0, 25.0, 25.0, 25.0]
     rng = random.Random(3)
     for _ in range(50):
         offsets = [rng.randint(1, 5000) for _ in range(rng.randint(1, 40))]
         hist = histogram_from_offsets(offsets)
-        if abs(sum(hist.percentages) - 100.0) > 0.01:
+        if abs(sum(hist["percentages"]) - 100.0) > 0.01:
             ok = False
     report("position-histogram", ok)
 

@@ -1,27 +1,36 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
-from slisum.engine import EngineError, HttpEngine, MockEngine
+from slisum.engine import EngineError, HttpEngine, MockEngine, make_engine
 from slisum.pipeline import PipelineConfig, ResponseCache
 
 from conftest import PeakTransport, SamplingEngine, planted_article
 
 
 def write_corpus(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
+    """One line per record: bytes as given, a str as UTF-8, else as JSON."""
+    with open(path, "wb") as fh:
         for record in records:
-            fh.write(record if isinstance(record, str) else json.dumps(record))
-            fh.write("\n")
+            if not isinstance(record, bytes):
+                text = record if isinstance(record, str) else json.dumps(record)
+                record = text.encode("utf-8")
+            fh.write(record + b"\n")
+
 
 
 @pytest.fixture
@@ -61,14 +70,17 @@ class TestSummarize:
         write_corpus(path, [
             {"id": "a", "article": "One sentence here. Another one there."},
             "{not json",
-            {"id": "b", "article": "More text here. And here again."},
+            b'\xff\xfe{"id": "b", "article": "Bad bytes here."}',
+            {"id": "c", "article": "More text here. And here again."},
         ])
         out = tmp_path / "out"
         code = main(["summarize", str(path), "-o", str(out)])
         assert code == EXIT_PARTIAL
         lines = (out / "summaries.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert "malformed" in capsys.readouterr().err
+        assert [json.loads(line)["id"] for line in lines] == ["a", "c"]
+        err = capsys.readouterr().err
+        for lineno in (2, 3):
+            assert f"{path}:{lineno}: skipping malformed record" in err
 
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -103,6 +115,24 @@ class TestSummarize:
             {"id": "a", "article": "Different text now. And again more."},
         ])
         assert main(["summarize", str(path), "-o", str(tmp_path / "out")]) == EXIT_PARTIAL
+
+    def test_http_backend_without_base_url_fails_each_article_at_once(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        """With SLISUM_BASE_URL unset, --backend http fails every article
+        before any call or backoff sleep: exit 2, each warning naming the
+        variable."""
+        sleeps = []
+        monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: make_engine(
+            backend, sleep=sleeps.append, max_attempts=2, **kwargs))
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out), "--backend", "http"]) == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert all(line.startswith("slisum: article '") and "SLISUM_BASE_URL" in line
+                   for line in err)
+        assert sleeps == []
+        assert (out / "summaries.jsonl").read_text() == ""
 
     def test_jobs_do_not_change_outputs(self, corpus, tmp_path, monkeypatch):
         """Backend calls in flight never exceed --concurrency across the whole
@@ -389,6 +419,65 @@ class TestSummarize:
                 assert "backend_calls=0 " in line
 
 
+BLANK = "blank"  # the oracle's mark for a line of whitespace only
+_ids = st.sampled_from(["a", "b", "c"])
+
+
+def _json_line(obj):
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+# (line bytes, what it parses to: an (id, article) pair, None, or BLANK)
+corpus_lines = st.one_of(
+    st.builds(lambda i, text: (_json_line({"id": i, "article": text}), (i, text)), _ids,
+              st.sampled_from(["Birds sing at dawn. Cats nap at noon.", "  Wind farms grow.  ",
+                               "Café crème costs more. Tea is cheap.",
+                               "", "   ", "\n\t", "\u2003"])),
+    st.builds(lambda i, value: (_json_line({"id": i, "article": value}), (i, value)), _ids,
+              st.sampled_from([7, None, ["Birds sing."], {"text": "Birds sing."}])),
+    st.sampled_from([
+        (_json_line({"article": "Birds sing at dawn."}), None),
+        (b'{"id": "a", "article": "Birds sing', None),
+        (b'{"id": "a", "article": "Caf\xe9 cr\xe8me costs more."}', None),
+        (b"\xff\xfe" + _json_line({"id": "b", "article": "Birds sing at dawn."}), None),
+        (b"", BLANK),
+        (b"  \t", BLANK),
+    ]),
+)
+
+
+def planned_by_oracle(specs):
+    """(ids planned in order, whether the exit is partial): the first line
+    with a parsed id and a string article claims the id, and is planned iff
+    the article has non-whitespace text; any other non-blank line makes the
+    run partial."""
+    claimed, planned = set(), []
+    for spec in specs:
+        if isinstance(spec, tuple) and isinstance(spec[1], str) and spec[0] not in claimed:
+            claimed.add(spec[0])
+            if spec[1].strip():
+                planned.append(spec[0])
+    return planned, sum(spec != BLANK for spec in specs) > len(planned)
+
+
+class TestJsonlIntake:
+    @settings(deadline=None)
+    @given(st.lists(corpus_lines, max_size=8))
+    def test_dry_run_plans_the_first_claim_of_each_id(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(b"".join(line + b"\n" for line, _ in lines))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["summarize", path, "-o", os.path.join(tmp, "out"), "--dry-run"])
+        planned = [line.split(":")[0] for line in out.getvalue().splitlines()
+                   if not line.startswith(" ")]
+        expected, partial = planned_by_oracle([spec for _, spec in lines])
+        assert planned == expected
+        assert code == (EXIT_PARTIAL if partial else EXIT_OK)
+
+
 class TestConfig:
     VALUES = {
         "window_size": 300, "step_size": 100, "eps": 0.3, "min_pts": 1, "backend": "http",
@@ -411,7 +500,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "backend: nope", "eps: high", "concurrency: two", "window_size: 150.0", "seed: abc",
-        "max_tokens: [1]", "concurrency: true",
+        "max_tokens: [1]", "concurrency: true", "concurrency: 0", "concurrency: -3",
+        "max_tokens: -5",
     ])
     def test_bad_file_value_exits_one(self, corpus, tmp_path, capsys, line):
         config = tmp_path / "config.yaml"
@@ -423,6 +513,14 @@ class TestConfig:
         assert err.startswith(f"slisum: config file {config}: {line.split(':')[0]} must be ")
         assert err.count("\n") == 1
         assert not (out / "summaries.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--concurrency", "0"), ("--concurrency", "-3"),
+                                             ("--max-tokens", "-5"), ("--max-tokens", "0")])
+    def test_flag_below_one_exits_one(self, corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out), flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["eps: [\n", "eps: 0.2\n\tseed: 1\n", "eps: 0.2: 1\n",
                                       "eps: 0.2\x00\n"],
@@ -508,6 +606,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("malformed, bad_line", [
         *(pytest.param(name, "{not json", id=name) for name in ("summaries", "references")),
+        *(pytest.param(name, b'\xff\xfe{"id": "b", "%s": "a dog ran"}' % field.encode(),
+                       id=f"{name}-not-utf8")
+          for name, field in (("summaries", "summary"), ("references", "reference"))),
         *(pytest.param(name, {"id": "b", field: value}, id=f"{name}-{type(value).__name__}")
           for name, field in (("summaries", "summary"), ("references", "reference"))
           for value in (7, None, ["a", "dog"], {"text": "a dog ran"})),
@@ -532,6 +633,27 @@ class TestEvaluate:
         assert f"{paths[malformed]}:2: skipping malformed record" in capsys.readouterr().err
         report = json.loads(report_path.read_text())
         assert [row["id"] for row in report["per_article"]] == ["a"]
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["summaries", "references"])
+    def test_input_directory_usage_error(self, tmp_path, capsys, position):
+        files = [tmp_path / "sums.jsonl", tmp_path / "refs.jsonl"]
+        write_corpus(files[0], [{"id": "a", "summary": "x"}])
+        write_corpus(files[1], [{"id": "a", "reference": "x"}])
+        files[position] = tmp_path
+        assert main(["evaluate", *map(str, files)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: not a file: {tmp_path}\n"
+
+    def test_report_path_is_a_directory_usage_error(self, tmp_path, capsys):
+        summaries = tmp_path / "sums.jsonl"
+        references = tmp_path / "refs.jsonl"
+        write_corpus(summaries, [{"id": "a", "summary": "the cat sat"}])
+        write_corpus(references, [{"id": "a", "reference": "the cat sat"}])
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["evaluate", str(summaries), str(references), "-o", str(taken)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"slisum: cannot write {taken}: Is a directory\n"
+        assert captured.out == ""
 
     def test_unmatched_ids_listed(self, tmp_path):
         summaries = tmp_path / "sums.jsonl"
@@ -580,6 +702,15 @@ class TestAnalyze:
         assert code == EXIT_PARTIAL
         assert "skipping unreadable record zz-bad.json" in capsys.readouterr().err
         assert report_path.read_bytes() == full_path.read_bytes()
+
+    def test_report_path_is_a_directory_usage_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["analyze", str(out / "records"), "-o", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"slisum: cannot write {out}: Is a directory\n"
+        assert captured.out == ""
 
     def test_empty_dir_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "records"

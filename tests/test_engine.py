@@ -17,6 +17,7 @@ from slisum.engine import (
     request_hash,
 )
 from slisum.pipeline import CachedEngine
+from slisum.text import ConfigurationError
 from slisum.scheduler import CallScheduler
 
 
@@ -246,8 +247,13 @@ class TestFixtureReplay:
             engine.summarize("unseen")
 
 
-def test_make_engine():
+def test_make_engine(monkeypatch):
     assert isinstance(make_engine("mock"), MockEngine)
     assert isinstance(make_engine("http", base_url="http://x", model="m"), HttpEngine)
+    monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+    for url in (None, "localhost:8000", "ftp://x"):
+        with pytest.raises(ConfigurationError, match="SLISUM_BASE_URL"):
+            make_engine("http", base_url=url)
+    assert isinstance(make_engine("http", transport=ScriptedTransport([])), HttpEngine)
     with pytest.raises(ValueError):
         make_engine("nope")

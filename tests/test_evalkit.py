@@ -3,7 +3,6 @@ import random
 import pytest
 
 from slisum.evalkit import (
-    DistanceDiagnostics,
     distance_diagnostics,
     histogram_from_offsets,
     record_clusters,
@@ -32,7 +31,7 @@ def loop_hausdorff(xs: list[TokenBag], ys: list[TokenBag]) -> float:
     return max(forward, backward)
 
 
-def loop_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
+def loop_diagnostics(clusters: list[list[str]]) -> dict:
     """The double loops over every member pair and every cluster pair: the
     reference for the postings-indexed `distance_diagnostics`."""
     bags = [[TokenBag.from_text(text) for text in members] for members in clusters]
@@ -41,17 +40,16 @@ def loop_diagnostics(clusters: list[list[str]]) -> DistanceDiagnostics:
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 same.append(loop_distance(members[i], members[j]))
-    mean_h = None
+    diagnostics = {
+        "mean_same_cluster": sum(same) / len(same) if same else 0.0,
+        "max_same_cluster": max(same) if same else 0.0,
+        "cluster_count": len(clusters),
+    }
     if len(bags) >= 2:
         values = [loop_hausdorff(bags[i], bags[j])
                   for i in range(len(bags)) for j in range(i + 1, len(bags))]
-        mean_h = sum(values) / len(values)
-    return DistanceDiagnostics(
-        mean_same_cluster=sum(same) / len(same) if same else 0.0,
-        max_same_cluster=max(same) if same else 0.0,
-        mean_hausdorff=mean_h,
-        cluster_count=len(clusters),
-    )
+        diagnostics["mean_hausdorff"] = sum(values) / len(values)
+    return diagnostics
 
 
 class TestScore:
@@ -102,34 +100,33 @@ class TestScore:
 class TestPositionHistogram:
     def test_all_in_first_bin(self):
         hist = histogram_from_offsets([1, 5, 900])
-        assert hist.percentages[0] == 100.0
-        assert sum(hist.percentages) == pytest.approx(100.0, abs=0.01)
+        assert hist["percentages"][0] == 100.0
+        assert sum(hist["percentages"]) == pytest.approx(100.0, abs=0.01)
 
     def test_quarter_per_bin(self):
         hist = histogram_from_offsets([100, 1500, 2500, 3500])
-        assert hist.percentages == [25.0, 25.0, 25.0, 25.0]
-        assert hist.labels() == ["1-1000", "1001-2000", "2001-3000", "3001-"]
+        assert hist["percentages"] == [25.0, 25.0, 25.0, 25.0]
+        assert hist["bins"] == ["1-1000", "1001-2000", "2001-3000", "3001-"]
 
     def test_empty_flagged(self):
         hist = histogram_from_offsets([])
-        assert hist.empty
-        assert hist.counts == [0, 0, 0, 0]
+        assert hist["empty"]
+        assert hist["counts"] == [0, 0, 0, 0]
 
 
 class TestDistanceDiagnostics:
     def test_identical_cluster(self):
         diag = distance_diagnostics([["same text", "same text", "same text"]])
-        assert diag.mean_same_cluster == 0.0
-        assert diag.max_same_cluster == 0.0
-        assert diag.mean_hausdorff is None
-        assert "mean_hausdorff" not in diag.to_dict()
+        assert diag["mean_same_cluster"] == 0.0
+        assert diag["max_same_cluster"] == 0.0
+        assert "mean_hausdorff" not in diag
 
     def test_two_singleton_clusters(self):
         a, b = "p q r s t u v w x y", "p q r a2 b2 c2 d2 e2 f2 g2"
         expected = oracle_distance(a, b)
         diag = distance_diagnostics([[a], [b]])
-        assert diag.mean_hausdorff == pytest.approx(expected)
-        assert diag.mean_same_cluster == 0.0
+        assert diag["mean_hausdorff"] == pytest.approx(expected)
+        assert diag["mean_same_cluster"] == 0.0
 
     def test_matches_brute_force(self):
         clusters = [
@@ -143,14 +140,14 @@ class TestDistanceDiagnostics:
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     same.append(oracle_distance(members[i], members[j]))
-        assert diag.mean_same_cluster == pytest.approx(sum(same) / len(same))
-        assert diag.max_same_cluster == pytest.approx(max(same))
+        assert diag["mean_same_cluster"] == pytest.approx(sum(same) / len(same))
+        assert diag["max_same_cluster"] == pytest.approx(max(same))
         pairs = [
             oracle_hausdorff(clusters[i], clusters[j])
             for i in range(3)
             for j in range(i + 1, 3)
         ]
-        assert diag.mean_hausdorff == pytest.approx(sum(pairs) / len(pairs))
+        assert diag["mean_hausdorff"] == pytest.approx(sum(pairs) / len(pairs))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

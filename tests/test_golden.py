@@ -94,6 +94,6 @@ def test_score_digest():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_diagnostics_digest(name):
     record = run(ARTICLES[name], PipelineConfig())
-    diag = distance_diagnostics(record_clusters(record)).to_dict()
+    diag = distance_diagnostics(record_clusters(record))
     digest = hashlib.sha256(json.dumps(diag, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == DIAGNOSTICS_GOLDEN[name]
