@@ -117,11 +117,16 @@ def cmd_summarize(args) -> int:
         return EXIT_USAGE
 
     records_dir = os.path.join(args.output, "records")
-    try:
-        os.makedirs(args.output, exist_ok=True)
-    except OSError as exc:
-        _warn(f"cannot create output directory {args.output}: {exc.strerror}")
-        return EXIT_USAGE
+    if args.dry_run:  # writes nothing, but a bad output path is still a usage error
+        if os.path.exists(args.output) and not os.path.isdir(args.output):
+            _warn(f"not a directory: {args.output}")
+            return EXIT_USAGE
+    else:
+        try:
+            os.makedirs(args.output, exist_ok=True)
+        except OSError as exc:
+            _warn(f"cannot create output directory {args.output}: {exc.strerror}")
+            return EXIT_USAGE
 
     bodies, partial = _load_pairs(args.input, ("article",))
     articles: list[Article] = []
@@ -134,8 +139,9 @@ def cmd_summarize(args) -> int:
 
     if not articles:
         _warn("no valid articles in input")
-        with open(os.path.join(args.output, "summaries.jsonl"), "w", encoding="utf-8"):
-            pass
+        if not args.dry_run:
+            with open(os.path.join(args.output, "summaries.jsonl"), "w", encoding="utf-8"):
+                pass
         return EXIT_PARTIAL if partial else EXIT_OK
 
     if args.dry_run:
@@ -260,14 +266,23 @@ def cmd_evaluate(args) -> int:
 
 def _read_record(path):
     """(article id, anchor word offsets, cluster texts) of one run-record
-    file; ValueError if the file is not JSON or not a run record."""
+    file; ValueError if the file is not JSON or not a run record. Each
+    offset must be an int, and each cluster's texts a non-empty list of
+    strings."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     try:
         offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
-        return record["article_id"], offsets, record_clusters(record)
+        article_id, clusters = record["article_id"], record_clusters(record)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a run record ({type(exc).__name__}: {exc})") from exc
+    if not all(type(offset) is int for offset in offsets):
+        raise ValueError("not a run record (an anchor_word_offset is not an int)")
+    if not all(isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)
+               for texts in clusters):
+        raise ValueError("not a run record (a cluster's texts are not a non-empty "
+                         "list of strings)")
+    return article_id, offsets, clusters
 
 
 def cmd_analyze(args) -> int:

@@ -3,7 +3,11 @@ position-distribution histograms, and intra/inter-cluster distance statistics.
 
 `score` returns a `ScoreReport`, which formats itself as text or JSON. The
 reports `analyze` writes, the position histogram and the distance
-diagnostics, are plain dicts, ready for `json.dumps`."""
+diagnostics, are plain dicts, ready for `json.dumps`. The distance
+diagnostics tokenize each distinct cluster text once, share its token bag
+among its copies, and take the Hausdorff maxima once per cluster (see
+`lexical.set_distances`). Each cluster must be a non-empty list of strings;
+`analyze` skips a run record that breaks this before it gets here."""
 from __future__ import annotations
 
 import json
@@ -21,6 +25,7 @@ from .lexical import (  # noqa: F401
     rougeL_f1,
     rougeL_tokens,
     set_distances,
+    shared_bags,
     tokenize,
 )
 
@@ -120,9 +125,7 @@ def distance_diagnostics(clusters: list[list[str]]) -> dict:
     clusters."""
     if not clusters:
         raise ValueError("need at least one retained cluster")
-    same, between = set_distances(
-        [[TokenBag.from_text(text) for text in members] for members in clusters]
-    )
+    same, between = set_distances(shared_bags(clusters))
     diagnostics = {
         "mean_same_cluster": sum(same) / len(same) if same else 0.0,
         "max_same_cluster": max(same, default=0.0),

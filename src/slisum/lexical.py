@@ -128,13 +128,13 @@ def earlier_distances(bags: list[TokenBag]):
             index.setdefault(tok, []).append((i, count))
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _bigram_counts(tokens: list[str]) -> Counter:
+    return Counter(zip(tokens, tokens[1:]))
 
 
 def rouge2_tokens(ta: list[str], tb: list[str]) -> float:
     """Bigram-overlap F1 of two token lists."""
-    ca, cb = _ngram_counts(ta, 2), _ngram_counts(tb, 2)
+    ca, cb = _bigram_counts(ta), _bigram_counts(tb)
     overlap = sum(min(c, cb[g]) for g, c in ca.items() if g in cb)
     return _f1(overlap, sum(ca.values()), sum(cb.values()))
 
@@ -176,6 +176,21 @@ def rougeL_f1(a: str, b: str) -> float:
     return rougeL_tokens(tokenize(a), tokenize(b))
 
 
+def shared_bags(groups: list[list]) -> list[list[TokenBag]]:
+    """`groups` with each member as a TokenBag: each distinct string is
+    tokenized once, and all its copies share that one bag object."""
+    made: dict[str, TokenBag] = {}
+
+    def bag(value) -> TokenBag:
+        if isinstance(value, TokenBag):
+            return value
+        if value not in made:
+            made[value] = TokenBag.from_text(value)
+        return made[value]
+
+    return [[bag(value) for value in group] for group in groups]
+
+
 def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float]]:
     """Distances under `distance` within and between sets of bags.
 
@@ -184,24 +199,33 @@ def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float
     `between` holds the Hausdorff distance of every pair of sets (g, h),
     g < h, in order. Every set must be non-empty to have a Hausdorff distance.
 
-    A cluster holds its statement's copies from overlapping windows. Copies
-    are at 0.0 from each other and equally far from any other bag, so each
-    set's distinct bags are scanned once: the pairs come from
-    `earlier_distances` over them, and every value equals a full pairwise scan.
+    A cluster holds its statement's copies from overlapping windows, and a
+    caller passes one TokenBag object for all copies of a text. Copies are at
+    0.0 from each other and equally far from any other bag, so each set's
+    distinct bag objects are scanned once: the pairs come from
+    `earlier_distances` over them, and every value equals a full pairwise
+    scan. Equal bags that are separate objects are scanned as two, at 0.0
+    from each other, so they give the same values. The Hausdorff maxima are
+    taken once per set, not once per pair of sets.
     """
+    if len(groups) > 1 and not all(groups):
+        raise ValueError("every set must be non-empty to have a Hausdorff distance")
     bags: list[TokenBag] = []  # each set's distinct bags, sets in order
     owner: list[int] = []  # the set of each distinct bag
+    starts: list[int] = []  # starts[g]: the first distinct bag of set g
     ids: list[list[int]] = []  # ids[g]: the distinct bag of each member of set g
     for g, group in enumerate(groups):
-        first: dict[frozenset, int] = {}
+        starts.append(len(bags))
+        first: dict[int, int] = {}
         row = []
         for bag in group:
-            u = first.setdefault(frozenset(bag.counts.items()), len(bags))
+            u = first.setdefault(id(bag), len(bags))
             if u == len(bags):
                 bags.append(bag)
                 owner.append(g)
             row.append(u)
         ids.append(row)
+    starts.append(len(bags))
     # nearest[u][h], for h other than u's own set: distance from bag u to the
     # nearest member of set h
     nearest = [[1.0] * len(groups) for _ in bags]
@@ -218,14 +242,14 @@ def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float
                 same_scored[j, i] = d
 
     same: list[float] = []
-    between: list[float] = []
-    for g, row in enumerate(ids):
+    for row in ids:
         for k, i in enumerate(row):
             same.extend(0.0 if i == j else same_scored.get((min(i, j), max(i, j)), 1.0)
                         for j in row[k + 1:])
-        for h in range(g + 1, len(groups)):
-            between.append(max(max(nearest[i][h] for i in row),
-                               max(nearest[j][g] for j in ids[h])))
+    # far[g][h]: distance from the member of set g farthest from set h to set h
+    far = [list(map(max, zip(*nearest[lo:hi]))) for lo, hi in zip(starts, starts[1:])]
+    between = [d for g, (row, col) in enumerate(zip(far, zip(*far)))
+               for d in map(max, row[g + 1:], col[g + 1:])]
     return same, between
 
 
@@ -234,5 +258,6 @@ def hausdorff(xs: list, ys: list) -> float:
     members are strings or TokenBags."""
     if not xs or not ys:
         raise ValueError("hausdorff requires two non-empty sentence sets")
-    _, between = set_distances([[_as_bag(x) for x in xs], [_as_bag(y) for y in ys]])
+    _, between = set_distances(shared_bags([xs, ys]))
     return between[0]
+

@@ -374,7 +374,18 @@ class TestSummarize:
         captured = capsys.readouterr().out
         assert "summarize calls" in captured
         assert "window 1:" in captured
-        assert not (out / "summaries.jsonl").exists()
+        assert not out.exists()
+        # A dry run writes nothing, also when no article is valid.
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n")
+        assert main(["summarize", str(blank), "-o", str(out), "--dry-run"]) == EXIT_OK
+        assert "no valid articles" in capsys.readouterr().err
+        assert not out.exists()
+        # An output path that is a file is still a usage error.
+        out.write_text("")
+        assert main(["summarize", str(corpus), "-o", str(out), "--dry-run"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: not a directory: {out}\n"
+        assert out.read_text() == ""
 
     def test_config_file_and_flag_precedence(self, corpus, tmp_path):
         config = tmp_path / "config.yaml"
@@ -701,6 +712,31 @@ class TestAnalyze:
         code = main(["analyze", str(out / "records"), "-o", str(report_path)])
         assert code == EXIT_PARTIAL
         assert "skipping unreadable record zz-bad.json" in capsys.readouterr().err
+        assert report_path.read_bytes() == full_path.read_bytes()
+
+    @pytest.mark.parametrize("where, value", [
+        (("clusters", 0, "texts"), []),
+        (("clusters", 0, "texts"), "a string"),
+        (("clusters", 0, "texts", 0), 7),
+        (("final", "statements", 0, "anchor_word_offset"), "12"),
+        (("final", "statements", 0, "anchor_word_offset"), True),
+    ], ids=["empty-texts", "texts-string", "int-text", "string-offset", "bool-offset"])
+    def test_malformed_record_skipped_exits_partial(self, corpus, tmp_path, capsys, where, value):
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        full_path = tmp_path / "full.json"
+        assert main(["analyze", str(out / "records"), "-o", str(full_path)]) == EXIT_OK
+        record = json.loads((out / "records" / "planted.json").read_text())
+        parent = record
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        (out / "records" / "zz-bad.json").write_text(json.dumps(record))
+        capsys.readouterr()
+        report_path = tmp_path / "analysis.json"
+        code = main(["analyze", str(out / "records"), "-o", str(report_path)])
+        assert code == EXIT_PARTIAL
+        assert "skipping unreadable record zz-bad.json: not a run record" in capsys.readouterr().err
         assert report_path.read_bytes() == full_path.read_bytes()
 
     def test_report_path_is_a_directory_usage_error(self, corpus, tmp_path, capsys):

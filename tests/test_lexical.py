@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slisum.lexical
+from slisum.evalkit import distance_diagnostics
 from slisum.lexical import (
     TokenBag,
     _lcs_length,
@@ -14,6 +17,7 @@ from slisum.lexical import (
     rouge2_f1,
     rougeL_f1,
     set_distances,
+    shared_bags,
     tokenize,
 )
 
@@ -240,3 +244,45 @@ class TestSetDistances:
                         for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
         assert between == [oracle_hausdorff(groups[g], groups[h])
                            for g in range(3) for h in range(g + 1, 3)]
+
+    @given(text_pools().flatmap(lambda pool: st.lists(
+        st.lists(st.tuples(st.sampled_from(pool + ["A b.", "a b", ""]), st.booleans()),
+                 min_size=1, max_size=5), min_size=1, max_size=5)))
+    def test_shared_bag_objects_equal_oracles(self, drawn):
+        """Copies of a text share one bag object, as `shared_bags` gives
+        them, except members drawn with True, which get a bag of their own.
+        "A b." and "a b" are different texts with equal bags; "" and the
+        punctuation-only texts have empty bags."""
+        made: dict[str, TokenBag] = {}
+        bags = [[TokenBag.from_text(t) if own else made.setdefault(t, TokenBag.from_text(t))
+                 for t, own in group] for group in drawn]
+        groups = [[t for t, _ in group] for group in drawn]
+        same, between = set_distances(bags)
+        assert same == [oracle_distance(g[i], g[j])
+                        for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
+        assert between == [oracle_hausdorff(groups[g], groups[h])
+                           for g in range(len(groups)) for h in range(g + 1, len(groups))]
+
+    def test_empty_set_among_several_rejected(self):
+        with pytest.raises(ValueError):
+            set_distances([[TokenBag.from_text("a")], []])
+        assert set_distances([[]]) == ([], [])
+
+    def test_each_distinct_text_tokenized_once(self, monkeypatch):
+        calls = Counter()
+        real_tokenize = slisum.lexical.tokenize
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return real_tokenize(text)
+
+        monkeypatch.setattr(slisum.lexical, "tokenize", counting_tokenize)
+        clusters = [["a b", "a b", "A b."], ["c d", "a b", "c d"], ["…", "…"]]
+        distance_diagnostics(clusters)
+        assert calls == Counter({t for c in clusters for t in c})
+        calls.clear()
+        hausdorff(clusters[0], clusters[1])
+        assert calls == Counter({"a b", "A b.", "c d"})
+        bags = shared_bags(clusters)
+        assert bags[0][0] is bags[0][1] is bags[1][1]
+        assert bags[0][0] is not bags[0][2]
