@@ -105,24 +105,26 @@ def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:
     return best
 
 
-def arrange(statements: list[Statement], article: Article) -> list[tuple[Statement, int]]:
+def arrange(statements: list[Statement], article: Article,
+            bag_of=TokenBag.from_text) -> list[tuple[Statement, int]]:
     """Anchor each statement to the article sentence best lexically matching
     it (ties go to the earliest sentence), then stable-sort the (statement,
-    anchor) pairs by (anchor, generation_seq)."""
+    anchor) pairs by (anchor, generation_seq). `bag_of` gives a sentence
+    text's token bag; a caller holding bags already passes a lookup."""
     if not article.sentences:
         raise ValueError("article has no sentences")
     sentences = article.sentences
     best = _best_matches([s.token_bag for s in statements],
-                         [TokenBag.from_text(sent.text) for sent in sentences])
+                         [bag_of(sent.text) for sent in sentences])
     anchored = [(s, sentences[pos].index) for s, pos in zip(statements, best)]
     anchored.sort(key=lambda pair: (pair[1], pair[0].generation_seq))
     return anchored
 
 
-def _appears_in_order(statements: list[Statement], connected_text: str) -> bool:
+def _appears_in_order(statements: list[Statement], connected_text: str, bag_of) -> bool:
     """Check the statements surface in the connected text in their given order,
     by anchoring each to the connected text's own sentences."""
-    pieces = [TokenBag.from_text(p.text) for p in segment_sentences(connected_text)]
+    pieces = [bag_of(p.text) for p in segment_sentences(connected_text)]
     if not pieces:
         return False
     positions = _best_matches([s.token_bag for s in statements], pieces)
@@ -133,10 +135,12 @@ def integrate(
     statements: list[Statement],
     engine: SummaryEngine,
     params: EngineParams | None = None,
+    bag_of=TokenBag.from_text,
 ) -> tuple[str, bool]:
     """Connect the selected statements via the engine, validating that no
     statement was rewritten away (unigram recall >= 0.8 against the result and
     original order preserved); otherwise fall back to plain concatenation.
+    `bag_of` gives the token bag of the connected text and of its sentences.
 
     Returns (connected_text, used_fallback).
     """
@@ -151,11 +155,11 @@ def integrate(
         log.warning("connect failed (%s); falling back to concatenation", exc)
         return " ".join(texts), True
 
-    connected_bag = TokenBag.from_text(connected)
+    connected_bag = bag_of(connected)
     preserved = all(
         rouge1_recall(s.token_bag, connected_bag) >= PRESERVATION_RECALL for s in statements
     )
-    if preserved and _appears_in_order(statements, connected):
+    if preserved and _appears_in_order(statements, connected, bag_of):
         return connected, False
     log.warning("connected text failed the preservation check; falling back")
     return " ".join(texts), True

@@ -25,6 +25,7 @@ from .evalkit import (
 from .pipeline import (
     PipelineConfig,
     ResponseCache,
+    indented_json,
     persist_record,
     run,  # noqa: F401  (bench/spans.py traces slisum.cli.run by name)
     start,
@@ -197,7 +198,9 @@ def _load_pairs(path, value_fields):
     """id -> text of the first line with that id whose JSON parses and has a
     string text (the first of `value_fields` present), in file order, and
     whether any non-blank line was skipped: one that is not UTF-8, not such a
-    JSON object, or repeats an id. A line ends at a newline byte."""
+    JSON object, holds an id or text that cannot be written as UTF-8 (a lone
+    surrogate escape such as "\\ud800"), or repeats an id. A line ends at a
+    newline byte."""
     pairs = {}
     skipped = False
     with open(path, "rb") as fh:
@@ -211,6 +214,8 @@ def _load_pairs(path, value_fields):
                 value = next(obj[f] for f in value_fields if f in obj)
                 if not isinstance(value, str):
                     raise TypeError("text is not a string")
+                key.encode("utf-8")  # UnicodeEncodeError is a ValueError
+                value.encode("utf-8")
             except (ValueError, KeyError, TypeError, StopIteration):
                 _warn(f"{path}:{lineno}: skipping malformed record")
                 skipped = True
@@ -254,7 +259,7 @@ def cmd_evaluate(args) -> int:
     payload = report.to_dict()
     payload["unmatched_summaries"] = sorted(set(summaries) - set(references))
     payload["unmatched_references"] = sorted(set(references) - set(summaries))
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+    text = indented_json(payload)
     if args.output and not _write_report(args.output, text):
         return EXIT_USAGE
     print(report.to_text())
@@ -316,7 +321,7 @@ def cmd_analyze(args) -> int:
         report["per_article"].append(entry)
     report["aggregate"]["position_histogram"] = histogram_from_offsets(all_offsets)
 
-    text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
+    text = indented_json(report)
     if args.output and not _write_report(args.output, text):
         return EXIT_USAGE
     print(text)

@@ -293,11 +293,16 @@ class HttpEngine(SummaryEngine):
 
     @staticmethod
     def _extract_content(body: dict, payload: dict) -> str:
+        """The reply's message content, stripped. EngineError if the body has
+        no content, or the content is neither a string nor null, holds a lone
+        surrogate (so it cannot be written as UTF-8), or is blank."""
         try:
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, (str, type(None))):
                 raise TypeError(f"content is {type(text).__name__}")
-        except (KeyError, IndexError, TypeError):
+            if text:
+                text.encode("utf-8")
+        except (KeyError, IndexError, TypeError, UnicodeEncodeError):
             raise EngineError(f"request {_request_id(payload)}: malformed response body")
         text = (text or "").strip()
         if not text:

@@ -3,14 +3,13 @@ position-distribution histograms, and intra/inter-cluster distance statistics.
 
 `score` returns a `ScoreReport`, which formats itself as text or JSON. The
 reports `analyze` writes, the position histogram and the distance
-diagnostics, are plain dicts, ready for `json.dumps`. The distance
+diagnostics, are plain dicts, ready to write as JSON. The distance
 diagnostics tokenize each distinct cluster text once, share its token bag
 among its copies, and take the Hausdorff maxima once per cluster (see
 `lexical.set_distances`). Each cluster must be a non-empty list of strings;
 `analyze` skips a run record that breaks this before it gets here."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 # distance, hausdorff, rouge2_f1 and rougeL_f1 are unused here but stay
@@ -53,7 +52,9 @@ class ScoreReport:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
+        from .pipeline import indented_json  # the records' writer; not needed to score
+
+        return indented_json(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"{'id':<24}{'R-1':>10}{'R-2':>10}{'R-L':>10}"]

@@ -41,6 +41,7 @@ from .scheduler import CallScheduler
 from .text import (
     Article,
     ConfigurationError,
+    Window,
     WindowPlan,
     build_window_plan,
     k_ratio,
@@ -60,6 +61,11 @@ _PARAM_FIELDS = tuple(f.name for f in fields(EngineParams))
 _KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
 _LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
 _CHUNK = 1 << 16  # bytes of the log read at a time while indexing it
+_encode_str = json.encoder.encode_basestring  # a str as JSON, non-ASCII kept
+# indented_json's writers of the scalars records hold most, by exact type (so
+# a bool, an int subclass, is not written as an int)
+_WRITERS = {str: _encode_str, int: int.__repr__}
+_WINDOW_FIELDS = tuple(f.name for f in fields(Window))
 
 
 @dataclass
@@ -354,7 +360,43 @@ class RunRecord:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stats"}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
+        return indented_json(self.to_dict())
+
+
+def indented_json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)`, the
+    form of every record and report, for a value built of dicts, lists,
+    tuples and JSON scalars; a dict key that is not a str raises TypeError.
+
+    With `indent` set, CPython before 3.13 encodes in pure Python. Here each
+    str or int is written by one C call, a list of only ints or only strings
+    is joined in one C-level call, and any other scalar goes to `json.dumps`.
+    `newline` is the line break before the value's closing bracket, followed
+    by its indentation.
+    """
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):  # _encode_str raises TypeError on a non-str key
+            item = value[key]
+            write = _WRITERS.get(type(item))
+            items.append(_encode_str(key) + ": "
+                         + (write(item) if write else indented_json(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        write = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, value) if write else [indented_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _statement_dict(stmt: Statement) -> dict:
@@ -433,7 +475,7 @@ def start(
             "total_generations": plan.total_generations,
             "summarize_input_words": sum(w.word_count * w.repetitions for w in plan.windows),
             "breakeven_input_words": BREAKEVEN_FACTOR * plan.k_ratio * plan.window_size,
-            "windows": [asdict(w) for w in plan.windows],
+            "windows": [{f: getattr(w, f) for f in _WINDOW_FIELDS} for w in plan.windows],
         },
         local_summaries=[],
         clusters=[],
@@ -472,18 +514,27 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     """Fill the record from the local summaries: split them into statements,
     cluster, vote inside each retained cluster, arrange and connect."""
     statements: list[Statement] = []
-    # Each distinct statement text is tokenized once: text -> (token bag,
-    # normalized form). The normalized form is the tokens joined by spaces.
+    # Each distinct text the article's statements, sentences and connected
+    # text hold is tokenized once: text -> (token bag, normalized form). The
+    # normalized form is the tokens joined by spaces.
     lexicon: dict[str, tuple[TokenBag, str]] = {}
+
+    def lookup(text: str) -> tuple[TokenBag, str]:
+        entry = lexicon.get(text)
+        if entry is None:
+            tokens = tokenize(text)
+            entry = lexicon[text] = (TokenBag.from_tokens(tokens), " ".join(tokens))
+        return entry
+
+    def bag_of(text: str) -> TokenBag:
+        return lookup(text)[0]
+
     seq = 0
     for (window, rep), summary in zip(tasks, summaries):
         seqs = []
         for pos, sent in enumerate(segment_sentences(summary), 1):
             seq += 1
-            entry = lexicon.get(sent.text)
-            if entry is None:
-                tokens = tokenize(sent.text)
-                entry = lexicon[sent.text] = (TokenBag.from_tokens(tokens), " ".join(tokens))
+            entry = lookup(sent.text)
             statements.append(
                 Statement(
                     text=sent.text,
@@ -541,8 +592,8 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
     arranged, connected, fallback = [], "", False
     if outcomes:
-        arranged = arrange([o.winner_statement for o in outcomes], article)
-        connected, fallback = integrate([s for s, _ in arranged], cached, params)
+        arranged = arrange([o.winner_statement for o in outcomes], article, bag_of)
+        connected, fallback = integrate([s for s, _ in arranged], cached, params, bag_of)
     else:
         record.flags.append("no cluster survived MinPts")
 

@@ -15,7 +15,10 @@ _ABBREVIATIONS = {
     "al.", "e.g.", "i.e.", "vs.", "no.",
 }
 
-_TERMINAL = re.compile(r"[.!?]+(?=\s)")
+# Terminal punctuation followed by whitespace; group 1 is the first
+# non-space character after it. Regex \s and str.isspace test the same
+# characters.
+_TERMINAL = re.compile(r"[.!?]+(?=\s+(\S))")
 _INITIAL = re.compile(r"\A[a-z]\.\Z")
 _OPENERS = "\"'“‘(["
 
@@ -93,15 +96,10 @@ def segment_sentences(raw_text: str) -> list[Sentence]:
 
     boundaries = []
     for match in _TERMINAL.finditer(raw_text):
-        end = match.end()
-        j = end
-        while j < len(raw_text) and raw_text[j].isspace():
-            j += 1
-        if j >= len(raw_text):
-            continue
-        nxt = raw_text[j]
+        nxt = match.group(1)
         if not (nxt.isupper() or nxt in _OPENERS):
             continue
+        end = match.end()
         k = end
         while k > 0 and not raw_text[k - 1].isspace():
             k -= 1
@@ -114,22 +112,19 @@ def segment_sentences(raw_text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     prev = 0
     for bound in boundaries:
-        start, end = prev, bound
+        chunk = raw_text[prev:bound]
+        lead = chunk.lstrip()
+        text = lead.rstrip()
+        start = bound - len(lead)
         prev = bound
-        while start < end and raw_text[start].isspace():
-            start += 1
-        while end > start and raw_text[end - 1].isspace():
-            end -= 1
-        text = raw_text[start:end]
-        words = len(text.split())
-        if words == 0:
+        if not text:
             continue
         sentences.append(
             Sentence(
                 index=len(sentences) + 1,
                 text=text,
-                word_count=words,
-                char_span=(start, end),
+                word_count=len(text.split()),
+                char_span=(start, start + len(text)),
             )
         )
     return sentences

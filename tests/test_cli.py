@@ -82,6 +82,23 @@ class TestSummarize:
         for lineno in (2, 3):
             assert f"{path}:{lineno}: skipping malformed record" in err
 
+    @pytest.mark.parametrize("line", [
+        r'{"id": "bad", "article": "Broken \ud800 text here. More text there."}',
+        r'{"id": "bad\udfff", "article": "Fine text here. More text there."}',
+    ])
+    def test_lone_surrogate_line_skipped(self, tmp_path, capsys, line):
+        """A line whose id or text holds a lone surrogate escape parses but
+        cannot be written as UTF-8: it is skipped as malformed (exit 2), and
+        the valid article still gets its record and summary line."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [line, {"id": "good", "article": "Birds sing at dawn. Cats nap."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        assert f"{path}:1: skipping malformed record" in capsys.readouterr().err
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["good"]
+        assert os.listdir(out / "records") == ["good.json"]
+
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -293,6 +310,36 @@ class TestSummarize:
         for name in ("planted", "tiny"):
             with open(out / "records" / f"{name}.json") as fh:
                 assert json.load(fh)["status"] == "complete"
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_lone_surrogate_reply_fails_only_its_article(self, corpus, tmp_path, monkeypatch,
+                                                         capsys, cached):
+        """A reply holding a lone surrogate cannot be written as UTF-8, to the
+        cache or to a record: it is a malformed body, so only its article
+        fails, with an aborted record, and the run exits 2."""
+        answer = PeakTransport()
+
+        def transport(payload, timeout):
+            if "Quartz" in payload["messages"][1]["content"]:
+                return 200, {"choices": [{"message": {"content": "Bad \ud800 reply."}}]}
+            return answer(payload, timeout)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: HttpEngine(
+            base_url="http://example.invalid", model="m", api_key="k", transport=transport))
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        failing = {"id": "quartz", "article": "Quartz glows under lamp light. Quartz is hard."}
+        path = tmp_path / "mixed.jsonl"
+        write_corpus(path, [rows[0], failing, rows[1]])
+        out = tmp_path / "out"
+        argv = ["summarize", str(path), "-o", str(out), "--concurrency", "2"]
+        if cached:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == EXIT_PARTIAL
+        assert "article 'quartz' failed" in capsys.readouterr().err
+        with open(out / "records" / "quartz.json") as fh:
+            assert json.load(fh)["status"] == "aborted"
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["planted", "tiny"]
 
     def test_settings_out_of_range_fail_only_their_article(self, tmp_path, capsys):
         """MinPts 4 is out of range for a short article (K=3) but not for a

@@ -1,12 +1,17 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slisum.engine import (
     INSTRUCTIONS,
@@ -22,6 +27,7 @@ from slisum.pipeline import (
     PipelineConfig,
     ResponseCache,
     RunStats,
+    indented_json,
     persist_record,
     run,
 )
@@ -34,6 +40,7 @@ from conftest import (
     SamplingEngine,
     planted_article,
     random_article,
+    zipf_texts,
 )
 
 
@@ -529,6 +536,37 @@ class TestRun:
             assert fh.read() == before
         assert os.listdir(tmp_path) == [os.path.basename(path)]
 
+    @pytest.mark.parametrize("make_article", [
+        planted_article,
+        lambda: Article.from_text("zipf", " ".join(zipf_texts(random.Random(5), 160)))])
+    def test_each_distinct_text_tokenized_once(self, make_article, tmp_path, monkeypatch):
+        """After the generations, statements, article sentences, the connected
+        text and its sentences share one token bag per distinct text: on a
+        warm rerun, which calls no backend, no text is tokenized twice."""
+        import slisum.lexical
+        import slisum.pipeline
+
+        article = make_article()
+        config = PipelineConfig(concurrency=2, cache_dir=str(tmp_path / "cache"))
+        cold = run(article, config)
+        assert cold.stats.connect_calls == 1
+        tokenized = Counter()
+
+        def counting(tokenize):
+            def wrapper(text):
+                tokenized[text] += 1
+                return tokenize(text)
+            return wrapper
+
+        for module in (slisum.lexical, slisum.pipeline):
+            monkeypatch.setattr(module, "tokenize", counting(module.tokenize))
+        warm = run(article, config)
+        assert warm.stats.backend_calls == 0
+        assert warm.to_json() == cold.to_json()
+        assert cold.final["connected_text"] in tokenized
+        assert {s.text for s in article.sentences} <= set(tokenized)
+        assert max(tokenized.values()) == 1
+
     def test_statements_traceable_to_one_generation(self, planted):
         record = run(planted, PipelineConfig(concurrency=1))
         seen = {}
@@ -539,6 +577,34 @@ class TestRun:
         clustered = {seq for c in record.clusters for seq in c["statement_seqs"]}
         noise = {s["generation_seq"] for s in record.noise}
         assert clustered | noise <= set(seen)
+
+
+_SURROGATES = st.characters(categories=["Cs"])
+_STRINGS = st.text(st.one_of(st.characters(), _SURROGATES,
+                             st.sampled_from('"\\/\x00\x1f\x7f\u2028é日')))
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _STRINGS)
+_JSON = st.recursive(
+    st.one_of(_SCALARS, st.lists(_INTS), st.lists(st.one_of(_INTS, st.booleans())),
+              st.lists(_STRINGS)),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(_STRINGS, children)),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    @given(_JSON)
+    def test_matches_json_dumps(self, value):
+        assert indented_json(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
+                                                  indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"}, {None: 1}, {"a": 1, 2: 3}, {"a": [{("t",): 1}]}, {b"k": 1}])
+    def test_non_str_key_raises(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
 
 
 class TestRandomizedPipeline:

@@ -1,10 +1,15 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slisum.text import (
+    _ABBREVIATIONS,
+    _INITIAL,
+    _OPENERS,
     Article,
     ConfigurationError,
     build_window_plan,
@@ -75,6 +80,67 @@ class TestSegmentation:
         sentences = [(" ".join(ws)).capitalize() + "." for ws in word_lists]
         joined = " ".join(sentences)
         assert [s.text for s in segment_sentences(joined)] == sentences
+
+
+def scanning_segment(raw_text: str) -> list[tuple[str, int, tuple[int, int]]]:
+    """The earlier segment_sentences, which skipped and stripped whitespace
+    with index loops and str.isspace, as (text, word count, span) triples."""
+    if not raw_text or not raw_text.strip():
+        return []
+    boundaries = []
+    for match in re.finditer(r"[.!?]+(?=\s)", raw_text):
+        end = match.end()
+        j = end
+        while j < len(raw_text) and raw_text[j].isspace():
+            j += 1
+        if j >= len(raw_text):
+            continue
+        nxt = raw_text[j]
+        if not (nxt.isupper() or nxt in _OPENERS):
+            continue
+        k = end
+        while k > 0 and not raw_text[k - 1].isspace():
+            k -= 1
+        token = raw_text[k:end].casefold()
+        if token in _ABBREVIATIONS or _INITIAL.match(token):
+            continue
+        boundaries.append(end)
+    boundaries.append(len(raw_text))
+    sentences = []
+    prev = 0
+    for bound in boundaries:
+        start, end = prev, bound
+        prev = bound
+        while start < end and raw_text[start].isspace():
+            start += 1
+        while end > start and raw_text[end - 1].isspace():
+            end -= 1
+        text = raw_text[start:end]
+        words = len(text.split())
+        if words:
+            sentences.append((text, words, (start, end)))
+    return sentences
+
+
+# Whitespace of every kind str.isspace knows, ASCII and not, and look-alikes
+# that are not whitespace.
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+_PIECES = st.one_of(
+    st.sampled_from(list(_SPACES + ".!?" + _OPENERS + "aZÉσΣ1\u200b\ufeff")),
+    st.sampled_from(["Dr.", "e.g.", "al.", "J.", "3.14", "no.", "Word", "word", "...", "?!"]),
+    st.characters(),
+)
+
+
+class TestSegmentationMatchesScan:
+    def test_regex_space_is_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+    @given(st.lists(_PIECES, max_size=40).map("".join))
+    def test_same_sentences_as_the_scan(self, raw):
+        got = [(s.text, s.word_count, s.char_span) for s in segment_sentences(raw)]
+        assert got == scanning_segment(raw)
 
 
 class TestKRatio:
