@@ -189,7 +189,8 @@ def cmd_summarize(args) -> int:
                 ) + "\n")
                 _warn(
                     f"{oldest.id}: backend_calls={result.stats.backend_calls} "
-                    f"cache_hits={result.stats.cache_hits} elapsed={result.stats.elapsed_s:.2f}s"
+                    f"cache_hits={result.stats.cache_hits} retries={result.stats.retries} "
+                    f"elapsed={result.stats.elapsed_s:.2f}s"
                 )
     return EXIT_PARTIAL if partial else EXIT_OK
 

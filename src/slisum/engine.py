@@ -1,8 +1,9 @@
 """Summary-engine contract with two backends.
 
 MockEngine is a deterministic extractive stand-in for offline runs and tests;
-HttpEngine talks to any chat-completion endpoint with retry/backoff and
-optional fixture recording for replay tests.
+HttpEngine talks to any chat-completion endpoint, one attempt per call, with
+the retry policy CachedEngine applies and optional fixture recording for
+replay tests.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -22,7 +24,20 @@ log = logging.getLogger(__name__)
 
 
 class EngineError(RuntimeError):
-    """Transport failure after retries, or an unusable backend response."""
+    """A failed attempt at a backend call, or an unusable backend response.
+
+    A `retryable` error (a transport error, a 429 or a 5xx) may pass on a
+    later attempt, so `CachedEngine` makes the call again after the engine's
+    backoff. It names its `request` and the `reason`, such as
+    'status 503', for the retry warnings and the final error.
+    """
+
+    def __init__(self, message: str, *, retryable: bool = False, request: str = "",
+                 reason: str = ""):
+        super().__init__(message)
+        self.retryable = retryable
+        self.request = request
+        self.reason = reason
 
 
 INSTRUCTIONS = {
@@ -110,7 +125,14 @@ def parse_classification_response(raw: str, n: int) -> list[list[int]]:
 class SummaryEngine:
     """Abstract summarize / classify / connect contract; each call returns the
     backend's raw reply text, and classify answers with 'Category k: i, j'
-    lines."""
+    lines.
+
+    Each call makes one attempt. A backend whose attempts can fail with a
+    retryable EngineError sets `max_attempts` above 1 and defines
+    `backoff(attempt, error)`, which waits before the next attempt.
+    """
+
+    max_attempts = 1
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
         raise NotImplementedError
@@ -201,8 +223,13 @@ def replay_transport(path):
 class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
-    Retries on transport errors, 429 and 5xx after a backoff that starts at
-    backoff_base seconds and doubles per attempt; other 4xx fail immediately.
+    Each call makes one attempt. A transport error, a 429 or a 5xx raises a
+    retryable EngineError; any other status, a malformed body or an empty
+    reply raises a non-retryable one. The retry policy stays here:
+    `CachedEngine` makes up to `max_attempts` attempts, and `backoff` waits a
+    full-jitter delay, uniform in [0, backoff_base * 2**(attempt - 1)]
+    seconds (Brooker, "Exponential Backoff and Jitter", 2015), drawn from
+    `rng` and waited out with `sleep`.
     Without a transport, the base URL (SLISUM_BASE_URL by default) must be an
     http:// or https:// URL, or construction raises ConfigurationError.
     """
@@ -219,6 +246,7 @@ class HttpEngine(SummaryEngine):
         transport=None,
         recorder: FixtureRecorder | None = None,
         sleep=time.sleep,
+        rng: random.Random | None = None,
     ):
         self.base_url = (base_url or os.environ.get("SLISUM_BASE_URL", "")).rstrip("/")
         if transport is None and not self.base_url.startswith(("http://", "https://")):
@@ -234,6 +262,7 @@ class HttpEngine(SummaryEngine):
         self._transport = transport or self._http_transport
         self.recorder = recorder
         self._sleep = sleep
+        self._rng = rng or random.Random()
 
     def _http_transport(self, payload: dict, timeout: float):
         import requests
@@ -264,32 +293,31 @@ class HttpEngine(SummaryEngine):
         if params.seed is not None:
             payload["seed"] = params.seed
 
-        last_error = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                status, body = self._transport(payload, self.timeout)
-            except OSError as exc:  # covers requests transport exceptions
-                last_error = f"transport error: {exc}"
-            else:
-                if status == 200:
-                    text = self._extract_content(body, payload)
-                    if self.recorder is not None:
-                        self.recorder.record(payload, body)
-                    return text
-                if status == 429 or status >= 500:
-                    last_error = f"status {status}"
-                else:
-                    raise EngineError(
-                        f"request {_request_id(payload)}: non-retryable status {status}")
-            if attempt < self.max_attempts:
-                delay = self.backoff_base * 2 ** (attempt - 1)
-                log.warning("request %s attempt %d failed (%s); retrying in %.1fs",
-                            _request_id(payload), attempt, last_error, delay)
-                self._sleep(delay)
-        raise EngineError(
-            f"request {_request_id(payload)}: failed after {self.max_attempts} attempts "
-            f"({last_error})"
-        )
+        try:
+            status, body = self._transport(payload, self.timeout)
+        except OSError as exc:  # covers requests transport exceptions
+            raise self._retryable(payload, f"transport error: {exc}") from exc
+        if status == 200:
+            text = self._extract_content(body, payload)
+            if self.recorder is not None:
+                self.recorder.record(payload, body)
+            return text
+        if status == 429 or status >= 500:
+            raise self._retryable(payload, f"status {status}")
+        raise EngineError(f"request {_request_id(payload)}: non-retryable status {status}")
+
+    @staticmethod
+    def _retryable(payload: dict, reason: str) -> EngineError:
+        request = _request_id(payload)
+        return EngineError(f"request {request}: {reason}", retryable=True,
+                           request=request, reason=reason)
+
+    def backoff(self, attempt: int, error: EngineError) -> None:
+        """Wait out the full-jitter delay after failed attempt `attempt`."""
+        delay = self._rng.uniform(0.0, self.backoff_base * 2 ** (attempt - 1))
+        log.warning("request %s attempt %d failed (%s); retrying in %.1fs",
+                    error.request, attempt, error.reason, delay)
+        self._sleep(delay)
 
     @staticmethod
     def _extract_content(body: dict, payload: dict) -> str:

@@ -121,7 +121,8 @@ class ResponseCache:
     the first readable line for a key is its entry, so every process sharing
     the directory on a local filesystem serves the same answer. The index maps
     each key to its line's (offset, length), not to the text, and learns
-    appended lines lazily. An unreadable line is skipped with a warning.
+    appended lines lazily. An unreadable line, including one whose text holds
+    a lone surrogate, is skipped with a warning.
     """
 
     def __init__(self, directory: str):
@@ -208,6 +209,9 @@ class ResponseCache:
                 entry = json.loads(line[_KEY_LEN + 1:])
                 if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
                     raise ValueError("malformed cache entry")
+                # A text holding a lone surrogate escape ("\ud800") parses but
+                # cannot be written out; UnicodeEncodeError is a ValueError.
+                entry["text"].encode("utf-8")
                 return entry
             except (ValueError, OSError) as exc:
                 log.warning("skipping unreadable line at byte %d of %s (%s)",
@@ -258,12 +262,15 @@ class ResponseCache:
 
 
 class CachedEngine:
-    """Engine wrapper that serves repeats from the cache and logs every call.
+    """Engine wrapper that serves repeats from the cache, retries failed
+    attempts and logs every call.
 
-    Each backend call holds one of the scheduler's call slots, and concurrent
-    calls for one cache key share a single backend call. `calls` gets one
-    (task, cache_hit) entry per call, where a shared call counts as a hit;
-    dispatch threads append to it concurrently, which a list append tolerates.
+    Each attempt at a backend call holds one of the scheduler's call slots,
+    and the backoff between attempts holds none. Concurrent calls for one
+    cache key share a single backend call. `calls` gets one (task,
+    cache_hit) entry per call, where a shared call counts as a hit; dispatch
+    threads append to it concurrently, which a list append tolerates.
+    `retries` counts the attempts made after a retryable failure.
     """
 
     def __init__(self, engine: SummaryEngine, cache: ResponseCache | None,
@@ -272,6 +279,8 @@ class CachedEngine:
         self.cache = cache
         self.scheduler = scheduler
         self.calls: list[tuple[str, bool]] = []
+        self.retries = 0
+        self._retries_lock = threading.Lock()
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
@@ -296,8 +305,25 @@ class CachedEngine:
         return self.cache.store(key, {"text": text, "task": task}), False
 
     def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
-        with self.scheduler.slots:
-            return getattr(self.engine, task)(items, params)
+        """The backend's answer, in up to the engine's `max_attempts`
+        attempts. A slot is held for each attempt only, so while this call
+        waits out the engine's backoff another call can use it."""
+        call = getattr(self.engine, task)
+        attempt = 1
+        while True:
+            try:
+                with self.scheduler.slots:
+                    return call(items, params)
+            except EngineError as exc:
+                if not exc.retryable:
+                    raise
+                if attempt >= self.engine.max_attempts:
+                    raise EngineError(f"request {exc.request}: failed after {attempt} "
+                                      f"attempts ({exc.reason})") from exc
+                with self._retries_lock:
+                    self.retries += 1
+                self.engine.backoff(attempt, exc)
+                attempt += 1
 
     def summarize(self, window_text: str, params: EngineParams | None = None,
                   sample: int = 1) -> str:
@@ -323,18 +349,21 @@ class RunStats:
 
     backend_calls: int = 0
     cache_hits: int = 0
+    retries: int = 0
     summarize_calls: int = 0
     classify_calls: int = 0
     connect_calls: int = 0
     elapsed_s: float = 0.0
 
     @classmethod
-    def from_calls(cls, calls: list[tuple[str, bool]], elapsed_s: float) -> "RunStats":
+    def from_calls(cls, calls: list[tuple[str, bool]], elapsed_s: float,
+                   retries: int = 0) -> "RunStats":
         tasks = Counter(task for task, _ in calls)
         hits = sum(hit for _, hit in calls)
         return cls(
             backend_calls=len(calls) - hits,
             cache_hits=hits,
+            retries=retries,
             summarize_calls=tasks["summarize"],
             classify_calls=tasks["classify"],
             connect_calls=tasks["connect"],
@@ -503,7 +532,8 @@ def start(
                 persist_record(record, record_dir)
             raise
         finally:
-            record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started)
+            record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started,
+                                               cached.retries)
 
     return finish
 

@@ -1,8 +1,11 @@
 """One process-wide scheduler for the backend calls of every started article.
 
-A `CallScheduler` owns `concurrency` call slots. A backend call holds one
-while it is in flight, so no more than `concurrency` calls are ever in flight
-in the process, however many articles are started; a cache hit takes none.
+A `CallScheduler` owns `concurrency` call slots. An attempt at a backend call
+holds one while it is in flight, so no more than `concurrency` calls are ever
+in flight in the process, however many articles are started; a cache hit and
+a backoff between attempts take none. It runs `concurrency + 1` dispatch
+threads, one more than the slots, so while one call waits out a backoff
+another queued call can take the slot it left.
 Concurrent requests for one cache key share the first one's call
 (single-flight, as in Go's golang.org/x/sync/singleflight), so a key is drawn
 from the backend once even when two articles or two windows ask for it at the
@@ -29,8 +32,9 @@ class CallScheduler:
 
     def __init__(self, concurrency: int):
         self.concurrency = max(1, concurrency)
-        self.slots = threading.BoundedSemaphore(self.concurrency)  # held per backend call
-        self._dispatch = ThreadPoolExecutor(self.concurrency, thread_name_prefix="slisum-call")
+        self.slots = threading.BoundedSemaphore(self.concurrency)  # held per attempt
+        self._dispatch = ThreadPoolExecutor(self.concurrency + 1,
+                                            thread_name_prefix="slisum-call")
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
         self.caches: dict[str, ResponseCache] = {}  # by cache directory, set by pipeline.start
@@ -42,7 +46,7 @@ class CallScheduler:
         self._dispatch.shutdown(wait=True, cancel_futures=True)
 
     def submit(self, fn: Callable, *args, **kwargs) -> Future:
-        """Run fn on one of the `concurrency` dispatch threads, in FIFO order."""
+        """Run fn on one of the `concurrency + 1` dispatch threads, in FIFO order."""
         return self._dispatch.submit(fn, *args, **kwargs)
 
     def single_flight(self, key: str, fn: Callable[[], object]) -> tuple[object, bool]:

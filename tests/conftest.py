@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from slisum.cluster import Statement
-from slisum.engine import INSTRUCTIONS, MockEngine
+from slisum.engine import INSTRUCTIONS, MockEngine, request_hash
 from slisum.text import Article, segment_sentences
 
 STRIP = string.punctuation + "‘’“”–—…"
@@ -264,15 +264,42 @@ class PeakTransport:
             self.peak = max(self.peak, self.in_flight)
         try:
             time.sleep(0.005)
-            system, user = (m["content"] for m in payload["messages"])
-            task = next(t for t, text in INSTRUCTIONS.items() if text == system)
-            if task == "summarize":
-                text = MockEngine().summarize(user)
-            elif task == "classify":
-                text = MockEngine().classify([line.split(". ", 1)[1] for line in user.splitlines()])
-            else:
-                text = MockEngine().connect(user.splitlines())
-            return 200, {"choices": [{"message": {"content": text}}]}
+            return self.answer(payload)
         finally:
             with self.lock:
                 self.in_flight -= 1
+
+    def answer(self, payload):
+        system, user = (m["content"] for m in payload["messages"])
+        task = next(t for t, text in INSTRUCTIONS.items() if text == system)
+        if task == "summarize":
+            text = MockEngine().summarize(user)
+        elif task == "classify":
+            text = MockEngine().classify([line.split(". ", 1)[1] for line in user.splitlines()])
+        else:
+            text = MockEngine().connect(user.splitlines())
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+
+class ThrottlingTransport(PeakTransport):
+    """PeakTransport that refuses the first attempt of each distinct payload,
+    with a 429 or a 503 status or by raising ConnectionResetError (an
+    OSError), and answers every later one. `refused` counts the refusals."""
+
+    def __init__(self, refusal):
+        super().__init__()
+        self.refusal = refusal
+        self.seen: set[str] = set()
+        self.refused = 0
+
+    def answer(self, payload):
+        key = request_hash(payload)
+        with self.lock:
+            first = key not in self.seen
+            self.seen.add(key)
+            self.refused += first
+        if not first:
+            return super().answer(payload)
+        if self.refusal == "reset":
+            raise ConnectionResetError("connection reset by peer")
+        return self.refusal, {"error": {"message": "refused"}}

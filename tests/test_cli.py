@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, ma
 from slisum.engine import EngineError, HttpEngine, MockEngine, make_engine
 from slisum.pipeline import PipelineConfig, ResponseCache
 
-from conftest import PeakTransport, SamplingEngine, planted_article
+from conftest import PeakTransport, SamplingEngine, ThrottlingTransport, planted_article
 
 
 def write_corpus(path, records):
@@ -176,6 +177,47 @@ class TestSummarize:
         assert len(trees[0]) == 5
         assert trees[0] == trees[1] == trees[2]
         assert peaks[2] > 1
+
+    @pytest.mark.parametrize("refusal", [429, 503, "reset"])
+    def test_refused_attempts_change_nothing_but_retries(self, corpus, tmp_path, monkeypatch,
+                                                         capsys, refusal):
+        """A backend that refuses the first attempt of every request (a 429, a
+        503 or a reset connection) is retried: at any --concurrency, requests
+        in flight stay within it, outputs are byte-identical to a run without
+        refusals, backend_calls and cache_hits per article are unchanged, and
+        retries=N counts the refusals."""
+        transport = None
+
+        def make_engine(backend, **kwargs):
+            return HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+                              transport=transport, backoff_base=0.002,
+                              rng=random.Random(3))
+
+        def article_stats(err):
+            stats = {}
+            for line in err.splitlines():
+                if " backend_calls=" in line:
+                    _, article, fields = line.split(": ", 2)
+                    stats[article] = dict(f.split("=") for f in fields.split()[:-1])
+            return stats
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
+        for concurrency in (1, 2, 8):
+            runs = []
+            for transport in (PeakTransport(), ThrottlingTransport(refusal)):
+                out = tmp_path / f"c{concurrency}-{type(transport).__name__}"
+                assert main(["summarize", str(corpus), "-o", str(out), "--concurrency",
+                             str(concurrency)]) == EXIT_OK
+                assert transport.peak <= concurrency
+                runs.append((read_bytes_tree(out), article_stats(capsys.readouterr().err)))
+            (clean, clean_stats), (throttled, throttled_stats) = runs
+            assert len(clean) == 4
+            assert throttled == clean
+            assert transport.refused > 0
+            assert sum(int(s.pop("retries")) for s in throttled_stats.values()) == \
+                transport.refused
+            assert {s.pop("retries") for s in clean_stats.values()} == {"0"}
+            assert throttled_stats == clean_stats
 
     def test_identical_articles_share_calls(self, tmp_path, monkeypatch, capsys):
         """Two open articles with the same text draw each sample once, so the
@@ -371,8 +413,8 @@ class TestSummarize:
 
     def test_articles_finish_in_order_with_bounded_lookahead(self, tmp_path, monkeypatch):
         """summarize starts at most --concurrency + 1 articles ahead and
-        finishes each on the calling thread, beside at most --concurrency call
-        threads; outputs do not depend on the concurrency."""
+        finishes each on the calling thread, beside at most --concurrency + 1
+        call threads; outputs do not depend on the concurrency."""
         caller = threading.get_ident()
         texts = [planted_article().raw_text.replace("nx", f"a{a}nx") for a in range(8)]
         path = tmp_path / "corpus.jsonl"
@@ -408,7 +450,7 @@ class TestSummarize:
             assert written == [max(0, i - (concurrency + 1)) for i in range(1, len(texts) + 1)]
             assert not [name for name in thread_names if name.startswith("slisum-article")]
             calls = [name for name in thread_names if name.startswith("slisum-call")]
-            assert 1 <= len(calls) <= concurrency
+            assert 1 <= len(calls) <= concurrency + 1
             assert connect_threads == {caller}
             trees.append(read_bytes_tree(out))
         assert len(trees[0]) == len(texts) + 1
@@ -461,6 +503,34 @@ class TestSummarize:
         with pytest.raises(SystemExit) as exc:
             main(["summarize", str(corpus), "-o", str(tmp_path / "out"), "--profile", "long"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_cache_line_with_lone_surrogate_is_skipped(self, corpus, tmp_path, capsys,
+                                                       caplog):
+        """A cache log line whose text holds a lone surrogate escape (written
+        by another tool or by hand) is unreadable: the rerun skips it with a
+        warning, calls the backend for that key alone, and reproduces the
+        first run."""
+        cache = tmp_path / "cache"
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["summarize", str(corpus), "-o", str(out1),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        log = cache / "responses.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if '"task": "summarize"' in line)
+        key, entry = lines[index].split("\t")
+        entry = json.loads(entry)
+        entry["text"] = "Bad \ud800 " + entry["text"]
+        lines[index] = f"{key}\t{json.dumps(entry)}\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["summarize", str(corpus), "-o", str(out2),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "skipping unreadable line" in caplog.text
+        assert "surrogates not allowed" in caplog.text
+        assert sum(int(word.split("=")[1]) for word in err.split()
+                   if word.startswith("backend_calls=")) == 1
+        assert read_bytes_tree(out1) == read_bytes_tree(out2)
 
     def test_cache_rerun_is_byte_identical(self, corpus, tmp_path, capsys):
         cache = tmp_path / "cache"

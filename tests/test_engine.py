@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,11 @@ class TestHttpEngine:
         )
         return engine, sleeps
 
+    def cached(self, transport, scheduler, **kwargs):
+        """The engine behind CachedEngine's retry loop, with a seeded rng."""
+        engine, sleeps = self.engine(transport, rng=random.Random(7), **kwargs)
+        return CachedEngine(engine, None, scheduler), sleeps
+
     def test_success_returns_trimmed_content(self):
         transport = ScriptedTransport([(200, ok_body("  a summary  "))])
         engine, _ = self.engine(transport)
@@ -139,38 +145,90 @@ class TestHttpEngine:
         assert [m["role"] for m in payload["messages"]] == ["system", "user"]
         assert payload["messages"][1]["content"] == "text"
 
+    @pytest.mark.parametrize("step, reason", [
+        (ConnectionResetError("boom"), "transport error: boom"),
+        ((500, {}), "status 500"),
+        ((503, {}), "status 503"),
+        ((429, {}), "status 429"),
+    ])
+    def test_retryable_failure_is_one_attempt(self, step, reason):
+        """A call makes one attempt: a transport error, a 5xx or a 429 raises
+        a retryable EngineError naming the request and the reason, without a
+        backoff."""
+        transport = ScriptedTransport([step])
+        engine, sleeps = self.engine(transport)
+        with pytest.raises(EngineError) as info:
+            engine.summarize("text")
+        error = info.value
+        assert (error.retryable, error.reason) == (True, reason)
+        assert error.request == request_hash(transport.calls[0])[:12]
+        assert str(error) == f"request {error.request}: {reason}"
+        assert len(transport.calls) == 1
+        assert sleeps == []
+
+    def test_client_error_fails_immediately(self):
+        """A 4xx other than 429 is not retryable: the retry loop makes no
+        second attempt and no backoff."""
+        transport = ScriptedTransport([(401, {})])
+        with CallScheduler(1) as scheduler:
+            cached, sleeps = self.cached(transport, scheduler)
+            with pytest.raises(EngineError, match="non-retryable status 401") as info:
+                cached.summarize("text")
+        assert not info.value.retryable
+        assert len(transport.calls) == 1
+        assert sleeps == []
+        assert cached.retries == 0
+
     def test_retries_with_exponential_backoff(self):
+        """CachedEngine retries a transport error, a 5xx and a 429. After
+        failed attempt a it waits a full-jitter delay, uniform(0, backoff_base
+        * 2**(a - 1)) seconds drawn from the engine's rng; each wait counts
+        one retry, and the call still counts once."""
         transport = ScriptedTransport([
             ConnectionResetError("boom"),
             (500, {}),
             (429, {}),
             (200, ok_body("done")),
         ])
-        engine, sleeps = self.engine(transport)
-        assert engine.summarize("text") == "done"
-        assert sleeps == [1.0, 2.0, 4.0]
+        with CallScheduler(1) as scheduler:
+            cached, sleeps = self.cached(transport, scheduler, backoff_base=0.5)
+            assert cached.summarize("text") == "done"
+        rng = random.Random(7)
+        assert sleeps == [rng.uniform(0.0, 0.5 * 2 ** a) for a in range(3)]
+        assert all(0.0 <= delay <= 0.5 * 2 ** a for a, delay in enumerate(sleeps))
+        assert cached.retries == 3
+        assert cached.calls == [("summarize", False)]
+        assert len({json.dumps(p, sort_keys=True) for p in transport.calls}) == 1
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=50)
+    def test_delays_stay_within_the_doubling_cap(self, seed, attempts):
+        delays = []
+        engine = HttpEngine(transport=ScriptedTransport([]), sleep=delays.append,
+                            backoff_base=0.25, rng=random.Random(seed))
+        error = EngineError("x", retryable=True, request="r", reason="status 429")
+        for attempt in range(1, attempts + 1):
+            engine.backoff(attempt, error)
+        assert all(0.0 <= d <= 0.25 * 2 ** a for a, d in enumerate(delays))
 
     def test_gives_up_after_max_attempts(self):
         transport = ScriptedTransport([(503, {})] * 5)
-        engine, sleeps = self.engine(transport)
-        with pytest.raises(EngineError, match="after 5 attempts"):
-            engine.summarize("text")
+        with CallScheduler(1) as scheduler:
+            cached, sleeps = self.cached(transport, scheduler)
+            with pytest.raises(EngineError, match=r"after 5 attempts \(status 503\)") as info:
+                cached.summarize("text")
+        assert not info.value.retryable
         assert len(sleeps) == 4
-
-    def test_client_error_fails_immediately(self):
-        transport = ScriptedTransport([(401, {})])
-        engine, sleeps = self.engine(transport)
-        with pytest.raises(EngineError, match="non-retryable status 401"):
-            engine.summarize("text")
-        assert sleeps == []
+        assert cached.retries == 4
 
     def test_request_id_names_the_payload(self, caplog):
         """Warnings and errors name a request by the first 12 hex digits of the
         SHA-256 of its canonical JSON payload."""
         transport = ScriptedTransport([(503, {}), (400, {})])
-        engine, _ = self.engine(transport)
-        with pytest.raises(EngineError) as info:
-            engine.summarize("text")
+        with CallScheduler(1) as scheduler:
+            cached, _ = self.cached(transport, scheduler)
+            with pytest.raises(EngineError) as info:
+                cached.summarize("text")
         req_id = "02a11501cb8c"
         assert req_id == request_hash(transport.calls[0])[:12]
         assert str(info.value) == f"request {req_id}: non-retryable status 400"
@@ -186,8 +244,9 @@ class TestHttpEngine:
     def test_non_string_content_is_malformed(self, content):
         transport = ScriptedTransport([(200, ok_body(content))])
         engine, sleeps = self.engine(transport)
-        with pytest.raises(EngineError, match="malformed response body"):
+        with pytest.raises(EngineError, match="malformed response body") as info:
             engine.summarize("text")
+        assert not info.value.retryable
         assert sleeps == []
 
     def test_classify_parses_partition(self):
@@ -257,3 +316,18 @@ def test_make_engine(monkeypatch):
     assert isinstance(make_engine("http", transport=ScriptedTransport([])), HttpEngine)
     with pytest.raises(ValueError):
         make_engine("nope")
+
+
+def test_engine_without_retry_policy_makes_one_attempt():
+    """An engine that keeps SummaryEngine's single attempt is not retried,
+    even on a retryable error."""
+    class Throttled(MockEngine):
+        def summarize(self, window_text, params=None):
+            raise EngineError("request r: status 429", retryable=True, request="r",
+                              reason="status 429")
+
+    with CallScheduler(1) as scheduler:
+        cached = CachedEngine(Throttled(), None, scheduler)
+        with pytest.raises(EngineError, match=r"request r: failed after 1 attempts"):
+            cached.summarize("text")
+    assert cached.retries == 0

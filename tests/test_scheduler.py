@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from slisum.engine import EngineParams, MockEngine
+from slisum.engine import EngineParams, HttpEngine, MockEngine
 from slisum.pipeline import CachedEngine, ResponseCache
 from slisum.scheduler import CallScheduler
 
@@ -69,3 +69,34 @@ def test_caller_waiting_on_a_failed_call_runs_its_own():
         with pytest.raises(ValueError, match="backend down"):
             first.result(timeout=10)
         assert second.result(timeout=10) == ("own answer", False)
+
+
+def test_backoff_leaves_the_slot_to_another_call():
+    """At concurrency 1, a call waiting out a 429 backoff holds no call slot
+    and no dispatch thread another call needs: a call submitted after the
+    refusal runs and completes while the first one waits."""
+    refused = threading.Event()
+    other_done = threading.Event()
+    waits = []
+
+    def transport(payload, timeout):
+        text = payload["messages"][1]["content"]
+        if text == "First window." and not refused.is_set():
+            refused.set()
+            return 429, {"error": {"message": "rate limited"}}
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+    def sleep(seconds):
+        waits.append(other_done.wait(timeout=5))
+
+    engine = HttpEngine(model="m", transport=transport, sleep=sleep)
+    with CallScheduler(1) as scheduler:
+        cached = CachedEngine(engine, None, scheduler)
+        first = scheduler.submit(cached.summarize, "First window.")
+        assert refused.wait(timeout=10)
+        second = scheduler.submit(cached.summarize, "Second window.")
+        second.add_done_callback(lambda future: other_done.set())
+        assert first.result(timeout=30) == "First window."
+        assert second.result(timeout=30) == "Second window."
+    assert waits == [True]
+    assert cached.retries == 1
