@@ -16,12 +16,7 @@ import sys
 from collections import deque
 
 from .engine import BACKENDS, EngineError
-from .evalkit import (
-    distance_diagnostics,
-    histogram_from_offsets,
-    record_clusters,
-    score,
-)
+from .evalkit import distance_diagnostics, format_scores, histogram_from_offsets, score
 from .pipeline import (
     PipelineConfig,
     ResponseCache,
@@ -252,21 +247,15 @@ def cmd_evaluate(args) -> int:
     if not shared:
         _warn("no overlapping ids between summaries and references")
         return EXIT_USAGE
-    report = score(
-        [summaries[i] for i in shared],
-        [references[i] for i in shared],
-        ids=shared,
-    )
-    payload = report.to_dict()
-    payload["unmatched_summaries"] = sorted(set(summaries) - set(references))
-    payload["unmatched_references"] = sorted(set(references) - set(summaries))
-    text = indented_json(payload)
-    if args.output and not _write_report(args.output, text):
+    report = score([summaries[i] for i in shared], [references[i] for i in shared], ids=shared)
+    report["unmatched_summaries"] = sorted(set(summaries) - set(references))
+    report["unmatched_references"] = sorted(set(references) - set(summaries))
+    if args.output and not _write_report(args.output, indented_json(report)):
         return EXIT_USAGE
-    print(report.to_text())
+    print(format_scores(report))
     for key in ("unmatched_summaries", "unmatched_references"):
-        if payload[key]:
-            _warn(f"{key}: {', '.join(payload[key])}")
+        if report[key]:
+            _warn(f"{key}: {', '.join(report[key])}")
     return EXIT_PARTIAL if skipped_summaries or skipped_references else EXIT_OK
 
 
@@ -279,7 +268,8 @@ def _read_record(path):
         record = json.load(fh)
     try:
         offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
-        article_id, clusters = record["article_id"], record_clusters(record)
+        article_id = record["article_id"]
+        clusters = [entry["texts"] for entry in record["clusters"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a run record ({type(exc).__name__}: {exc})") from exc
     if not all(type(offset) is int for offset in offsets):

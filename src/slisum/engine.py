@@ -315,8 +315,8 @@ class HttpEngine(SummaryEngine):
     def backoff(self, attempt: int, error: EngineError) -> None:
         """Wait out the full-jitter delay after failed attempt `attempt`."""
         delay = self._rng.uniform(0.0, self.backoff_base * 2 ** (attempt - 1))
-        log.warning("request %s attempt %d failed (%s); retrying in %.1fs",
-                    error.request, attempt, error.reason, delay)
+        log.warning("request %s attempt %d failed (%s); retrying in %.1f ms",
+                    error.request, attempt, error.reason, delay * 1000)
         self._sleep(delay)
 
     @staticmethod

@@ -1,16 +1,14 @@
 """Reference-based scoring and run diagnostics: ROUGE score reports,
 position-distribution histograms, and intra/inter-cluster distance statistics.
 
-`score` returns a `ScoreReport`, which formats itself as text or JSON. The
-reports `analyze` writes, the position histogram and the distance
-diagnostics, are plain dicts, ready to write as JSON. The distance
-diagnostics tokenize each distinct cluster text once, share its token bag
-among its copies, and take the Hausdorff maxima once per cluster (see
-`lexical.set_distances`). Each cluster must be a non-empty list of strings;
-`analyze` skips a run record that breaks this before it gets here."""
+Every report is a plain dict, ready to write as JSON: `score` returns the
+report `evaluate` writes, and `format_scores` renders it as the table
+`evaluate` prints. The distance diagnostics take each cluster's texts,
+tokenize each distinct text once, and take the Hausdorff maxima once per
+cluster (see `lexical.set_distances`). Each cluster must be a non-empty list
+of strings; `analyze` skips a run record that breaks this before it gets
+here."""
 from __future__ import annotations
-
-from dataclasses import dataclass, field, asdict
 
 # distance, hausdorff, rouge2_f1 and rougeL_f1 are unused here but stay
 # importable from this module: bench/spans.py patches them on it by name.
@@ -24,7 +22,6 @@ from .lexical import (  # noqa: F401
     rougeL_f1,
     rougeL_tokens,
     set_distances,
-    shared_bags,
     tokenize,
 )
 
@@ -39,41 +36,9 @@ UNAVAILABLE_METRICS = {
 }
 
 
-@dataclass
-class ScoreReport:
-    per_article: list[dict]
-    means: dict
-    count: int
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["unavailable"] = dict(UNAVAILABLE_METRICS)
-        return data
-
-    def to_json(self) -> str:
-        from .pipeline import indented_json  # the records' writer; not needed to score
-
-        return indented_json(self.to_dict())
-
-    def to_text(self) -> str:
-        lines = [f"{'id':<24}{'R-1':>10}{'R-2':>10}{'R-L':>10}"]
-        for row in self.per_article:
-            lines.append(
-                f"{row['id']:<24}{row['rouge1']:>10.4f}{row['rouge2']:>10.4f}{row['rougeL']:>10.4f}"
-            )
-        if self.count:
-            lines.append(
-                f"{'mean':<24}{self.means['rouge1']:>10.4f}"
-                f"{self.means['rouge2']:>10.4f}{self.means['rougeL']:>10.4f}"
-            )
-        else:
-            lines.append("(empty corpus)")
-        return "\n".join(lines)
-
-
-def score(summaries: list[str], references: list[str], ids: list[str] | None = None) -> ScoreReport:
-    """Per-pair ROUGE-1/2/L F1 and corpus arithmetic means; each text is
+def score(summaries: list[str], references: list[str], ids: list[str] | None = None) -> dict:
+    """Per-pair ROUGE-1/2/L F1 and corpus arithmetic means, as the report
+    `{per_article, means, count, config, unavailable}`; each text is
     tokenized once."""
     if len(summaries) != len(references):
         raise ValueError(
@@ -90,11 +55,32 @@ def score(summaries: list[str], references: list[str], ids: list[str] | None = N
             "rouge2": rouge2_tokens(ts, tr),
             "rougeL": rougeL_tokens(ts, tr),
         })
-    means = {}
-    if per_article:
-        for key in ("rouge1", "rouge2", "rougeL"):
-            means[key] = sum(row[key] for row in per_article) / len(per_article)
-    return ScoreReport(per_article=per_article, means=means, count=len(per_article))
+    means = {key: sum(row[key] for row in per_article) / len(per_article)
+             for key in ("rouge1", "rouge2", "rougeL")} if per_article else {}
+    return {
+        "per_article": per_article,
+        "means": means,
+        "count": len(per_article),
+        "config": {},
+        "unavailable": dict(UNAVAILABLE_METRICS),
+    }
+
+
+def format_scores(report: dict) -> str:
+    """The score report as a table: one row per article, then the means."""
+    lines = [f"{'id':<24}{'R-1':>10}{'R-2':>10}{'R-L':>10}"]
+    for row in report["per_article"]:
+        lines.append(
+            f"{row['id']:<24}{row['rouge1']:>10.4f}{row['rouge2']:>10.4f}{row['rougeL']:>10.4f}"
+        )
+    means = report["means"]
+    if report["count"]:
+        lines.append(
+            f"{'mean':<24}{means['rouge1']:>10.4f}{means['rouge2']:>10.4f}{means['rougeL']:>10.4f}"
+        )
+    else:
+        lines.append("(empty corpus)")
+    return "\n".join(lines)
 
 
 def histogram_from_offsets(offsets: list[int]) -> dict:
@@ -126,7 +112,7 @@ def distance_diagnostics(clusters: list[list[str]]) -> dict:
     clusters."""
     if not clusters:
         raise ValueError("need at least one retained cluster")
-    same, between = set_distances(shared_bags(clusters))
+    same, between = set_distances(clusters)
     diagnostics = {
         "mean_same_cluster": sum(same) / len(same) if same else 0.0,
         "max_same_cluster": max(same, default=0.0),
@@ -135,9 +121,3 @@ def distance_diagnostics(clusters: list[list[str]]) -> dict:
     if between:
         diagnostics["mean_hausdorff"] = sum(between) / len(between)
     return diagnostics
-
-
-def record_clusters(run_record) -> list[list[str]]:
-    """Cluster statement texts from a RunRecord or its serialized dict."""
-    clusters = run_record.clusters if hasattr(run_record, "clusters") else run_record["clusters"]
-    return [entry["texts"] for entry in clusters]

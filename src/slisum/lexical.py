@@ -176,52 +176,39 @@ def rougeL_f1(a: str, b: str) -> float:
     return rougeL_tokens(tokenize(a), tokenize(b))
 
 
-def shared_bags(groups: list[list]) -> list[list[TokenBag]]:
-    """`groups` with each member as a TokenBag: each distinct string is
-    tokenized once, and all its copies share that one bag object."""
-    made: dict[str, TokenBag] = {}
-
-    def bag(value) -> TokenBag:
-        if isinstance(value, TokenBag):
-            return value
-        if value not in made:
-            made[value] = TokenBag.from_text(value)
-        return made[value]
-
-    return [[bag(value) for value in group] for group in groups]
-
-
-def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float]]:
-    """Distances under `distance` within and between sets of bags.
+def set_distances(groups: list[list[str]]) -> tuple[list[float], list[float]]:
+    """Distances under `distance` within and between sets of texts.
 
     Returns (same, between): `same` holds the distance of every pair of
     members of one set, sets in order and pairs (i, j), i < j, in order;
     `between` holds the Hausdorff distance of every pair of sets (g, h),
     g < h, in order. Every set must be non-empty to have a Hausdorff distance.
 
-    A cluster holds its statement's copies from overlapping windows, and a
-    caller passes one TokenBag object for all copies of a text. Copies are at
-    0.0 from each other and equally far from any other bag, so each set's
-    distinct bag objects are scanned once: the pairs come from
-    `earlier_distances` over them, and every value equals a full pairwise
-    scan. Equal bags that are separate objects are scanned as two, at 0.0
-    from each other, so they give the same values. The Hausdorff maxima are
-    taken once per set, not once per pair of sets.
+    A cluster holds its statement's copies from overlapping windows. Each
+    distinct text is tokenized once, and each set's distinct texts are
+    scanned once: copies are at 0.0 from each other and equally far from any
+    other text. The pairs come from `earlier_distances` over the distinct
+    texts, and every value equals a full pairwise scan; different texts with
+    equal bags are scanned as two, at 0.0 from each other. The Hausdorff
+    maxima are taken once per set, not once per pair of sets.
     """
     if len(groups) > 1 and not all(groups):
         raise ValueError("every set must be non-empty to have a Hausdorff distance")
-    bags: list[TokenBag] = []  # each set's distinct bags, sets in order
-    owner: list[int] = []  # the set of each distinct bag
-    starts: list[int] = []  # starts[g]: the first distinct bag of set g
-    ids: list[list[int]] = []  # ids[g]: the distinct bag of each member of set g
+    made: dict[str, TokenBag] = {}  # the bag of each distinct text
+    bags: list[TokenBag] = []  # each set's distinct texts' bags, sets in order
+    owner: list[int] = []  # the set of each distinct text
+    starts: list[int] = []  # starts[g]: the first distinct text of set g
+    ids: list[list[int]] = []  # ids[g]: the distinct text of each member of set g
     for g, group in enumerate(groups):
         starts.append(len(bags))
-        first: dict[int, int] = {}
+        first: dict[str, int] = {}
         row = []
-        for bag in group:
-            u = first.setdefault(id(bag), len(bags))
+        for text in group:
+            u = first.setdefault(text, len(bags))
             if u == len(bags):
-                bags.append(bag)
+                if text not in made:
+                    made[text] = TokenBag.from_text(text)
+                bags.append(made[text])
                 owner.append(g)
             row.append(u)
         ids.append(row)
@@ -253,11 +240,9 @@ def set_distances(groups: list[list[TokenBag]]) -> tuple[list[float], list[float
     return same, between
 
 
-def hausdorff(xs: list, ys: list) -> float:
+def hausdorff(xs: list[str], ys: list[str]) -> float:
     """Hausdorff distance between two non-empty sentence sets under `distance`;
-    members are strings or TokenBags."""
-    if not xs or not ys:
-        raise ValueError("hausdorff requires two non-empty sentence sets")
-    _, between = set_distances(shared_bags([xs, ys]))
+    ValueError if either set is empty."""
+    _, between = set_distances([xs, ys])
     return between[0]
 

@@ -655,11 +655,21 @@ def _word_offsets(article: Article) -> list[int]:
     return offsets
 
 
+# The longest record file name that leaves room for `_write_atomic`'s temp
+# suffix, `.<pid>-<thread id>.tmp` with ids of up to 10 digits, in a 255-byte name.
+_NAME_BYTES = 255 - len(".4294967295-4294967295.tmp")
+
+
 def record_filename(article_id: str) -> str:
+    """`<id>.json`, or, for an id that is empty, holds characters other than
+    letters, digits, `-`, `_` and `.`, or is too long, the id with those
+    characters as `_`, cut to fit, plus `-` and an 8-hex hash of the id."""
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in article_id)
-    if not safe or safe != article_id:
-        safe = (safe + "-" if safe else "") + hashlib.sha256(article_id.encode()).hexdigest()[:8]
-    return safe + ".json"
+    if safe and safe == article_id and len(safe.encode()) + len(".json") <= _NAME_BYTES:
+        return safe + ".json"
+    digest = hashlib.sha256(article_id.encode()).hexdigest()[:8]
+    safe = safe.encode()[:_NAME_BYTES - len("-12345678.json")].decode(errors="ignore")
+    return (safe + "-" if safe else "") + digest + ".json"
 
 
 def persist_record(record: RunRecord, directory: str) -> str:
@@ -673,7 +683,7 @@ def _write_atomic(path: str, text: str) -> None:
     """Write `text` to `path` through a temp file in the same directory and
     rename it into place, so a crash mid-write leaves the previous file, never
     a truncated one. The temp name is unique per process and thread."""
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp = f"{path}.{os.getpid()}-{threading.get_native_id()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)

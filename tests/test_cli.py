@@ -134,6 +134,26 @@ class TestSummarize:
         ])
         assert main(["summarize", str(path), "-o", str(tmp_path / "out")]) == EXIT_PARTIAL
 
+    def test_long_id_gets_a_record(self, tmp_path, capsys):
+        """A 300-character id is cut to a file name that leaves room for the
+        temp suffix of the atomic write; the next article is unaffected."""
+        long_id = "x" * 300
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [
+            {"id": long_id, "article": "Birds sing at dawn. Birds sing at sunrise."},
+            {"id": "short", "article": "Cats nap at noon. Cats nap at midday."},
+        ])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_OK
+        lines = [json.loads(l) for l in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == [long_id, "short"]
+        records = {}
+        for name in os.listdir(out / "records"):
+            with open(out / "records" / name, encoding="utf-8") as fh:
+                records[json.load(fh)["article_id"]] = name
+        assert records["short"] == "short.json"
+        assert records[long_id].startswith("x" * 200) and len(records[long_id]) < 255
+
     def test_http_backend_without_base_url_fails_each_article_at_once(
             self, corpus, tmp_path, monkeypatch, capsys):
         """With SLISUM_BASE_URL unset, --backend http fails every article
@@ -490,6 +510,14 @@ class TestSummarize:
         assert record["config"]["eps"] == 0.25       # flag wins
         assert record["config"]["window_size"] == 150  # file applies
 
+    def test_model_flag_over_environment_over_config_file(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.yaml"
+        config.write_text("model: a\n")
+        base = ["summarize", "corpus.jsonl", "-o", "out", "--config", str(config)]
+        monkeypatch.setenv("SLISUM_MODEL", "b")
+        assert build_config(make_parser().parse_args(base)).model == "b"
+        assert build_config(make_parser().parse_args(base + ["--model", "c"])).model == "c"
+
     def test_profile_key_in_config_file_exits_one(self, corpus, tmp_path, capsys):
         config = tmp_path / "config.yaml"
         config.write_text("profile: long\n")
@@ -662,6 +690,15 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert err.startswith(f"slisum: config file {config} is not valid YAML: ")
         assert err.count("\n") == 1
+        assert not (out / "summaries.jsonl").exists()
+
+    def test_yaml_list_exits_one(self, corpus, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("- eps: 0.3\n- seed: 1\n")
+        out = tmp_path / "out"
+        code = main(["summarize", str(corpus), "-o", str(out), "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: config file {config} is not a mapping\n"
         assert not (out / "summaries.jsonl").exists()
 
     def test_yaml_imported_only_for_a_config_file(self):
@@ -855,6 +892,22 @@ class TestAnalyze:
         assert code == EXIT_PARTIAL
         assert "skipping unreadable record zz-bad.json: not a run record" in capsys.readouterr().err
         assert report_path.read_bytes() == full_path.read_bytes()
+
+    def test_stray_temp_file_ignored(self, corpus, tmp_path, capsys):
+        """A write killed mid-way leaves `<id>.json.<pid>-<tid>.tmp` behind;
+        analyze reads only the `.json` records."""
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        full_path = tmp_path / "full.json"
+        assert main(["analyze", str(out / "records"), "-o", str(full_path)]) == EXIT_OK
+        (out / "records" / "planted.json.4242-139711234.tmp").write_text('{"article_id": "pl')
+        capsys.readouterr()
+        report_path = tmp_path / "analysis.json"
+        assert main(["analyze", str(out / "records"), "-o", str(report_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert report_path.read_bytes() == full_path.read_bytes()
+        report = json.loads(report_path.read_text())
+        assert [e["article_id"] for e in report["per_article"]] == ["planted", "third", "tiny"]
 
     def test_report_path_is_a_directory_usage_error(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"

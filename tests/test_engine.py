@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,20 @@ class TestHttpEngine:
         for attempt in range(1, attempts + 1):
             engine.backoff(attempt, error)
         assert all(0.0 <= d <= 0.25 * 2 ** a for a, d in enumerate(delays))
+
+    def test_warning_gives_the_delay_in_milliseconds(self, caplog):
+        """Delays under 50 ms, as at a backoff_base of 0.02 s, read as their
+        own value, not as 0.0."""
+        delays = []
+        engine = HttpEngine(transport=ScriptedTransport([]), sleep=delays.append,
+                            backoff_base=0.02, rng=random.Random(3))
+        error = EngineError("x", retryable=True, request="r", reason="status 429")
+        for attempt in (1, 2):
+            engine.backoff(attempt, error)
+        logged = [float(re.search(r"retrying in (\S+) ms$", r.getMessage()).group(1))
+                  for r in caplog.records]
+        assert logged == [round(d * 1000, 1) for d in delays]
+        assert all(0.0 < d < 0.05 for d in delays)
 
     def test_gives_up_after_max_attempts(self):
         transport = ScriptedTransport([(503, {})] * 5)

@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from slisum.evalkit import distance_diagnostics, record_clusters, score
+from slisum.evalkit import distance_diagnostics, score
 from slisum.lexical import tokenize
-from slisum.pipeline import PipelineConfig, run
+from slisum.pipeline import PipelineConfig, indented_json, run
 from slisum.text import Article
 
 from conftest import planted_article, random_article, zipf_texts
@@ -87,13 +87,13 @@ def test_score_digest():
     summaries, references = _score_pairs()
     assert max(len(tokenize(s)) for s in summaries) > 500
     report = score(summaries, references)
-    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(indented_json(report).encode("utf-8")).hexdigest()
     assert digest == SCORE_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_diagnostics_digest(name):
     record = run(ARTICLES[name], PipelineConfig())
-    diag = distance_diagnostics(record_clusters(record))
+    diag = distance_diagnostics([entry["texts"] for entry in record.clusters])
     digest = hashlib.sha256(json.dumps(diag, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == DIAGNOSTICS_GOLDEN[name]

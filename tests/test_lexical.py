@@ -17,7 +17,6 @@ from slisum.lexical import (
     rouge2_f1,
     rougeL_f1,
     set_distances,
-    shared_bags,
     tokenize,
 )
 
@@ -229,9 +228,13 @@ class TestSetDistances:
         assert hausdorff(ys, xs) == oracle_hausdorff(xs, ys)
 
     @given(text_pools().flatmap(lambda pool: st.lists(
-        st.lists(st.sampled_from(pool), min_size=1, max_size=5), min_size=1, max_size=5)))
+        st.lists(st.sampled_from(pool + ["A b.", "a b", ""]), min_size=1, max_size=5),
+        min_size=1, max_size=5)))
     def test_equals_oracles_with_repeats_and_empty_bags(self, groups):
-        same, between = set_distances([[TokenBag.from_text(t) for t in g] for g in groups])
+        """Members are deduped by text: "A b." and "a b" are different texts
+        with equal bags, scanned as two; "" and the punctuation-only texts
+        have empty bags."""
+        same, between = set_distances(groups)
         assert same == [oracle_distance(g[i], g[j])
                         for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
         assert between == [oracle_hausdorff(groups[g], groups[h])
@@ -239,33 +242,15 @@ class TestSetDistances:
 
     def test_same_and_between_orders(self):
         groups = [["a b", "a c", "x"], ["…"], ["a b", "—"]]
-        same, between = set_distances([[TokenBag.from_text(t) for t in g] for g in groups])
+        same, between = set_distances(groups)
         assert same == [oracle_distance(g[i], g[j])
                         for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
         assert between == [oracle_hausdorff(groups[g], groups[h])
                            for g in range(3) for h in range(g + 1, 3)]
 
-    @given(text_pools().flatmap(lambda pool: st.lists(
-        st.lists(st.tuples(st.sampled_from(pool + ["A b.", "a b", ""]), st.booleans()),
-                 min_size=1, max_size=5), min_size=1, max_size=5)))
-    def test_shared_bag_objects_equal_oracles(self, drawn):
-        """Copies of a text share one bag object, as `shared_bags` gives
-        them, except members drawn with True, which get a bag of their own.
-        "A b." and "a b" are different texts with equal bags; "" and the
-        punctuation-only texts have empty bags."""
-        made: dict[str, TokenBag] = {}
-        bags = [[TokenBag.from_text(t) if own else made.setdefault(t, TokenBag.from_text(t))
-                 for t, own in group] for group in drawn]
-        groups = [[t for t, _ in group] for group in drawn]
-        same, between = set_distances(bags)
-        assert same == [oracle_distance(g[i], g[j])
-                        for g in groups for i in range(len(g)) for j in range(i + 1, len(g))]
-        assert between == [oracle_hausdorff(groups[g], groups[h])
-                           for g in range(len(groups)) for h in range(g + 1, len(groups))]
-
     def test_empty_set_among_several_rejected(self):
         with pytest.raises(ValueError):
-            set_distances([[TokenBag.from_text("a")], []])
+            set_distances([["a"], []])
         assert set_distances([[]]) == ([], [])
 
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
@@ -283,6 +268,3 @@ class TestSetDistances:
         calls.clear()
         hausdorff(clusters[0], clusters[1])
         assert calls == Counter({"a b", "A b.", "c d"})
-        bags = shared_bags(clusters)
-        assert bags[0][0] is bags[0][1] is bags[1][1]
-        assert bags[0][0] is not bags[0][2]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from slisum.pipeline import (
     RunStats,
     indented_json,
     persist_record,
+    record_filename,
     run,
 )
 from slisum.scheduler import CallScheduler
@@ -605,6 +607,27 @@ class TestIndentedJson:
     def test_non_str_key_raises(self, value):
         with pytest.raises(TypeError):
             indented_json(value)
+
+
+class TestRecordFilename:
+    @pytest.mark.parametrize("article_id, name", [
+        ("planted", "planted.json"),
+        ("x" * 224, "x" * 224 + ".json"),
+        ("a b", "a_b-c8687a08.json"),
+        ("é/" * 60, "é_" * 60 + "-" + hashlib.sha256(("é/" * 60).encode()).hexdigest()[:8]
+         + ".json"),
+    ], ids=["safe", "longest-kept", "unsafe", "unsafe-multibyte"])
+    def test_names_that_fit_are_kept(self, article_id, name):
+        assert record_filename(article_id) == name
+
+    @pytest.mark.parametrize("article_id", ["x" * 225, "x" * 300, "é" * 200, "x" * 3 + "é" * 200,
+                                            "/" * 300])
+    def test_long_id_is_cut_to_fit_the_temp_suffix(self, article_id):
+        name = record_filename(article_id)
+        digest = hashlib.sha256(article_id.encode()).hexdigest()[:8]
+        assert name.endswith(digest + ".json")
+        assert len((name + ".4294967295-4294967295.tmp").encode()) <= 255
+        assert record_filename(article_id + "y") != name
 
 
 class TestRandomizedPipeline:
