@@ -16,7 +16,12 @@ import sys
 from collections import deque
 
 from .engine import BACKENDS, EngineError
-from .evalkit import distance_diagnostics, format_scores, histogram_from_offsets, score
+from .evalkit import (
+    distance_diagnostics,
+    format_scores,
+    histogram_from_offsets,
+    score,
+)
 from .pipeline import (
     PipelineConfig,
     ResponseCache,
@@ -247,7 +252,11 @@ def cmd_evaluate(args) -> int:
     if not shared:
         _warn("no overlapping ids between summaries and references")
         return EXIT_USAGE
-    report = score([summaries[i] for i in shared], [references[i] for i in shared], ids=shared)
+    report = score(
+        [summaries[i] for i in shared],
+        [references[i] for i in shared],
+        ids=shared,
+    )
     report["unmatched_summaries"] = sorted(set(summaries) - set(references))
     report["unmatched_references"] = sorted(set(references) - set(summaries))
     if args.output and not _write_report(args.output, indented_json(report)):

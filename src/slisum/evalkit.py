@@ -10,6 +10,8 @@ of strings; `analyze` skips a run record that breaks this before it gets
 here."""
 from __future__ import annotations
 
+from bisect import bisect_left
+
 # distance, hausdorff, rouge2_f1 and rougeL_f1 are unused here but stay
 # importable from this module: bench/spans.py patches them on it by name.
 from .lexical import (  # noqa: F401
@@ -39,24 +41,22 @@ UNAVAILABLE_METRICS = {
 def score(summaries: list[str], references: list[str], ids: list[str] | None = None) -> dict:
     """Per-pair ROUGE-1/2/L F1 and corpus arithmetic means, as the report
     `{per_article, means, count, config, unavailable}`; each text is
-    tokenized once."""
-    if len(summaries) != len(references):
-        raise ValueError(
-            f"length mismatch: {len(summaries)} summaries vs {len(references)} references"
-        )
+    tokenized once. ValueError if the lists differ in length."""
     if ids is None:
         ids = [str(i + 1) for i in range(len(summaries))]
     per_article = []
-    for i, (summ, ref) in enumerate(zip(summaries, references)):
+    for article_id, summ, ref in zip(ids, summaries, references, strict=True):
         ts, tr = tokenize(summ), tokenize(ref)
         per_article.append({
-            "id": ids[i],
+            "id": article_id,
             "rouge1": rouge1_f1(TokenBag.from_tokens(ts), TokenBag.from_tokens(tr)),
             "rouge2": rouge2_tokens(ts, tr),
             "rougeL": rougeL_tokens(ts, tr),
         })
-    means = {key: sum(row[key] for row in per_article) / len(per_article)
-             for key in ("rouge1", "rouge2", "rougeL")} if per_article else {}
+    means = {}
+    if per_article:
+        for key in ("rouge1", "rouge2", "rougeL"):
+            means[key] = sum(row[key] for row in per_article) / len(per_article)
     return {
         "per_article": per_article,
         "means": means,
@@ -88,12 +88,7 @@ def histogram_from_offsets(offsets: list[int]) -> dict:
     counts, percentages, total, empty}`."""
     counts = [0] * (len(BIN_EDGES) + 1)
     for offset in offsets:
-        for i, edge in enumerate(BIN_EDGES):
-            if offset <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+        counts[bisect_left(BIN_EDGES, offset)] += 1
     total = len(offsets)
     bins = [f"{lo + 1}-{hi}" for lo, hi in zip((0,) + BIN_EDGES, BIN_EDGES)]
     return {

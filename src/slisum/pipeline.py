@@ -656,8 +656,9 @@ def _word_offsets(article: Article) -> list[int]:
 
 
 # The longest record file name that leaves room for `_write_atomic`'s temp
-# suffix, `.<pid>-<thread id>.tmp` with ids of up to 10 digits, in a 255-byte name.
-_NAME_BYTES = 255 - len(".4294967295-4294967295.tmp")
+# suffix, `.<pid>-<thread id>.tmp`, in a 255-byte name. Linux caps pid_max,
+# which bounds thread ids too, at 2**22, so each id has at most 7 digits.
+_NAME_BYTES = 255 - len(".4194304-4194304.tmp")
 
 
 def record_filename(article_id: str) -> str:

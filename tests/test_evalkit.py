@@ -103,6 +103,10 @@ class TestPositionHistogram:
         assert hist["percentages"] == [25.0, 25.0, 25.0, 25.0]
         assert hist["bins"] == ["1-1000", "1001-2000", "2001-3000", "3001-"]
 
+    def test_each_bin_closes_on_its_edge(self):
+        hist = histogram_from_offsets([0, 1, 1000, 1001, 2000, 2001, 3000, 3001, 10**9])
+        assert hist["counts"] == [3, 2, 2, 2]
+
     def test_empty_flagged(self):
         hist = histogram_from_offsets([])
         assert hist["empty"]
