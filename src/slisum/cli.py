@@ -118,16 +118,19 @@ def cmd_summarize(args) -> int:
         return EXIT_USAGE
 
     records_dir = os.path.join(args.output, "records")
-    if args.dry_run:  # writes nothing, but a bad output path is still a usage error
-        if os.path.exists(args.output) and not os.path.isdir(args.output):
-            _warn(f"not a directory: {args.output}")
-            return EXIT_USAGE
-    else:
-        try:
-            os.makedirs(args.output, exist_ok=True)
-        except OSError as exc:
-            _warn(f"cannot create output directory {args.output}: {exc.strerror}")
-            return EXIT_USAGE
+    for directory, role in ((args.output, "output"), (config.cache_dir, "cache")):
+        if role == "cache" and not directory:  # a run without a cache
+            continue
+        if args.dry_run:  # writes nothing, but a bad path is still a usage error
+            if os.path.exists(directory) and not os.path.isdir(directory):
+                _warn(f"not a directory: {directory}")
+                return EXIT_USAGE
+        else:
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                _warn(f"cannot create {role} directory {directory}: {exc.strerror}")
+                return EXIT_USAGE
 
     bodies, partial = _load_pairs(args.input, ("article",))
     articles: list[Article] = []
@@ -301,7 +304,7 @@ def cmd_analyze(args) -> int:
             continue
         try:
             records.append(_read_record(os.path.join(args.records, name)))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             _warn(f"skipping unreadable record {name}: {exc}")
             partial = True
     if not records:

@@ -109,7 +109,9 @@ def parse_classification_response(raw: str, n: int) -> list[list[int]]:
         if not match:
             continue
         group = []
-        for num in re.findall(r"\d+", match.group(1)):
+        for num in re.findall(r"0*(\d+)", match.group(1)):  # leading zeros dropped
+            if len(num) > len(str(n)):  # out of range, and int() may refuse it
+                continue
             idx = int(num)
             if 1 <= idx <= n and idx not in assigned:
                 assigned.add(idx)

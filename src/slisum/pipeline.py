@@ -60,7 +60,6 @@ LOG_NAME = "responses.jsonl"  # the response cache's log, in its directory
 _PARAM_FIELDS = tuple(f.name for f in fields(EngineParams))
 _KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
 _LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
-_CHUNK = 1 << 16  # bytes of the log read at a time while indexing it
 _encode_str = json.encoder.encode_basestring  # a str as JSON, non-ASCII kept
 # indented_json's writers of the scalars records hold most, by exact type (so
 # a bool, an int subclass, is not written as an int)
@@ -111,6 +110,23 @@ class PipelineConfig:
         return config
 
 
+def _read_entry(line: bytes) -> dict:
+    """The entry of a log line, `<key>\\t<entry as JSON>`; ValueError if the
+    key or entry does not parse, or its text cannot be written as UTF-8."""
+    if not _LINE_KEY.match(line):
+        raise ValueError("no cache key")
+    try:
+        entry = json.loads(line[_KEY_LEN + 1:])
+    except RecursionError as exc:  # JSON nested deeper than the parser recurses
+        raise ValueError("entry nested too deeply") from exc
+    if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+        raise ValueError("malformed cache entry")
+    # A text holding a lone surrogate escape ("\ud800") parses but cannot be
+    # written out; UnicodeEncodeError is a ValueError.
+    entry["text"].encode("utf-8")
+    return entry
+
+
 class ResponseCache:
     """Content-addressed cache of engine responses: one append-only log per
     directory (as in Bitcask) and an in-memory index of its keys.
@@ -121,8 +137,10 @@ class ResponseCache:
     the first readable line for a key is its entry, so every process sharing
     the directory on a local filesystem serves the same answer. The index maps
     each key to its line's (offset, length), not to the text, and learns
-    appended lines lazily. An unreadable line, including one whose text holds
-    a lone surrogate, is skipped with a warning.
+    appended lines lazily. Each complete line is checked once, when it is
+    indexed: an unreadable one, including one whose text holds a lone
+    surrogate, gets one warning and is never indexed, so every indexed key can
+    be served.
     """
 
     def __init__(self, directory: str):
@@ -131,7 +149,6 @@ class ResponseCache:
         self.path = os.path.join(directory, LOG_NAME)
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_to = 0  # every complete line before this offset is indexed
-        self._unreadable: set[int] = set()  # offsets of lines found unreadable
         self._lock = threading.Lock()
 
     @staticmethod
@@ -148,7 +165,29 @@ class ResponseCache:
 
     def lookup(self, key: str) -> dict | None:
         """The entry of the key's first readable line, or None."""
-        return self._first_entry(key)
+        with self._lock:
+            if key not in self._index:
+                self._catch_up()
+            span = self._index.get(key)
+        if span is None:
+            return None
+        offset, length = span
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                line = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
+            if line[:_KEY_LEN] != key.encode("ascii"):
+                raise ValueError("the log changed under its index")
+            return _read_entry(line)
+        except (ValueError, OSError) as exc:
+            log.warning("skipping unreadable line at byte %d of %s (%s)",
+                        offset, self.path, exc)
+            with self._lock:
+                if self._index.get(key) == span:
+                    del self._index[key]
+            return None
 
     def store(self, key: str, entry: dict) -> str:
         """Append `entry` under `key` and return the text of the key's first
@@ -168,11 +207,11 @@ class ResponseCache:
                 self._indexed_to = end
             if self._index.get(key) == span:
                 return entry["text"]
-        stored = self._first_entry(key)
+        stored = self.lookup(key)
         return entry["text"] if stored is None else stored["text"]
 
     def count(self) -> int:
-        """Number of distinct keys in the log."""
+        """Number of keys a lookup can serve."""
         with self._lock:
             self._catch_up()
             return len(self._index)
@@ -189,76 +228,31 @@ class ResponseCache:
                     os.unlink(os.path.join(self.directory, name))
                     removed += 1
             self._index.clear()
-            self._unreadable.clear()
             self._indexed_to = 0
         return removed
 
-    def _first_entry(self, key: str) -> dict | None:
-        while True:
-            with self._lock:
-                if key not in self._index:
-                    self._catch_up()
-                span = self._index.get(key)
-            if span is None:
-                return None
-            offset, length = span
-            try:
-                line = self._read(offset, length)
-                if line[:_KEY_LEN] != key.encode("ascii"):
-                    raise ValueError("the log changed under its index")
-                entry = json.loads(line[_KEY_LEN + 1:])
-                if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
-                    raise ValueError("malformed cache entry")
-                # A text holding a lone surrogate escape ("\ud800") parses but
-                # cannot be written out; UnicodeEncodeError is a ValueError.
-                entry["text"].encode("utf-8")
-                return entry
-            except (ValueError, OSError) as exc:
-                log.warning("skipping unreadable line at byte %d of %s (%s)",
-                            offset, self.path, exc)
-            with self._lock:  # index the key's next line, if any
-                self._unreadable.add(offset)
-                if self._index.get(key) == span:
-                    del self._index[key]
-                    self._indexed_to = min(self._indexed_to, offset)
-
     def _catch_up(self) -> None:
-        """Index the complete lines appended since the last read, reading the
-        log a chunk at a time; the caller holds the lock."""
+        """Index the complete lines appended since the last read, checking each
+        one; the caller holds the lock."""
         try:
-            size = os.stat(self.path).st_size
+            if os.stat(self.path).st_size <= self._indexed_to:
+                return
+            with open(self.path, "rb") as fh:
+                fh.seek(self._indexed_to)
+                for line in fh:
+                    if not line.endswith(b"\n"):  # an incomplete last line
+                        return
+                    key = line[:_KEY_LEN].decode("latin-1")
+                    if key not in self._index:  # a later line of a key is never served
+                        try:
+                            _read_entry(line)
+                            self._index[key] = (self._indexed_to, len(line) - 1)
+                        except ValueError as exc:
+                            log.warning("skipping unreadable line at byte %d of %s (%s)",
+                                        self._indexed_to, self.path, exc)
+                    self._indexed_to += len(line)
         except FileNotFoundError:
-            return
-        chunk = _CHUNK
-        while self._indexed_to < size:
-            data = self._read(self._indexed_to, min(chunk, size - self._indexed_to))
-            end = data.rfind(b"\n") + 1
-            if not end:  # a line longer than the chunk, or an incomplete last line
-                if len(data) == size - self._indexed_to:
-                    return
-                chunk *= 2
-                continue
-            pos = 0
-            while pos < end:
-                newline = data.index(b"\n", pos)
-                offset = self._indexed_to + pos
-                if offset not in self._unreadable:
-                    if _LINE_KEY.match(data, pos, newline):
-                        key = data[pos:pos + _KEY_LEN].decode("ascii")
-                        self._index.setdefault(key, (offset, newline - pos))
-                    else:
-                        log.warning("skipping unreadable line at byte %d of %s",
-                                    offset, self.path)
-                        self._unreadable.add(offset)
-                pos = newline + 1
-            self._indexed_to += end
-
-    def _read(self, offset: int, length: int) -> bytes:
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            return os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
+            pass
 
 
 class CachedEngine:

@@ -532,6 +532,45 @@ class TestSummarize:
             main(["summarize", str(corpus), "-o", str(tmp_path / "out"), "--profile", "long"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_classify_reply_with_a_huge_number_completes(self, corpus, tmp_path,
+                                                          monkeypatch):
+        """A classify reply holding a number longer than int() converts
+        (4,300 digits) does not kill the run: every article gets its record
+        and summary line."""
+        classified = []
+
+        class HugeNumberEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                return window_text  # near-duplicate sentences share a cluster
+
+            def classify(self, statements, params=None):
+                classified.append(len(statements))
+                return f"Category 1: {'9' * 5000}\n" + super().classify(statements, params)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine",
+                            lambda backend, **kwargs: HugeNumberEngine())
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        assert classified
+        assert sorted(os.listdir(out / "records")) == ["planted.json", "third.json",
+                                                        "tiny.json"]
+        assert len((out / "summaries.jsonl").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_cache_dir_that_is_a_file_exits_one(self, corpus, tmp_path, capsys, dry_run):
+        """A --cache-dir that is a file is a usage error, as an -o that is a
+        file is: one line, no traceback, and a dry run creates nothing."""
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory")
+        out = tmp_path / "out"
+        argv = ["summarize", str(corpus), "-o", str(out), "--cache-dir", str(cache)]
+        assert main(argv + ["--dry-run"] * dry_run) == EXIT_USAGE
+        expected = (f"not a directory: {cache}" if dry_run
+                    else f"cannot create cache directory {cache}: File exists")
+        assert capsys.readouterr().err == f"slisum: {expected}\n"
+        assert cache.read_text() == "not a directory"
+        assert out.exists() != dry_run
+
     def test_cache_line_with_lone_surrogate_is_skipped(self, corpus, tmp_path, capsys,
                                                        caplog):
         """A cache log line whose text holds a lone surrogate escape (written
@@ -891,6 +930,20 @@ class TestAnalyze:
         code = main(["analyze", str(out / "records"), "-o", str(report_path)])
         assert code == EXIT_PARTIAL
         assert "skipping unreadable record zz-bad.json: not a run record" in capsys.readouterr().err
+        assert report_path.read_bytes() == full_path.read_bytes()
+
+    def test_directory_named_like_a_record_skipped(self, corpus, tmp_path, capsys):
+        """A directory named `<id>.json` cannot be read as a record: it is
+        skipped with a warning, exit 2, and the report covers the others."""
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        full_path = tmp_path / "full.json"
+        assert main(["analyze", str(out / "records"), "-o", str(full_path)]) == EXIT_OK
+        (out / "records" / "stray.json").mkdir()
+        capsys.readouterr()
+        report_path = tmp_path / "analysis.json"
+        assert main(["analyze", str(out / "records"), "-o", str(report_path)]) == EXIT_PARTIAL
+        assert "skipping unreadable record stray.json: " in capsys.readouterr().err
         assert report_path.read_bytes() == full_path.read_bytes()
 
     def test_stray_temp_file_ignored(self, corpus, tmp_path, capsys):

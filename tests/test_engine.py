@@ -88,6 +88,12 @@ class TestParseClassification:
         raw = "Category 1: 2, 3"
         assert parse_classification_response(raw, 4) == [[2, 3], [1], [4]]
 
+    def test_number_too_long_for_int_is_out_of_range(self):
+        """A number with more digits than int() converts is skipped, not an
+        error; one with leading zeros keeps its value."""
+        raw = f"Category 1: {'9' * 5000}, 2\nCategory 2: {'0' * 5000}1, 007"
+        assert parse_classification_response(raw, 3) == [[2], [1], [3]]
+
     def test_render_roundtrip(self):
         partition = [[2], [1, 4], [3, 5]]
         assert parse_classification_response(render_partition(partition), 5) == partition

@@ -1,17 +1,19 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slisum.engine import (
@@ -49,6 +51,62 @@ from conftest import (
 def log_lines(directory):
     with open(os.path.join(directory, LOG_NAME), encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+_LOG_KEYS = [hashlib.sha256(name.encode()).hexdigest() for name in ("a", "b", "c")]
+
+
+def _log_line(key, entry_json, newline=True):
+    return f"{key}\t{entry_json}".encode("utf-8") + b"\n" * newline
+
+
+# One append to a cache log: a good line, a line torn by a crash (no newline,
+# so the next append is fused with it), garbage, or an entry that is bad JSON,
+# has no str text, or has a text holding a lone surrogate escape.
+log_appends = st.one_of(
+    st.builds(lambda key, text: _log_line(key, json.dumps({"text": text, "task": "summarize"},
+                                                          ensure_ascii=False)),
+              st.sampled_from(_LOG_KEYS), st.sampled_from(["one", "two", "Café", ""])),
+    st.builds(lambda key, cut: _log_line(key, '{"text": "torn answer"}', newline=False)[:cut],
+              st.sampled_from(_LOG_KEYS), st.integers(1, 88)),
+    st.binary(max_size=30).map(lambda data: data.replace(b"\n", b"") + b"\n"),
+    st.builds(_log_line, st.sampled_from(_LOG_KEYS),
+              st.sampled_from(['{"text": "trunc', '{"text": 7}', "[1, 2]", '"text"',
+                               '{"text": "bad \\ud800 text"}', '{"text": "x"} tail'])),
+)
+
+
+def served_by_oracle(data):
+    """(key -> text of its first readable line, number of unreadable lines
+    checked) of a log, parsed by brute force: complete lines only, and a line
+    whose key already has a readable line is not checked."""
+    served, unreadable = {}, 0
+    for line in data.split(b"\n")[:-1]:
+        key = line[:64].decode("latin-1")
+        if key in served:
+            continue
+        try:
+            if len(line) < 65 or line[64:65] != b"\t" or any(c not in "0123456789abcdef"
+                                                              for c in key):
+                raise ValueError
+            text = json.loads(line[65:].decode("utf-8"))["text"]
+            if not isinstance(text, str):
+                raise ValueError
+            text.encode("utf-8")
+        except (ValueError, KeyError, TypeError):
+            unreadable += 1
+            continue
+        served[key] = text
+    return served, unreadable
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
 
 
 class TestResolveProfile:
@@ -268,6 +326,50 @@ class TestResponseCache:
             for key, text in stored.items():
                 assert cache.lookup(key)["text"] == fresh.lookup(key)["text"] == text
         assert fresh.count() == 8 * 25 + len(shared)
+
+    @settings(deadline=None)
+    @given(st.lists(log_appends, max_size=12))
+    def test_every_key_served_its_first_readable_line(self, appends):
+        """A log built from random appends: a fresh cache serves each key the
+        text of its first readable complete line, warns once per unreadable
+        line it checks, and counts only the keys it can serve; so does a
+        cache that indexed the log after every append."""
+        data = b"".join(appends)
+        served, unreadable = served_by_oracle(data)
+        warnings = _Warnings()
+        logger = logging.getLogger("slisum.pipeline")
+        with tempfile.TemporaryDirectory() as directory:
+            follower = ResponseCache(directory)
+            for append in appends:
+                with open(os.path.join(directory, LOG_NAME), "ab") as fh:
+                    fh.write(append)
+                follower.count()
+            logger.addHandler(warnings)
+            try:
+                fresh = ResponseCache(directory)
+                assert fresh.count() == len(served)
+                for cache in (fresh, follower):
+                    assert {key: cache.lookup(key)["text"] for key in _LOG_KEYS
+                            if cache.lookup(key) is not None} == served
+                    assert cache.count() == len(served)
+            finally:
+                logger.removeHandler(warnings)
+        assert len(warnings.messages) == unreadable
+        assert all("skipping unreadable line" in message for message in warnings.messages)
+
+    def test_deeply_nested_entry_is_unreadable(self, tmp_path, caplog):
+        """An entry nested deeper than the JSON parser recurses is an
+        unreadable line, not an error that escapes the cache."""
+        key, other = _LOG_KEYS[:2]
+        with open(tmp_path / LOG_NAME, "wb") as fh:
+            fh.write(_log_line(key, '{"text": "x", "deep": ' + "[" * 100000))
+            fh.write(_log_line(other, '{"text": "fine"}'))
+        cache = ResponseCache(str(tmp_path))
+        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+            assert cache.lookup(key) is None
+        assert "nested too deeply" in caplog.text
+        assert cache.lookup(other)["text"] == "fine"
+        assert cache.count() == 1
 
     def test_cached_engine_counts(self, tmp_path):
         with CallScheduler(1) as scheduler:
