@@ -1,8 +1,8 @@
 """Run the whole pipeline on one article with the deterministic mock backend.
 
 Prints the window plan, the surviving clusters with their provenance, and the
-final source-ordered summary. Swap backend="http" (plus SLISUM_BASE_URL /
-SLISUM_API_KEY / a model name) to run against a real chat-completions API.
+final source-ordered summary. Swap in backend="http" and model="..." (plus
+SLISUM_BASE_URL / SLISUM_API_KEY) to run against a real chat-completions API.
 """
 import json
 

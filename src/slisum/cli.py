@@ -15,7 +15,7 @@ import os
 import sys
 from collections import deque
 
-from .engine import BACKENDS, EngineError
+from .engine import BACKENDS, EngineError, json_loads
 from .evalkit import (
     distance_diagnostics,
     format_scores,
@@ -213,7 +213,7 @@ def _load_pairs(path, value_fields):
                 line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = json_loads(line)
                 key = str(obj["id"])
                 value = next(obj[f] for f in value_fields if f in obj)
                 if not isinstance(value, str):
@@ -273,16 +273,19 @@ def cmd_evaluate(args) -> int:
 
 def _read_record(path):
     """(article id, anchor word offsets, cluster texts) of one run-record
-    file; ValueError if the file is not JSON or not a run record. Each
-    offset must be an int, and each cluster's texts a non-empty list of
-    strings."""
+    file; ValueError if the file is not JSON or not a run record. The id
+    must be a string that can be written as UTF-8, each offset an int, and
+    each cluster's texts a non-empty list of strings."""
     with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+        record = json_loads(fh.read())
     try:
         offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
         article_id = record["article_id"]
+        if not isinstance(article_id, str):
+            raise TypeError("article_id is not a string")
+        article_id.encode("utf-8")  # fails on a lone surrogate escape ("\ud800")
         clusters = [entry["texts"] for entry in record["clusters"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, UnicodeEncodeError) as exc:
         raise ValueError(f"not a run record ({type(exc).__name__}: {exc})") from exc
     if not all(type(offset) is int for offset in offsets):
         raise ValueError("not a run record (an anchor_word_offset is not an int)")

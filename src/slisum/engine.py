@@ -2,8 +2,8 @@
 
 MockEngine is a deterministic extractive stand-in for offline runs and tests;
 HttpEngine talks to any chat-completion endpoint, one attempt per call, with
-the retry policy CachedEngine applies and optional fixture recording for
-replay tests.
+the retry policy CachedEngine applies. `recording_transport` and
+`replay_transport` record and replay its wire exchanges in tests.
 """
 from __future__ import annotations
 
@@ -66,6 +66,15 @@ class EngineParams:
     model: str | None = None
     max_tokens: int = 1024
     seed: int | None = None
+
+
+def json_loads(data: str | bytes):
+    """`json.loads(data)`, with a document nested deeper than the parser
+    recurses raising ValueError, as any other unparsable document does."""
+    try:
+        return json.loads(data)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def render(task: str, items: str | list[str]) -> str:
@@ -185,22 +194,23 @@ def _request_id(payload: dict) -> str:
     return request_hash(payload)[:12]
 
 
-class FixtureRecorder:
-    """Appends one JSON object per wire exchange to a fixture file."""
+def recording_transport(transport, path):
+    """Transport that passes each request to `transport` and appends every
+    exchange answered 200 to the fixture file `path`, one JSON object per
+    line, as `replay_transport` reads them. Non-ASCII is escaped, so a reply
+    holding a lone surrogate is recorded and left for the engine to reject."""
+    lock = threading.Lock()
 
-    def __init__(self, path):
-        self.path = path
-        self._lock = threading.Lock()
+    def record(payload: dict, timeout: float):
+        status, body = transport(payload, timeout)
+        if status == 200:
+            entry = {"request_hash": request_hash(payload), "request": payload,
+                     "response": body, "timestamp": time.time()}
+            with lock, open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(entry) + "\n")
+        return status, body
 
-    def record(self, request: dict, response: dict) -> None:
-        entry = {
-            "request_hash": request_hash(request),
-            "request": request,
-            "response": response,
-            "timestamp": time.time(),
-        }
-        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    return record
 
 
 def replay_transport(path):
@@ -225,7 +235,8 @@ def replay_transport(path):
 class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
-    Each call makes one attempt. A transport error, a 429 or a 5xx raises a
+    Each call makes one attempt and sends `params.model`, the model the
+    response cache's key hashes. A transport error, a 429 or a 5xx raises a
     retryable EngineError; any other status, a malformed body or an empty
     reply raises a non-retryable one. The retry policy stays here:
     `CachedEngine` makes up to `max_attempts` attempts, and `backoff` waits a
@@ -233,20 +244,20 @@ class HttpEngine(SummaryEngine):
     seconds (Brooker, "Exponential Backoff and Jitter", 2015), drawn from
     `rng` and waited out with `sleep`.
     Without a transport, the base URL (SLISUM_BASE_URL by default) must be an
-    http:// or https:// URL, or construction raises ConfigurationError.
+    http:// or https:// URL, or construction raises ConfigurationError. The
+    API key defaults to SLISUM_API_KEY.
     """
+
+    max_attempts = 5
 
     def __init__(
         self,
         base_url: str | None = None,
-        model: str | None = None,
         api_key: str | None = None,
         path: str = "/v1/chat/completions",
         timeout: float = 120.0,
-        max_attempts: int = 5,
         backoff_base: float = 1.0,
         transport=None,
-        recorder: FixtureRecorder | None = None,
         sleep=time.sleep,
         rng: random.Random | None = None,
     ):
@@ -255,14 +266,11 @@ class HttpEngine(SummaryEngine):
             raise ConfigurationError(
                 f"the http backend needs an http:// or https:// base URL "
                 f"(set SLISUM_BASE_URL), got {self.base_url!r}")
-        self.model = model or os.environ.get("SLISUM_MODEL")
         self.api_key = api_key if api_key is not None else os.environ.get("SLISUM_API_KEY")
         self.path = path
         self.timeout = timeout
-        self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._transport = transport or self._http_transport
-        self.recorder = recorder
         self._sleep = sleep
         self._rng = rng or random.Random()
 
@@ -276,7 +284,7 @@ class HttpEngine(SummaryEngine):
             self.base_url + self.path, json=payload, headers=headers, timeout=timeout
         )
         try:
-            body = resp.json()
+            body = json_loads(resp.content)
         except ValueError:
             body = {"raw": resp.text}
         return resp.status_code, body
@@ -284,7 +292,7 @@ class HttpEngine(SummaryEngine):
     def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
         params = params or EngineParams()
         payload = {
-            "model": params.model or self.model,
+            "model": params.model,
             "messages": [
                 {"role": "system", "content": INSTRUCTIONS[task]},
                 {"role": "user", "content": render(task, items)},
@@ -300,10 +308,7 @@ class HttpEngine(SummaryEngine):
         except OSError as exc:  # covers requests transport exceptions
             raise self._retryable(payload, f"transport error: {exc}") from exc
         if status == 200:
-            text = self._extract_content(body, payload)
-            if self.recorder is not None:
-                self.recorder.record(payload, body)
-            return text
+            return self._extract_content(body, payload)
         if status == 429 or status >= 500:
             raise self._retryable(payload, f"status {status}")
         raise EngineError(f"request {_request_id(payload)}: non-retryable status {status}")
@@ -349,7 +354,7 @@ class HttpEngine(SummaryEngine):
         return self._chat("connect", statements, params)
 
 
-def make_engine(backend: str, **kwargs) -> SummaryEngine:
+def make_engine(backend: str) -> SummaryEngine:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    return MockEngine() if backend == "mock" else HttpEngine(**kwargs)
+    return MockEngine() if backend == "mock" else HttpEngine()

@@ -32,6 +32,7 @@ from .engine import (
     EngineError,
     EngineParams,
     SummaryEngine,
+    json_loads,
     make_engine,
     parse_classification_response,
     render,
@@ -115,10 +116,7 @@ def _read_entry(line: bytes) -> dict:
     key or entry does not parse, or its text cannot be written as UTF-8."""
     if not _LINE_KEY.match(line):
         raise ValueError("no cache key")
-    try:
-        entry = json.loads(line[_KEY_LEN + 1:])
-    except RecursionError as exc:  # JSON nested deeper than the parser recurses
-        raise ValueError("entry nested too deeply") from exc
+    entry = json_loads(line[_KEY_LEN + 1:])
     if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
         raise ValueError("malformed cache entry")
     # A text holding a lone surrogate escape ("\ud800") parses but cannot be
@@ -217,16 +215,14 @@ class ResponseCache:
             return len(self._index)
 
     def clear(self) -> int:
-        """Delete the log, and the per-key files of the earlier layout; return
-        the number of entries deleted."""
+        """Delete the log, and nothing else in the directory; return the
+        number of entries it could serve."""
         removed = self.count()
         with self._lock:
-            for name in os.listdir(self.directory):
-                if name == LOG_NAME:
-                    os.unlink(self.path)
-                elif name.endswith((".json", ".quarantine")):
-                    os.unlink(os.path.join(self.directory, name))
-                    removed += 1
+            try:
+                os.unlink(self.path)
+            except FileNotFoundError:
+                pass
             self._index.clear()
             self._indexed_to = 0
         return removed
@@ -257,7 +253,8 @@ class ResponseCache:
 
 class CachedEngine:
     """Engine wrapper that serves repeats from the cache, retries failed
-    attempts and logs every call.
+    attempts and logs every call. Its summarize, classify and connect return
+    the reply text, as a backend's do.
 
     Each attempt at a backend call holds one of the scheduler's call slots,
     and the backoff between attempts holds none. Concurrent calls for one
@@ -328,9 +325,8 @@ class CachedEngine:
             params = replace(params, seed=params.seed + sample - 1)
         return self._call("summarize", window_text, params, sample)
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> list[list[int]]:
-        raw = self._call("classify", statements, params)
-        return parse_classification_response(raw, len(statements))
+    def classify(self, statements: list[str], params: EngineParams | None = None) -> str:
+        return self._call("classify", statements, params)
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
         return self._call("connect", statements, params)
@@ -467,7 +463,7 @@ def start(
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
     if engine is None:
-        engine = make_engine(resolved.backend, model=resolved.model)
+        engine = make_engine(resolved.backend)
     cache = None
     if resolved.cache_dir:  # one cache per directory for all of the scheduler's articles
         cache = scheduler.caches.get(resolved.cache_dir)
@@ -600,7 +596,8 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         if len(normalized) == 1:
             partition = [list(range(1, len(members) + 1))]
         else:
-            partition = cached.classify([s.text for s in members], params)
+            reply = cached.classify([s.text for s in members], params)
+            partition = parse_classification_response(reply, len(members))
         outcomes.append(vote(members, partition, cluster_id=cid))
     record.votes = [
         {

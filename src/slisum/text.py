@@ -185,16 +185,14 @@ def build_window_plan(article: Article, window_size: int, step_size: int) -> Win
     segments = _step_segments(sentences, step_size)
     t = len(segments)
 
-    ranges: list[tuple[int, int, int]] = []  # (start, end, repetitions)
+    # (start, end, repetitions). Window i spans segments i..i+K-1, clipped to
+    # the article: i < 0 gives the truncated prefixes, shortest first, and
+    # i > t - K the truncated suffixes, longest first.
     if t <= k:
-        ranges.append((1, n, k))
+        ranges = [(1, n, k)]
     else:
-        for j in range(1, k):  # truncated prefixes, shortest first
-            ranges.append((1, segments[j - 1][1], 1))
-        for i in range(t - k + 1):  # base windows: K consecutive segments
-            ranges.append((segments[i][0], segments[i + k - 1][1], 1))
-        for j in range(k - 1, 0, -1):  # truncated suffixes, longest first
-            ranges.append((segments[t - j][0], n, 1))
+        ranges = [(segments[max(i, 0)][0], segments[min(i + k, t) - 1][1], 1)
+                  for i in range(1 - k, t)]
 
     windows = tuple(
         Window(

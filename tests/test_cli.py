@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
-from slisum.engine import EngineError, HttpEngine, MockEngine, make_engine
+from slisum.engine import EngineError, HttpEngine, MockEngine
 from slisum.pipeline import PipelineConfig, ResponseCache
 
 from conftest import PeakTransport, SamplingEngine, ThrottlingTransport, planted_article
@@ -100,6 +100,19 @@ class TestSummarize:
         assert [line["id"] for line in lines] == ["good"]
         assert os.listdir(out / "records") == ["good.json"]
 
+    def test_deeply_nested_line_skipped(self, tmp_path, capsys):
+        """A line nested deeper than the JSON parser recurses is skipped as
+        malformed (exit 2), and the valid article still gets its record and
+        summary line."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, ["[" * 100_000, {"id": "good", "article": "Birds sing. Cats nap."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        assert f"{path}:1: skipping malformed record" in capsys.readouterr().err
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["good"]
+        assert os.listdir(out / "records") == ["good.json"]
+
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -161,8 +174,8 @@ class TestSummarize:
         variable."""
         sleeps = []
         monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
-        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: make_engine(
-            backend, sleep=sleeps.append, max_attempts=2, **kwargs))
+        monkeypatch.setattr("slisum.pipeline.make_engine",
+                            lambda backend: HttpEngine(sleep=sleeps.append))
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), "--backend", "http"]) == EXIT_PARTIAL
         err = capsys.readouterr().err.splitlines()
@@ -181,7 +194,7 @@ class TestSummarize:
         transport = None
 
         def make_engine(backend, **kwargs):
-            return HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+            return HttpEngine(base_url="http://example.invalid", api_key="k",
                               transport=transport)
 
         monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
@@ -209,7 +222,7 @@ class TestSummarize:
         transport = None
 
         def make_engine(backend, **kwargs):
-            return HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+            return HttpEngine(base_url="http://example.invalid", api_key="k",
                               transport=transport, backoff_base=0.002,
                               rng=random.Random(3))
 
@@ -357,7 +370,7 @@ class TestSummarize:
             return answer(payload, timeout)
 
         monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k", transport=transport))
+            base_url="http://example.invalid", api_key="k", transport=transport))
         rows = [json.loads(line) for line in corpus.read_text().splitlines()]
         failing = {"id": "quartz", "article": "Quartz glows under lamp light. Quartz is hard."}
         path = tmp_path / "mixed.jsonl"
@@ -387,7 +400,7 @@ class TestSummarize:
             return answer(payload, timeout)
 
         monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kwargs: HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k", transport=transport))
+            base_url="http://example.invalid", api_key="k", transport=transport))
         rows = [json.loads(line) for line in corpus.read_text().splitlines()]
         failing = {"id": "quartz", "article": "Quartz glows under lamp light. Quartz is hard."}
         path = tmp_path / "mixed.jsonl"
@@ -932,6 +945,44 @@ class TestAnalyze:
         assert "skipping unreadable record zz-bad.json: not a run record" in capsys.readouterr().err
         assert report_path.read_bytes() == full_path.read_bytes()
 
+    def test_deeply_nested_record_file_skipped(self, corpus, tmp_path, capsys):
+        """A file nested deeper than the JSON parser recurses is skipped as
+        unreadable, exit 2, and the report covers the others."""
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        full_path = tmp_path / "full.json"
+        assert main(["analyze", str(out / "records"), "-o", str(full_path)]) == EXIT_OK
+        (out / "records" / "x.json").write_text("[" * 100_000)
+        capsys.readouterr()
+        report_path = tmp_path / "analysis.json"
+        assert main(["analyze", str(out / "records"), "-o", str(report_path)]) == EXIT_PARTIAL
+        assert "skipping unreadable record x.json: " in capsys.readouterr().err
+        assert report_path.read_bytes() == full_path.read_bytes()
+
+    @pytest.mark.parametrize("article_id, to_file", [
+        ("\ud800x", False), ("\ud800x", True), (5, True),
+    ], ids=["surrogate-stdout", "surrogate-report", "int"])
+    def test_bad_article_id_skipped_exits_partial(self, corpus, tmp_path, capsys,
+                                                  article_id, to_file):
+        """A record whose article_id is not a string, or holds a lone
+        surrogate escape that cannot be printed or written as UTF-8, is not a
+        run record: skipped with exit 2, and the report covers the others."""
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out)]) == EXIT_OK
+        assert main(["analyze", str(out / "records")]) == EXIT_OK
+        full = capsys.readouterr().out
+        record = json.loads((out / "records" / "planted.json").read_text())
+        record["article_id"] = article_id
+        (out / "records" / "zz-bad.json").write_text(json.dumps(record))
+        report_path = tmp_path / "analysis.json"
+        argv = ["analyze", str(out / "records")] + (["-o", str(report_path)] if to_file else [])
+        assert main(argv) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert "skipping unreadable record zz-bad.json: not a run record" in captured.err
+        assert captured.out == full
+        if to_file:
+            assert report_path.read_text() == full
+
     def test_directory_named_like_a_record_skipped(self, corpus, tmp_path, capsys):
         """A directory named `<id>.json` cannot be read as a record: it is
         skipped with a warning, exit 2, and the report covers the others."""
@@ -984,8 +1035,8 @@ class TestAnalyze:
 class TestCache:
     def test_stats_and_clear(self, corpus, tmp_path, capsys):
         """stats counts the distinct keys in the log, one per backend call of
-        the run; clear deletes the log and the per-key files of the earlier
-        layout."""
+        the run; clear deletes the log only, so the per-key files of the
+        earlier layout stay and are not counted."""
         cache = tmp_path / "cache"
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), "--cache-dir", str(cache)]) == EXIT_OK
@@ -994,13 +1045,28 @@ class TestCache:
         assert calls > 0
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
         assert capsys.readouterr().out == f"{calls} entries in {cache}\n"
-        for legacy in ("0" * 64 + ".json", "1" * 64 + ".json.quarantine"):
-            (cache / legacy).write_text("{}")
+        legacy = ["0" * 64 + ".json", "1" * 64 + ".json.quarantine"]
+        for name in legacy:
+            (cache / name).write_text("{}")
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == EXIT_OK
-        assert capsys.readouterr().out == f"removed {calls + 2} entries from {cache}\n"
-        assert os.listdir(cache) == []
+        assert capsys.readouterr().out == f"removed {calls} entries from {cache}\n"
+        assert sorted(os.listdir(cache)) == legacy
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
         assert capsys.readouterr().out == f"0 entries in {cache}\n"
+
+    def test_clear_keeps_files_that_are_not_the_log(self, corpus, tmp_path, capsys):
+        """A stray file in the cache directory, even one named like JSON,
+        survives `cache clear` and is not counted as an entry."""
+        cache = tmp_path / "cache"
+        assert main(["summarize", str(corpus), "-o", str(tmp_path / "out"),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        (cache / "notes.json").write_text('{"note": "keep me"}')
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == EXIT_OK
+        entries = capsys.readouterr().out.split()[0]
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == EXIT_OK
+        assert capsys.readouterr().out == f"removed {entries} entries from {cache}\n"
+        assert os.listdir(cache) == ["notes.json"]
+        assert (cache / "notes.json").read_text() == '{"note": "keep me"}'
 
     @pytest.mark.parametrize("action", ["stats", "clear"])
     def test_missing_dir_usage_error_and_not_created(self, tmp_path, capsys, action):

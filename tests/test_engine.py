@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from slisum.engine import (
     EngineError,
-    FixtureRecorder,
+    EngineParams,
     HttpEngine,
     MockEngine,
     make_engine,
     parse_classification_response,
+    recording_transport,
     render,
     render_partition,
     replay_transport,
@@ -130,7 +131,6 @@ class TestHttpEngine:
         sleeps = []
         engine = HttpEngine(
             base_url="http://example.invalid",
-            model="test-model",
             api_key="k",
             transport=transport,
             sleep=sleeps.append,
@@ -146,7 +146,7 @@ class TestHttpEngine:
     def test_success_returns_trimmed_content(self):
         transport = ScriptedTransport([(200, ok_body("  a summary  "))])
         engine, _ = self.engine(transport)
-        assert engine.summarize("text") == "a summary"
+        assert engine.summarize("text", EngineParams(model="test-model")) == "a summary"
         payload = transport.calls[0]
         assert payload["model"] == "test-model"
         assert [m["role"] for m in payload["messages"]] == ["system", "user"]
@@ -249,7 +249,7 @@ class TestHttpEngine:
         with CallScheduler(1) as scheduler:
             cached, _ = self.cached(transport, scheduler)
             with pytest.raises(EngineError) as info:
-                cached.summarize("text")
+                cached.summarize("text", EngineParams(model="test-model"))
         req_id = "02a11501cb8c"
         assert req_id == request_hash(transport.calls[0])[:12]
         assert str(info.value) == f"request {req_id}: non-retryable status 400"
@@ -270,6 +270,23 @@ class TestHttpEngine:
         assert not info.value.retryable
         assert sleeps == []
 
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"{bad"], ids=["deep", "not-json"])
+    def test_unparsable_reply_over_http_is_malformed(self, monkeypatch, content):
+        """A 200 reply whose body does not parse, including one nested deeper
+        than the JSON parser recurses, is a non-retryable malformed body."""
+        import requests
+
+        def post(url, **kwargs):
+            reply = requests.Response()
+            reply.status_code, reply._content, reply.encoding = 200, content, "utf-8"
+            return reply
+
+        monkeypatch.setattr(requests, "post", post)
+        engine = HttpEngine(base_url="http://example.invalid", api_key="k")
+        with pytest.raises(EngineError, match="malformed response body") as info:
+            engine.summarize("text")
+        assert not info.value.retryable
+
     def test_classify_parses_partition(self):
         raw = "Category 1: 2\nCategory 2: 1, 4\nCategory 3: 3, 5"
         transport = ScriptedTransport([(200, ok_body(raw))])
@@ -277,7 +294,8 @@ class TestHttpEngine:
         statements = ["d1", "d2", "d3", "d4", "d5"]
         with CallScheduler(1) as scheduler:
             cached = CachedEngine(engine, None, scheduler)
-            assert cached.classify(statements) == [[2], [1, 4], [3, 5]]
+            reply = cached.classify(statements)
+        assert parse_classification_response(reply, 5) == [[2], [1, 4], [3, 5]]
         assert transport.calls[0]["messages"][1]["content"] == render("classify", statements)
 
     def test_temperature_defaults_per_task(self):
@@ -299,8 +317,8 @@ class TestFixtureReplay:
             (200, ok_body("recorded connective text")),
         ])
         recording = HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k",
-            transport=live, recorder=FixtureRecorder(fixture),
+            base_url="http://example.invalid", api_key="k",
+            transport=recording_transport(live, fixture),
         )
         first = recording.summarize("window text")
         joined = recording.connect(["A.", "B."])
@@ -310,18 +328,31 @@ class TestFixtureReplay:
         assert {"request_hash", "request", "response", "timestamp"} <= set(entries[0])
 
         replaying = HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k",
+            base_url="http://example.invalid", api_key="k",
             transport=replay_transport(fixture),
         )
         assert replaying.summarize("window text") == first == "recorded summary"
         assert replaying.connect(["A.", "B."]) == joined
 
+    def test_recorded_reply_the_engine_rejects_is_still_an_engine_error(self, tmp_path):
+        """Recording writes a 200 reply whose content holds a lone surrogate
+        and whose text is not ASCII; the engine then rejects it as
+        malformed, and replay serves the same reply."""
+        fixture = tmp_path / "exchanges.jsonl"
+        live = ScriptedTransport([(200, ok_body("Caf\u00e9 \ud800 reply."))])
+        recording = HttpEngine(transport=recording_transport(live, fixture))
+        with pytest.raises(EngineError, match="malformed response body"):
+            recording.summarize("window text")
+        replaying = HttpEngine(transport=replay_transport(fixture))
+        with pytest.raises(EngineError, match="malformed response body"):
+            replaying.summarize("window text")
+
     def test_replay_misses_unknown_request(self, tmp_path):
         fixture = tmp_path / "empty.jsonl"
         fixture.write_text("")
         engine = HttpEngine(
-            base_url="http://example.invalid", model="m", api_key="k",
-            transport=replay_transport(fixture), max_attempts=1,
+            base_url="http://example.invalid", api_key="k",
+            transport=replay_transport(fixture),
         )
         with pytest.raises(EngineError):
             engine.summarize("unseen")
@@ -329,12 +360,16 @@ class TestFixtureReplay:
 
 def test_make_engine(monkeypatch):
     assert isinstance(make_engine("mock"), MockEngine)
-    assert isinstance(make_engine("http", base_url="http://x", model="m"), HttpEngine)
-    monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+    monkeypatch.setenv("SLISUM_BASE_URL", "http://x")
+    assert isinstance(make_engine("http"), HttpEngine)
     for url in (None, "localhost:8000", "ftp://x"):
+        if url is None:
+            monkeypatch.delenv("SLISUM_BASE_URL")
+        else:
+            monkeypatch.setenv("SLISUM_BASE_URL", url)
         with pytest.raises(ConfigurationError, match="SLISUM_BASE_URL"):
-            make_engine("http", base_url=url)
-    assert isinstance(make_engine("http", transport=ScriptedTransport([])), HttpEngine)
+            make_engine("http")
+    assert isinstance(HttpEngine(transport=ScriptedTransport([])), HttpEngine)
     with pytest.raises(ValueError):
         make_engine("nope")
 

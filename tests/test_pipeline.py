@@ -547,6 +547,44 @@ class TestRun:
         assert warm_engine.draws == 0
         assert warm.to_json() == cold.to_json()
 
+    @pytest.mark.parametrize("model", [None, "m"])
+    def test_payload_model_is_the_model_the_key_hashes(self, tmp_path, monkeypatch, model):
+        """With SLISUM_MODEL set, a library run over HTTP sends
+        PipelineConfig.model, null when unset: the model its cache keys hash
+        and its record names."""
+        import requests
+
+        monkeypatch.setenv("SLISUM_MODEL", "env-model")
+        monkeypatch.setenv("SLISUM_BASE_URL", "http://example.invalid")
+        tasks = {instruction: task for task, instruction in INSTRUCTIONS.items()}
+        sent = []
+
+        def post(url, **kwargs):
+            payload = kwargs["json"]
+            sent.append(payload)
+            reply = requests.Response()
+            reply.status_code, reply.encoding = 200, "utf-8"
+            reply._content = json.dumps(
+                {"choices": [{"message": {"content": payload["messages"][1]["content"]}}]}
+            ).encode("utf-8")
+            return reply
+
+        monkeypatch.setattr(requests, "post", post)
+        article = Article.from_text("tiny", "Solar panels cut energy costs. Wind turbines spin.")
+        config = PipelineConfig(backend="http", model=model, concurrency=1,
+                                cache_dir=str(tmp_path / "cache"))
+        record = run(article, config)
+        assert record.status == "complete" and record.config["model"] == model
+        assert sent and {payload["model"] for payload in sent} == {model}
+        expected = {
+            ResponseCache.key(tasks[p["messages"][0]["content"]], p["messages"][1]["content"],
+                              EngineParams(model=p["model"], max_tokens=p["max_tokens"]),
+                              sample)
+            for p in sent for sample in range(1, record.config["k"] + 1)
+        }
+        stored = {line.split("\t", 1)[0] for line in log_lines(tmp_path / "cache")}
+        assert len(stored) == len(sent) and stored <= expected
+
     def test_repetitions_send_consecutive_seeds(self):
         seeds = []
 
@@ -556,7 +594,7 @@ class TestRun:
             return 200, {"choices": [{"message": {"content": "Solar panels cut costs."}}]}
 
         article = Article.from_text("tiny", "Solar panels cut energy costs. Wind turbines spin.")
-        engine = HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+        engine = HttpEngine(base_url="http://example.invalid", api_key="k",
                             transport=transport)
         record = run(article, PipelineConfig(concurrency=1, seed=7), engine=engine)
         assert seeds == [7, 8, 9]
@@ -565,7 +603,7 @@ class TestRun:
     def test_in_flight_bounded_by_concurrency(self, planted):
         def record_at(concurrency):
             transport = PeakTransport()
-            engine = HttpEngine(base_url="http://example.invalid", model="m", api_key="k",
+            engine = HttpEngine(base_url="http://example.invalid", api_key="k",
                                 transport=transport)
             record = run(planted, PipelineConfig(concurrency=concurrency),
                          engine=engine)

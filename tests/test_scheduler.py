@@ -89,7 +89,7 @@ def test_backoff_leaves_the_slot_to_another_call():
     def sleep(seconds):
         waits.append(other_done.wait(timeout=5))
 
-    engine = HttpEngine(model="m", transport=transport, sleep=sleep)
+    engine = HttpEngine(transport=transport, sleep=sleep)
     with CallScheduler(1) as scheduler:
         cached = CachedEngine(engine, None, scheduler)
         first = scheduler.submit(cached.summarize, "First window.")

@@ -12,6 +12,7 @@ from slisum.text import (
     _OPENERS,
     Article,
     ConfigurationError,
+    _step_segments,
     build_window_plan,
     k_ratio,
     segment_sentences,
@@ -141,6 +142,44 @@ class TestSegmentationMatchesScan:
     def test_same_sentences_as_the_scan(self, raw):
         got = [(s.text, s.word_count, s.char_span) for s in segment_sentences(raw)]
         assert got == scanning_segment(raw)
+
+
+def looped_ranges(segments: list[tuple[int, int]], k: int, n: int) -> list[tuple[int, int, int]]:
+    """The earlier window plan, built by three loops over the step segments,
+    as (start, end, repetitions) triples."""
+    t = len(segments)
+    ranges = []
+    if t <= k:
+        ranges.append((1, n, k))
+    else:
+        for j in range(1, k):  # truncated prefixes, shortest first
+            ranges.append((1, segments[j - 1][1], 1))
+        for i in range(t - k + 1):  # base windows: K consecutive segments
+            ranges.append((segments[i][0], segments[i + k - 1][1], 1))
+        for j in range(k - 1, 0, -1):  # truncated suffixes, longest first
+            ranges.append((segments[t - j][0], n, 1))
+    return ranges
+
+
+def article_of(word_counts: list[int]) -> Article:
+    """An article of one sentence per count, each of that many words."""
+    return Article.from_text("drawn", " ".join(
+        " ".join([f"S{i}w0"] + [f"s{i}w{j}" for j in range(1, count)]) + "."
+        for i, count in enumerate(word_counts, 1)))
+
+
+class TestWindowPlanMatchesLoops:
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=60),
+           st.integers(1, 80), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_same_windows_as_the_loops(self, word_counts, step_size, k):
+        article = article_of(word_counts)
+        assert [s.word_count for s in article.sentences] == word_counts
+        plan = build_window_plan(article, k * step_size, step_size)
+        expected = looped_ranges(_step_segments(article.sentences, step_size), k,
+                                 len(word_counts))
+        assert [(w.start_sentence, w.end_sentence, w.repetitions)
+                for w in plan.windows] == expected
 
 
 class TestKRatio:
