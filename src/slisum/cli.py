@@ -23,6 +23,7 @@ from .evalkit import (
     score,
 )
 from .pipeline import (
+    LOG_NAME,
     PipelineConfig,
     ResponseCache,
     indented_json,
@@ -61,7 +62,7 @@ def build_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         import yaml  # only here: importing it is a large share of start-up
 
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:  # PyYAML reports bytes that are not text
             try:
                 loaded = yaml.safe_load(fh) or {}
             except yaml.YAMLError as exc:
@@ -118,7 +119,8 @@ def cmd_summarize(args) -> int:
         return EXIT_USAGE
 
     records_dir = os.path.join(args.output, "records")
-    for directory, role in ((args.output, "output"), (config.cache_dir, "cache")):
+    for directory, role in ((args.output, "output"), (records_dir, "records"),
+                            (config.cache_dir, "cache")):
         if role == "cache" and not directory:  # a run without a cache
             continue
         if args.dry_run:  # writes nothing, but a bad path is still a usage error
@@ -131,6 +133,8 @@ def cmd_summarize(args) -> int:
             except OSError as exc:
                 _warn(f"cannot create {role} directory {directory}: {exc.strerror}")
                 return EXIT_USAGE
+    if config.cache_dir and not _cache_log_is_a_file(config.cache_dir):
+        return EXIT_USAGE
 
     bodies, partial = _load_pairs(args.input, ("article",))
     articles: list[Article] = []
@@ -143,10 +147,6 @@ def cmd_summarize(args) -> int:
 
     if not articles:
         _warn("no valid articles in input")
-        if not args.dry_run:
-            with open(os.path.join(args.output, "summaries.jsonl"), "w", encoding="utf-8"):
-                pass
-        return EXIT_PARTIAL if partial else EXIT_OK
 
     if args.dry_run:
         for article in articles:
@@ -165,8 +165,12 @@ def cmd_summarize(args) -> int:
         return EXIT_PARTIAL if partial else EXIT_OK
 
     summaries_path = os.path.join(args.output, "summaries.jsonl")
-    with CallScheduler(config.concurrency) as scheduler, \
-            open(summaries_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(summaries_path, "w", encoding="utf-8")
+    except OSError as exc:
+        _warn(f"cannot write {summaries_path}: {exc.strerror}")
+        return EXIT_USAGE
+    with fh, CallScheduler(config.concurrency) as scheduler:
         # Up to concurrency + 1 articles have their generations submitted while
         # the oldest of them is finished here, so outputs come in input order.
         started: deque = deque()
@@ -334,9 +338,21 @@ def cmd_analyze(args) -> int:
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
+def _cache_log_is_a_file(cache_dir) -> bool:
+    """False, after one warning, if the cache log in `cache_dir` exists but
+    is not a regular file (say, a directory)."""
+    path = os.path.join(cache_dir, LOG_NAME)
+    if os.path.exists(path) and not os.path.isfile(path):
+        _warn(f"not a file: {path}")
+        return False
+    return True
+
+
 def cmd_cache(args) -> int:
     if not os.path.isdir(args.cache_dir):
         _warn(f"not a directory: {args.cache_dir}")
+        return EXIT_USAGE
+    if not _cache_log_is_a_file(args.cache_dir):
         return EXIT_USAGE
     cache = ResponseCache(args.cache_dir)
     if args.action == "clear":

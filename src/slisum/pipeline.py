@@ -6,7 +6,6 @@ engine backend.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -138,7 +137,8 @@ class ResponseCache:
     appended lines lazily. Each complete line is checked once, when it is
     indexed: an unreadable one, including one whose text holds a lone
     surrogate, gets one warning and is never indexed, so every indexed key can
-    be served.
+    be served. `get` draws each missing key once per cache, however many
+    callers ask for it at the same moment.
     """
 
     def __init__(self, directory: str):
@@ -148,6 +148,7 @@ class ResponseCache:
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_to = 0  # every complete line before this offset is indexed
         self._lock = threading.Lock()
+        self._flights: dict[str, threading.Lock] = {}  # held by the caller fetching the key
 
     @staticmethod
     def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
@@ -160,6 +161,33 @@ class ResponseCache:
             ensure_ascii=False,
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+    def get(self, key: str, task: str, fetch: Callable[[], str]) -> tuple[str, bool]:
+        """(text, hit): the text of the key's first readable line and True,
+        or else fetch()'s text, stored under the key, and False. One caller
+        per key at a time does this, holding the key's flight lock
+        (single-flight, as in Go's golang.org/x/sync/singleflight). A caller
+        arriving meanwhile waits for the flight, then takes its own turn: it
+        finds the stored line, a hit, or, if the fetch raised, fetches the
+        key itself."""
+        while True:
+            with self._lock:
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Lock()
+                    flight.acquire()
+                    break
+            with flight:  # wait for the caller flying the key
+                pass
+        try:
+            entry = self.lookup(key)
+            if entry is not None:
+                return entry["text"], True
+            return self.store(key, {"text": fetch(), "task": task}), False
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.release()
 
     def lookup(self, key: str) -> dict | None:
         """The entry of the key's first readable line, or None."""
@@ -257,11 +285,12 @@ class CachedEngine:
     the reply text, as a backend's do.
 
     Each attempt at a backend call holds one of the scheduler's call slots,
-    and the backoff between attempts holds none. Concurrent calls for one
-    cache key share a single backend call. `calls` gets one (task,
-    cache_hit) entry per call, where a shared call counts as a hit; dispatch
-    threads append to it concurrently, which a list append tolerates.
-    `retries` counts the attempts made after a retryable failure.
+    and the backoff between attempts holds none. With a cache, concurrent
+    calls for one key share a single backend call through `ResponseCache.get`.
+    Without one, every call goes to the backend. `calls` gets one (task,
+    cache_hit) entry per call, where a call served by another's fetch counts
+    as a hit; dispatch threads append to it concurrently, which a list append
+    tolerates. `retries` counts the attempts made after a retryable failure.
     """
 
     def __init__(self, engine: SummaryEngine, cache: ResponseCache | None,
@@ -276,24 +305,13 @@ class CachedEngine:
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
         params = params or EngineParams()
-        body = render(task, items)
         if self.cache is None:
             text, hit = self._fetch(task, items, params), False
         else:
-            key = ResponseCache.key(task, body, params, sample)
-            fetch = functools.partial(self._lookup_or_fetch, key, task, items, params)
-            (text, hit), shared = self.scheduler.single_flight(key, fetch)
-            hit = hit or shared
+            key = ResponseCache.key(task, render(task, items), params, sample)
+            text, hit = self.cache.get(key, task, lambda: self._fetch(task, items, params))
         self.calls.append((task, hit))
         return text
-
-    def _lookup_or_fetch(self, key: str, task: str, items: str | list[str],
-                         params: EngineParams) -> tuple[str, bool]:
-        entry = self.cache.lookup(key)
-        if entry is not None:
-            return entry["text"], True
-        text = self._fetch(task, items, params)
-        return self.cache.store(key, {"text": text, "task": task}), False
 
     def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
         """The backend's answer, in up to the engine's `max_attempts`

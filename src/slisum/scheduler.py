@@ -6,11 +6,9 @@ in flight in the process, however many articles are started; a cache hit and
 a backoff between attempts take none. It runs `concurrency + 1` dispatch
 threads, one more than the slots, so while one call waits out a backoff
 another queued call can take the slot it left.
-Concurrent requests for one cache key share the first one's call
-(single-flight, as in Go's golang.org/x/sync/singleflight), so a key is drawn
-from the backend once even when two articles or two windows ask for it at the
-same moment. The scheduler also holds the run's open response caches, one
-per cache directory, so all its articles share one log index.
+The scheduler also holds the run's open response caches, one per cache
+directory, so all its articles share one log index and one set of in-flight
+keys.
 """
 from __future__ import annotations
 
@@ -24,8 +22,8 @@ if TYPE_CHECKING:
 
 
 class CallScheduler:
-    """Call slots, single-flight, dispatch threads and response caches shared
-    by every article of a run.
+    """Call slots, dispatch threads and response caches shared by every
+    article of a run.
 
     Use it as a context manager: leaving it waits for the dispatch threads.
     """
@@ -35,8 +33,6 @@ class CallScheduler:
         self.slots = threading.BoundedSemaphore(self.concurrency)  # held per attempt
         self._dispatch = ThreadPoolExecutor(self.concurrency + 1,
                                             thread_name_prefix="slisum-call")
-        self._flights: dict[str, Future] = {}
-        self._flights_lock = threading.Lock()
         self.caches: dict[str, ResponseCache] = {}  # by cache directory, set by pipeline.start
 
     def __enter__(self) -> "CallScheduler":
@@ -48,31 +44,3 @@ class CallScheduler:
     def submit(self, fn: Callable, *args, **kwargs) -> Future:
         """Run fn on one of the `concurrency + 1` dispatch threads, in FIFO order."""
         return self._dispatch.submit(fn, *args, **kwargs)
-
-    def single_flight(self, key: str, fn: Callable[[], object]) -> tuple[object, bool]:
-        """(fn(), False) for the first caller of `key`. A caller arriving
-        while that call runs waits for it and gets (its result, True); if it
-        raised, the waiting caller starts over and may run fn itself, so one
-        caller's failed call does not fail the others. Once the call returns,
-        the next caller runs fn again, so fn must make its result findable (a
-        cache store) before returning."""
-        while True:
-            with self._flights_lock:
-                flight = self._flights.get(key)
-                leader = flight is None
-                if leader:
-                    flight = self._flights[key] = Future()
-            if leader:
-                break
-            if flight.exception() is None:
-                return flight.result(), True
-        try:
-            result = fn()
-        except BaseException as exc:
-            flight.set_exception(exc)
-            raise
-        finally:
-            with self._flights_lock:
-                del self._flights[key]
-        flight.set_result(result)
-        return result, False

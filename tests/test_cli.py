@@ -584,6 +584,50 @@ class TestSummarize:
         assert cache.read_text() == "not a directory"
         assert out.exists() != dry_run
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_cache_log_that_is_a_directory_exits_one(self, corpus, tmp_path, monkeypatch,
+                                                     capsys, dry_run):
+        """A cache log that is not a file is a usage error, found before any
+        backend call: one line, no traceback."""
+        monkeypatch.setattr("slisum.pipeline.make_engine", self.unused_engine)
+        log = tmp_path / "cache" / "responses.jsonl"
+        log.mkdir(parents=True)
+        argv = ["summarize", str(corpus), "-o", str(tmp_path / "out"),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + ["--dry-run"] * dry_run) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"slisum: not a file: {log}\n")
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_records_path_that_is_a_file_exits_one(self, corpus, tmp_path, monkeypatch,
+                                                   capsys, dry_run):
+        """An -o directory whose records path is a file is a usage error,
+        found before any backend call; a dry run only checks it."""
+        monkeypatch.setattr("slisum.pipeline.make_engine", self.unused_engine)
+        records = tmp_path / "out" / "records"
+        records.parent.mkdir()
+        records.write_text("keep")
+        argv = ["summarize", str(corpus), "-o", str(records.parent)]
+        assert main(argv + ["--dry-run"] * dry_run) == EXIT_USAGE
+        expected = (f"not a directory: {records}" if dry_run
+                    else f"cannot create records directory {records}: File exists")
+        assert capsys.readouterr() == ("", f"slisum: {expected}\n")
+        assert os.listdir(records.parent) == ["records"]
+        assert records.read_text() == "keep"
+
+    def test_summaries_path_that_is_a_directory_exits_one(self, corpus, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr("slisum.pipeline.make_engine", self.unused_engine)
+        summaries = tmp_path / "out" / "summaries.jsonl"
+        summaries.mkdir(parents=True)
+        assert main(["summarize", str(corpus), "-o", str(summaries.parent)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"slisum: cannot write {summaries}: Is a directory\n")
+        assert os.listdir(summaries.parent / "records") == []
+
+    @staticmethod
+    def unused_engine(backend):
+        raise AssertionError("a run that fails its up-front checks makes no engine")
+
     def test_cache_line_with_lone_surrogate_is_skipped(self, corpus, tmp_path, capsys,
                                                        caplog):
         """A cache log line whose text holds a lone surrogate escape (written
@@ -731,11 +775,11 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["eps: [\n", "eps: 0.2\n\tseed: 1\n", "eps: 0.2: 1\n",
-                                      "eps: 0.2\x00\n"],
-                             ids=["unclosed", "tab", "nested", "nul"])
+                                      "eps: 0.2\x00\n", b"eps: 0.2\xff\xfe\n"],
+                             ids=["unclosed", "tab", "nested", "nul", "not-utf8"])
     def test_invalid_yaml_exits_one(self, corpus, tmp_path, capsys, text):
         config = tmp_path / "config.yaml"
-        config.write_text(text)
+        config.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         out = tmp_path / "out"
         code = main(["summarize", str(corpus), "-o", str(out), "--config", str(config)])
         err = capsys.readouterr().err
@@ -1074,6 +1118,14 @@ class TestCache:
         assert main(["cache", action, "--cache-dir", str(missing)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"slisum: not a directory: {missing}\n"
         assert not missing.exists()
+
+    @pytest.mark.parametrize("action", ["stats", "clear"])
+    def test_log_that_is_a_directory_exits_one(self, tmp_path, capsys, action):
+        log = tmp_path / "cache" / "responses.jsonl"
+        log.mkdir(parents=True)
+        assert main(["cache", action, "--cache-dir", str(log.parent)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"slisum: not a file: {log}\n")
+        assert log.is_dir()
 
     def test_one_cache_per_run(self, corpus, tmp_path, monkeypatch):
         """All articles of a summarize run share one open cache, and a second

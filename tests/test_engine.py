@@ -298,6 +298,23 @@ class TestHttpEngine:
         assert parse_classification_response(reply, 5) == [[2], [1, 4], [3, 5]]
         assert transport.calls[0]["messages"][1]["content"] == render("classify", statements)
 
+    def test_uncached_call_renders_once(self, monkeypatch):
+        """Without a cache the prompt body is needed only for the request, so
+        a summarize through CachedEngine renders it once."""
+        rendered = []
+
+        def counting_render(task, items):
+            rendered.append(task)
+            return render(task, items)
+
+        monkeypatch.setattr("slisum.engine.render", counting_render)
+        monkeypatch.setattr("slisum.pipeline.render", counting_render)
+        transport = ScriptedTransport([(200, ok_body("a summary"))])
+        engine, _ = self.engine(transport)
+        with CallScheduler(1) as scheduler:
+            assert CachedEngine(engine, None, scheduler).summarize("text") == "a summary"
+        assert rendered == ["summarize"]
+
     def test_temperature_defaults_per_task(self):
         transport = ScriptedTransport([
             (200, ok_body("s")), (200, ok_body("Category 1: 1")), (200, ok_body("c")),

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -52,9 +53,11 @@ def test_shared_calls_and_slots_under_contention(tmp_path):
     assert sum(not hit for _, hit in cached.calls) == len(texts)
 
 
-def test_caller_waiting_on_a_failed_call_runs_its_own():
-    """A caller that joined a shared call which raised does not inherit the
-    error: it calls again itself."""
+def test_caller_waiting_on_a_failed_call_runs_its_own(tmp_path):
+    """A caller that waited on a fetch which raised does not inherit the
+    error: it fetches the key itself."""
+    cache = ResponseCache(str(tmp_path))
+    key = ResponseCache.key("summarize", "One window.", EngineParams())
     started = threading.Event()
 
     def failing():
@@ -62,13 +65,93 @@ def test_caller_waiting_on_a_failed_call_runs_its_own():
         time.sleep(0.05)
         raise ValueError("backend down")
 
-    with CallScheduler(2) as scheduler, ThreadPoolExecutor(max_workers=2) as pool:
-        first = pool.submit(scheduler.single_flight, "key", failing)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(cache.get, key, "summarize", failing)
         assert started.wait(timeout=10)
-        second = pool.submit(scheduler.single_flight, "key", lambda: "own answer")
+        second = pool.submit(cache.get, key, "summarize", lambda: "own answer")
         with pytest.raises(ValueError, match="backend down"):
             first.result(timeout=10)
         assert second.result(timeout=10) == ("own answer", False)
+    assert cache.lookup(key) == {"text": "own answer", "task": "summarize"}
+
+
+def test_caches_on_one_scheduler_draw_a_key_each(tmp_path):
+    """Two caches with their own directories on one scheduler, asked for one
+    key at the same moment: each draws it and stores it in its own log, and
+    neither call counts as a hit."""
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+
+    class GatedEngine(MockEngine):
+        def summarize(self, window_text, params=None):
+            entered.release()
+            assert release.wait(timeout=10)
+            return window_text
+
+    params = EngineParams(model="m")
+    with CallScheduler(2) as scheduler:
+        engines = [CachedEngine(GatedEngine(), ResponseCache(str(tmp_path / name)), scheduler)
+                   for name in ("a", "b")]
+        first = scheduler.submit(engines[0].summarize, "One window.", params)
+        assert entered.acquire(timeout=10)
+        second = scheduler.submit(engines[1].summarize, "One window.", params)
+        both_in_flight = entered.acquire(timeout=2)
+        release.set()
+        assert [first.result(timeout=10), second.result(timeout=10)] == ["One window."] * 2
+    assert both_in_flight
+    assert [cached.calls for cached in engines] == [[("summarize", False)]] * 2
+    key = ResponseCache.key("summarize", "One window.", params)
+    for name in ("a", "b"):
+        with open(tmp_path / name / "responses.jsonl", encoding="utf-8") as fh:
+            assert [line.split("\t")[0] for line in fh] == [key]
+
+
+def test_failed_first_fetches_leave_one_answer_per_key(tmp_path):
+    """Many callers ask for a few keys at once, and the first fetch of each
+    key raises: every caller that does not raise gets the text of the key's
+    first stored line, and a later call for each key is a hit."""
+    cache = ResponseCache(str(tmp_path))
+    keys = [ResponseCache.key("summarize", f"Window {i}.", EngineParams()) for i in range(4)]
+    lock = threading.Lock()
+    fetches = dict.fromkeys(keys, 0)
+
+    def fetch_of(key):
+        def fetch():
+            with lock:
+                fetches[key] += 1
+                draw = fetches[key]
+            time.sleep(0.002)
+            if draw == 1:
+                raise ValueError("first draw fails")
+            return f"{key[:8]} draw {draw}"
+        return fetch
+
+    asks = [keys[i % len(keys)] for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(cache.get, key, "summarize", fetch_of(key)) for key in asks]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(future.result(timeout=60))
+                except ValueError:
+                    outcomes.append(None)
+    finally:
+        sys.setswitchinterval(interval)
+    first_lines = {}
+    with open(tmp_path / "responses.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            key, entry = line.split("\t")
+            first_lines.setdefault(key, json.loads(entry)["text"])
+    assert outcomes.count(None) == len(keys)
+    assert all(outcome in {None, (first_lines[key], True), (first_lines[key], False)}
+               for key, outcome in zip(asks, outcomes))
+    assert sum(outcome is not None and not outcome[1] for outcome in outcomes) == len(keys)
+    for key in keys:
+        assert cache.get(key, "summarize", fetch_of(key)) == (first_lines[key], True)
+    assert fetches == dict.fromkeys(keys, 2)
 
 
 def test_backoff_leaves_the_slot_to_another_call():
