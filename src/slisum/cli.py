@@ -170,6 +170,7 @@ def cmd_summarize(args) -> int:
     except OSError as exc:
         _warn(f"cannot write {summaries_path}: {exc.strerror}")
         return EXIT_USAGE
+    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     with fh, CallScheduler(config.concurrency) as scheduler:
         # Up to concurrency + 1 articles have their generations submitted while
         # the oldest of them is finished here, so outputs come in input order.
@@ -177,27 +178,30 @@ def cmd_summarize(args) -> int:
         last = len(articles) - 1
         for index, article in enumerate(articles):
             try:
-                started.append((article, start(article, config, None, records_dir, scheduler)))
+                started.append(start(article, config, None, cache, scheduler))
             except ConfigurationError as exc:
                 _warn(f"article {article.id!r} failed: {exc}")
                 partial = True
             while started and (len(started) > scheduler.concurrency or index == last):
-                oldest, finish = started.popleft()
+                record, finish = started.popleft()
                 try:
-                    result = finish()
+                    finish()
                 except EngineError as exc:
-                    _warn(f"article {oldest.id!r} failed: {exc}")
+                    _warn(f"article {record.article_id!r} failed: {exc}")
                     partial = True
+                persist_record(record, records_dir)
+                if record.status != "complete":
                     continue
-                persist_record(result, records_dir)
+                # After its record, and flushed: a line on disk implies its record.
                 fh.write(json.dumps(
-                    {"id": oldest.id, "summary": result.final["connected_text"]},
+                    {"id": record.article_id, "summary": record.final["connected_text"]},
                     ensure_ascii=False, sort_keys=True,
                 ) + "\n")
+                fh.flush()
                 _warn(
-                    f"{oldest.id}: backend_calls={result.stats.backend_calls} "
-                    f"cache_hits={result.stats.cache_hits} retries={result.stats.retries} "
-                    f"elapsed={result.stats.elapsed_s:.2f}s"
+                    f"{record.article_id}: backend_calls={record.stats.backend_calls} "
+                    f"cache_hits={record.stats.cache_hits} retries={record.stats.retries} "
+                    f"elapsed={record.stats.elapsed_s:.2f}s"
                 )
     return EXIT_PARTIAL if partial else EXIT_OK
 

@@ -16,6 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .lexical import TokenBag, rouge1_f1, tokenize
 from .text import ConfigurationError, segment_sentences
@@ -244,8 +245,8 @@ class HttpEngine(SummaryEngine):
     seconds (Brooker, "Exponential Backoff and Jitter", 2015), drawn from
     `rng` and waited out with `sleep`.
     Without a transport, the base URL (SLISUM_BASE_URL by default) must be an
-    http:// or https:// URL, or construction raises ConfigurationError. The
-    API key defaults to SLISUM_API_KEY.
+    http:// or https:// URL that names a host, or construction raises
+    ConfigurationError. The API key defaults to SLISUM_API_KEY.
     """
 
     max_attempts = 5
@@ -262,9 +263,9 @@ class HttpEngine(SummaryEngine):
         rng: random.Random | None = None,
     ):
         self.base_url = (base_url or os.environ.get("SLISUM_BASE_URL", "")).rstrip("/")
-        if transport is None and not self.base_url.startswith(("http://", "https://")):
+        if transport is None and not _is_http_url(self.base_url):
             raise ConfigurationError(
-                f"the http backend needs an http:// or https:// base URL "
+                f"the http backend needs an http:// or https:// base URL with a host "
                 f"(set SLISUM_BASE_URL), got {self.base_url!r}")
         self.api_key = api_key if api_key is not None else os.environ.get("SLISUM_API_KEY")
         self.path = path
@@ -352,6 +353,17 @@ class HttpEngine(SummaryEngine):
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
         return self._chat("connect", statements, params)
+
+
+def _is_http_url(url: str) -> bool:
+    """Whether `url` starts with http:// or https:// and names a host, with
+    a port, if any, that is a number in range."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # ValueError if not a number in [0, 65535]
+    except ValueError:  # that, or an unbalanced IPv6 bracket
+        return False
+    return url.startswith(("http://", "https://")) and bool(parts.hostname)
 
 
 def make_engine(backend: str) -> SummaryEngine:

@@ -449,44 +449,42 @@ def run(
     article: Article,
     config: PipelineConfig,
     engine: SummaryEngine | None = None,
-    record_dir: str | None = None,
     scheduler: CallScheduler | None = None,
 ) -> RunRecord:
-    """Execute the full pipeline for one article: `start(...)()`, with a
+    """Execute the full pipeline for one article and return its record,
+    with a response cache in `config.cache_dir` when that is set and a
     scheduler of the configured concurrency when none is given."""
+    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     if scheduler is None:
         with CallScheduler(config.concurrency) as scheduler:
-            return start(article, config, engine, record_dir, scheduler)()
-    return start(article, config, engine, record_dir, scheduler)()
+            return start(article, config, engine, cache, scheduler)[1]()
+    return start(article, config, engine, cache, scheduler)[1]()
 
 
 def start(
     article: Article,
     config: PipelineConfig,
     engine: SummaryEngine | None,
-    record_dir: str | None,
+    cache: ResponseCache | None,
     scheduler: CallScheduler,
-) -> Callable[[], RunRecord]:
+) -> tuple[RunRecord, Callable[[], RunRecord]]:
     """Resolve the settings, plan the windows and submit the article's window
-    generations to the scheduler's dispatch threads; return `finish`.
+    generations to the scheduler's dispatch threads; return the article's
+    record, `aborted` until `finish` completes it, and `finish`.
 
     `finish()` waits for the generations and runs the rest on the calling
     thread: statement split, clustering, filtering, voting (with its classify
     calls), arranging and connecting. generation_seq numbering follows
     deterministic plan order, so concurrency never changes the result. On an
-    engine failure `finish` cancels the generations not yet started, persists
-    the partial record (when record_dir is given) and re-raises the error.
-    Settings out of range raise ConfigurationError here, before any call.
+    engine failure `finish` cancels the generations not yet started, flags
+    the record and re-raises the error. Neither writes a file, apart from the
+    cache's log. Settings out of range raise ConfigurationError here, before
+    any call.
     """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
     if engine is None:
         engine = make_engine(resolved.backend)
-    cache = None
-    if resolved.cache_dir:  # one cache per directory for all of the scheduler's articles
-        cache = scheduler.caches.get(resolved.cache_dir)
-        if cache is None:
-            cache = scheduler.caches[resolved.cache_dir] = ResponseCache(resolved.cache_dir)
     cached = CachedEngine(engine, cache, scheduler)
     plan = build_window_plan(article, resolved.window_size, resolved.step_size)
 
@@ -536,14 +534,12 @@ def start(
             for future in futures:
                 future.cancel()
             record.flags.append("aborted: engine error")
-            if record_dir:
-                persist_record(record, record_dir)
             raise
         finally:
             record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started,
                                                cached.retries)
 
-    return finish
+    return record, finish
 
 
 def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
@@ -683,7 +679,6 @@ def record_filename(article_id: str) -> str:
 
 
 def persist_record(record: RunRecord, directory: str) -> str:
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, record_filename(record.article_id))
     _write_atomic(path, record.to_json() + "\n")
     return path

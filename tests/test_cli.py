@@ -167,13 +167,17 @@ class TestSummarize:
         assert records["short"] == "short.json"
         assert records[long_id].startswith("x" * 200) and len(records[long_id]) < 255
 
+    @pytest.mark.parametrize("base_url", [None, "http://:80"], ids=["unset", "no-host"])
     def test_http_backend_without_base_url_fails_each_article_at_once(
-            self, corpus, tmp_path, monkeypatch, capsys):
-        """With SLISUM_BASE_URL unset, --backend http fails every article
-        before any call or backoff sleep: exit 2, each warning naming the
-        variable."""
+            self, corpus, tmp_path, monkeypatch, capsys, base_url):
+        """With SLISUM_BASE_URL unset, or naming no host, --backend http fails
+        every article before any call or backoff sleep: exit 2, each warning
+        naming the variable."""
         sleeps = []
-        monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+        if base_url is None:
+            monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+        else:
+            monkeypatch.setenv("SLISUM_BASE_URL", base_url)
         monkeypatch.setattr("slisum.pipeline.make_engine",
                             lambda backend: HttpEngine(sleep=sleeps.append))
         out = tmp_path / "out"
@@ -488,6 +492,31 @@ class TestSummarize:
             trees.append(read_bytes_tree(out))
         assert len(trees[0]) == len(texts) + 1
         assert trees[0] == trees[1]
+
+    def test_summary_line_flushed_after_its_record(self, tmp_path, monkeypatch):
+        """Each summary line reaches the file, after its record, before later
+        articles run: while the third article is summarized at --concurrency 1,
+        the first article's line and record are on disk."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": f"a{a}", "article": f"Topic{a} birds sing at dawn. "
+                             f"Topic{a} cats nap at noon. Topic{a} dogs run at dusk."}
+                            for a in range(4)])
+        out = tmp_path / "out"
+        seen = []
+
+        class PeekingEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                if "Topic2" in window_text:
+                    lines = (out / "summaries.jsonl").read_text().splitlines()
+                    seen.append(([json.loads(line)["id"] for line in lines],
+                                 (out / "records" / "a0.json").exists()))
+                return super().summarize(window_text, params)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine",
+                            lambda backend, **kwargs: PeekingEngine())
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "1"]) == EXIT_OK
+        assert seen
+        assert all(ids[:1] == ["a0"] and record for ids, record in seen)
 
     def test_dry_run_prints_plan(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1137,7 +1166,7 @@ class TestCache:
                 super().__init__(directory)
                 opened.append(directory)
 
-        monkeypatch.setattr("slisum.pipeline.ResponseCache", CountedCache)
+        monkeypatch.setattr("slisum.cli.ResponseCache", CountedCache)
         cache = str(tmp_path / "cache")
         for out in ("cold", "warm"):
             assert main(["summarize", str(corpus), "-o", str(tmp_path / out),

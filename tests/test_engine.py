@@ -379,7 +379,8 @@ def test_make_engine(monkeypatch):
     assert isinstance(make_engine("mock"), MockEngine)
     monkeypatch.setenv("SLISUM_BASE_URL", "http://x")
     assert isinstance(make_engine("http"), HttpEngine)
-    for url in (None, "localhost:8000", "ftp://x"):
+    for url in (None, "localhost:8000", "ftp://x", "http://:80", "http:///api", "https://?q",
+                "http://x:abc"):
         if url is None:
             monkeypatch.delenv("SLISUM_BASE_URL")
         else:

@@ -34,6 +34,7 @@ from slisum.pipeline import (
     persist_record,
     record_filename,
     run,
+    start,
 )
 from slisum.scheduler import CallScheduler
 from slisum.text import Article, ConfigurationError, Window, build_window_plan, window_text
@@ -616,9 +617,9 @@ class TestRun:
             assert parallel == serial
         assert peak > 1
 
-    def test_partial_record_persisted_on_engine_error(self, planted, tmp_path):
-        """The failed article's record is kept as aborted, and its generations
-        not yet started are cancelled."""
+    def test_partial_record_aborted_on_engine_error(self, planted):
+        """On an engine error `finish` re-raises, the article's record stays
+        aborted and flagged, and its generations not yet started are cancelled."""
         class FailingEngine(MockEngine):
             def __init__(self):
                 self.calls = 0
@@ -630,20 +631,17 @@ class TestRun:
                     raise EngineError("backend down")
                 return super().summarize(window_text, params)
 
-        record_dir = str(tmp_path / "records")
         engine = FailingEngine()
         with CallScheduler(1) as scheduler:
+            record, finish = start(planted, PipelineConfig(concurrency=1), engine, None,
+                                   scheduler)
+            assert record.status == "aborted"
             with pytest.raises(EngineError):
-                run(planted, PipelineConfig(concurrency=1), engine=engine,
-                    record_dir=record_dir, scheduler=scheduler)
+                finish()
             scheduler.submit(lambda: None).result(timeout=10)  # after every call not cancelled
         assert engine.calls < build_window_plan(planted, 150, 50).total_generations
-        files = os.listdir(record_dir)
-        assert files == ["planted.json"]
-        with open(os.path.join(record_dir, files[0])) as fh:
-            partial = json.load(fh)
-        assert partial["status"] == "aborted"
-        assert "aborted: engine error" in partial["flags"]
+        assert record.status == "aborted"
+        assert "aborted: engine error" in record.flags
 
     def test_breakeven_report_fields(self, planted):
         record = run(planted, PipelineConfig(concurrency=1))

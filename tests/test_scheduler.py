@@ -183,3 +183,25 @@ def test_backoff_leaves_the_slot_to_another_call():
         assert second.result(timeout=30) == "Second window."
     assert waits == [True]
     assert cached.retries == 1
+
+
+def test_leaving_cancels_queued_calls_and_waits_for_running_ones():
+    """Leaving a CallScheduler cancels the calls still queued and returns
+    only once the running ones have."""
+    running = threading.Semaphore(0)
+    release = threading.Event()
+
+    def blocked():
+        running.release()
+        release.wait(timeout=10)
+        return "done"
+
+    timer = threading.Timer(0.05, release.set)
+    with CallScheduler(1) as scheduler:
+        active = [scheduler.submit(blocked) for _ in range(2)]
+        assert running.acquire(timeout=10) and running.acquire(timeout=10)
+        queued = [scheduler.submit(blocked) for _ in range(3)]
+        timer.start()
+    timer.join()
+    assert [future.cancelled() for future in queued] == [True] * 3
+    assert [future.result(timeout=0) for future in active] == ["done"] * 2
