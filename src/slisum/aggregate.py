@@ -4,7 +4,6 @@ integration with a semantic-preservation guardrail."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .cluster import Statement
 from .engine import EngineError, EngineParams, SummaryEngine
@@ -18,19 +17,13 @@ log = logging.getLogger(__name__)
 PRESERVATION_RECALL = 0.8
 
 
-@dataclass
-class VoteOutcome:
-    cluster_id: int
-    partition: list[list[int]]
-    winner_category: list[int]
-    winner_statement: Statement
-    rationale: str  # unique-majority | cross-category-tie | within-category-latest
-
-
-def vote(cluster: list[Statement], partition: list[list[int]], cluster_id: int = 0) -> VoteOutcome:
-    """Pick the largest semantic category; break category ties toward the one
-    holding the latest-generated statement, and inside the winning category
-    pick the latest-generated statement."""
+def vote(cluster: list[Statement], partition: list[list[int]]) -> dict:
+    """The record's vote on one cluster: pick the largest semantic category,
+    break category ties toward the one holding the latest-generated
+    statement, and inside the winning category pick the latest-generated
+    statement. Returns `{partition, winner_category, winner_seq, rationale}`,
+    where `winner_seq` is the winner's generation_seq and the rationale is
+    unique-majority, cross-category-tie or within-category-latest."""
     indices = sorted(i for group in partition for i in group)
     if indices != list(range(1, len(cluster) + 1)):
         raise ValueError(f"partition {partition} is not a partition of 1..{len(cluster)}")
@@ -41,7 +34,6 @@ def vote(cluster: list[Statement], partition: list[list[int]], cluster_id: int =
     top_size = max(len(g) for g in partition)
     tied = [g for g in partition if len(g) == top_size]
     winner_category = max(tied, key=latest_seq)
-    winner = max((cluster[i - 1] for i in winner_category), key=lambda s: s.generation_seq)
 
     if len(tied) > 1:
         rationale = "cross-category-tie"
@@ -49,13 +41,12 @@ def vote(cluster: list[Statement], partition: list[list[int]], cluster_id: int =
         rationale = "within-category-latest"
     else:
         rationale = "unique-majority"
-    return VoteOutcome(
-        cluster_id=cluster_id,
-        partition=partition,
-        winner_category=winner_category,
-        winner_statement=winner,
-        rationale=rationale,
-    )
+    return {
+        "partition": partition,
+        "winner_category": winner_category,
+        "winner_seq": latest_seq(winner_category),
+        "rationale": rationale,
+    }
 
 
 def _best_matches(bags: list[TokenBag], targets: list[TokenBag]) -> list[int]:

@@ -189,7 +189,13 @@ def cmd_summarize(args) -> int:
                 except EngineError as exc:
                     _warn(f"article {record.article_id!r} failed: {exc}")
                     partial = True
-                persist_record(record, records_dir)
+                try:
+                    persist_record(record, records_dir)
+                except OSError as exc:
+                    _warn(f"article {record.article_id!r}: cannot write its record "
+                          f"({exc.strerror or exc})")
+                    partial = True
+                    continue
                 if record.status != "complete":
                     continue
                 # After its record, and flushed: a line on disk implies its record.
@@ -210,9 +216,10 @@ def _load_pairs(path, value_fields):
     """id -> text of the first line with that id whose JSON parses and has a
     string text (the first of `value_fields` present), in file order, and
     whether any non-blank line was skipped: one that is not UTF-8, not such a
-    JSON object, holds an id or text that cannot be written as UTF-8 (a lone
-    surrogate escape such as "\\ud800"), or repeats an id. A line ends at a
-    newline byte."""
+    JSON object, has an id that is neither a string nor an integer (an
+    integer id is kept as its decimal string), holds an id or text that
+    cannot be written as UTF-8 (a lone surrogate escape such as "\\ud800"),
+    or repeats an id. A line ends at a newline byte."""
     pairs = {}
     skipped = False
     with open(path, "rb") as fh:
@@ -222,7 +229,10 @@ def _load_pairs(path, value_fields):
                 if not line.strip():
                     continue
                 obj = json_loads(line)
-                key = str(obj["id"])
+                key = obj["id"]
+                if isinstance(key, bool) or not isinstance(key, (str, int)):
+                    raise TypeError("id is not a string or an integer")
+                key = str(key)
                 value = next(obj[f] for f in value_fields if f in obj)
                 if not isinstance(value, str):
                     raise TypeError("text is not a string")

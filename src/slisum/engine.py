@@ -246,7 +246,9 @@ class HttpEngine(SummaryEngine):
     `rng` and waited out with `sleep`.
     Without a transport, the base URL (SLISUM_BASE_URL by default) must be an
     http:// or https:// URL that names a host, or construction raises
-    ConfigurationError. The API key defaults to SLISUM_API_KEY.
+    ConfigurationError. The API key defaults to SLISUM_API_KEY; one that
+    cannot go in an HTTP header (not Latin-1, or holding a CR or LF) raises
+    ConfigurationError too, without echoing the key.
     """
 
     max_attempts = 5
@@ -268,6 +270,10 @@ class HttpEngine(SummaryEngine):
                 f"the http backend needs an http:// or https:// base URL with a host "
                 f"(set SLISUM_BASE_URL), got {self.base_url!r}")
         self.api_key = api_key if api_key is not None else os.environ.get("SLISUM_API_KEY")
+        if any(c in "\r\n" or ord(c) > 0xFF for c in self.api_key or ""):
+            raise ConfigurationError(
+                "the http backend's API key (SLISUM_API_KEY) must be Latin-1 text "
+                "without line breaks")
         self.path = path
         self.timeout = timeout
         self.backoff_base = backoff_base

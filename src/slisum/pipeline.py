@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .aggregate import VoteOutcome, arrange, integrate, vote
+from .aggregate import arrange, integrate, vote
 from .cluster import (
     ClusterSet,
     Statement,
@@ -148,7 +148,7 @@ class ResponseCache:
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_to = 0  # every complete line before this offset is indexed
         self._lock = threading.Lock()
-        self._flights: dict[str, threading.Lock] = {}  # held by the caller fetching the key
+        self._turns: dict[str, threading.Lock] = {}  # key -> the lock its callers take turns on
 
     @staticmethod
     def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
@@ -164,30 +164,19 @@ class ResponseCache:
 
     def get(self, key: str, task: str, fetch: Callable[[], str]) -> tuple[str, bool]:
         """(text, hit): the text of the key's first readable line and True,
-        or else fetch()'s text, stored under the key, and False. One caller
-        per key at a time does this, holding the key's flight lock
-        (single-flight, as in Go's golang.org/x/sync/singleflight). A caller
-        arriving meanwhile waits for the flight, then takes its own turn: it
-        finds the stored line, a hit, or, if the fetch raised, fetches the
-        key itself."""
-        while True:
-            with self._lock:
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = self._flights[key] = threading.Lock()
-                    flight.acquire()
-                    break
-            with flight:  # wait for the caller flying the key
-                pass
-        try:
+        or else fetch()'s text, stored under the key, and False. Callers take
+        turns on the key's lock to do this (single-flight, as in Go's
+        golang.org/x/sync/singleflight): a caller that waited finds the
+        stored line, a hit, or, if the fetch raised, fetches the key itself.
+        A key's lock is made on its first call and kept for the cache's
+        life."""
+        with self._lock:
+            turn = self._turns.setdefault(key, threading.Lock())
+        with turn:
             entry = self.lookup(key)
             if entry is not None:
                 return entry["text"], True
             return self.store(key, {"text": fetch(), "task": task}), False
-        finally:
-            with self._lock:
-                del self._flights[key]
-            flight.release()
 
     def lookup(self, key: str) -> dict | None:
         """The entry of the key's first readable line, or None."""
@@ -604,7 +593,7 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
             }
         )
 
-    outcomes: list[VoteOutcome] = []
+    votes = []  # assigned after the loop, so an aborted record keeps none
     for cid, members in enumerate(retained, 1):
         normalized = {lexicon[s.text][1] for s in members}
         if len(normalized) == 1:
@@ -612,22 +601,14 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         else:
             reply = cached.classify([s.text for s in members], params)
             partition = parse_classification_response(reply, len(members))
-        outcomes.append(vote(members, partition, cluster_id=cid))
-    record.votes = [
-        {
-            "cluster_id": o.cluster_id,
-            "partition": o.partition,
-            "winner_category": o.winner_category,
-            "winner_seq": o.winner_statement.generation_seq,
-            "rationale": o.rationale,
-        }
-        for o in outcomes
-    ]
+        votes.append({"cluster_id": cid, **vote(members, partition)})
+    record.votes = votes
 
-    winner_cluster = {o.winner_statement.generation_seq: o.cluster_id for o in outcomes}
+    by_seq = {s.generation_seq: s for s in statements}
+    winner_cluster = {v["winner_seq"]: v["cluster_id"] for v in votes}
     arranged, connected, fallback = [], "", False
-    if outcomes:
-        arranged = arrange([o.winner_statement for o in outcomes], article, bag_of)
+    if votes:
+        arranged = arrange([by_seq[seq] for seq in winner_cluster], article, bag_of)
         connected, fallback = integrate([s for s, _ in arranged], cached, params, bag_of)
     else:
         record.flags.append("no cluster survived MinPts")

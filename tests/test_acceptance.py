@@ -164,7 +164,7 @@ def test_hausdorff_matches_double_loop():
 def test_vote_worked_example():
     cluster = make_statements(["d one", "d two", "d three", "d four", "d five"])
     outcome = vote(cluster, [[2], [1, 4], [3, 5]])
-    report("vote-worked-example", outcome.winner_statement.generation_seq == 5)
+    report("vote-worked-example", outcome["winner_seq"] == 5)
 
 
 def test_planted_events_deterministic_run():

@@ -28,28 +28,28 @@ class TestVote:
     def test_paper_worked_example(self):
         cluster = five_statements()
         outcome = vote(cluster, [[2], [1, 4], [3, 5]])
-        assert outcome.winner_statement.generation_seq == 5
-        assert outcome.winner_category == [3, 5]
-        assert outcome.rationale == "cross-category-tie"
+        assert outcome["winner_seq"] == 5
+        assert outcome["winner_category"] == [3, 5]
+        assert outcome["rationale"] == "cross-category-tie"
 
     def test_single_category_latest_wins(self):
         cluster = make_statements(["a", "b"])
         outcome = vote(cluster, [[1, 2]])
-        assert outcome.winner_statement.generation_seq == 2
-        assert outcome.rationale == "within-category-latest"
+        assert outcome["winner_seq"] == 2
+        assert outcome["rationale"] == "within-category-latest"
 
     def test_cross_category_tie(self):
         cluster = make_statements(["d1", "d2", "d3", "d4"])
         outcome = vote(cluster, [[1, 2], [3, 4]])
-        assert outcome.winner_category == [3, 4]
-        assert outcome.winner_statement.generation_seq == 4
-        assert outcome.rationale == "cross-category-tie"
+        assert outcome["winner_category"] == [3, 4]
+        assert outcome["winner_seq"] == 4
+        assert outcome["rationale"] == "cross-category-tie"
 
     def test_unique_majority(self):
         cluster = make_statements(["d1", "d2", "d3"])
         outcome = vote(cluster, [[1, 2], [3]])
-        assert outcome.winner_category == [1, 2]
-        assert outcome.winner_statement.generation_seq == 2
+        assert outcome["winner_category"] == [1, 2]
+        assert outcome["winner_seq"] == 2
 
     def test_invalid_partition_rejected(self):
         cluster = make_statements(["a", "b"])
@@ -64,15 +64,15 @@ class TestVote:
         cluster = five_statements()
         a = vote(cluster, [[2], [1, 4], [3, 5]])
         b = vote(cluster, [[3, 5], [2], [1, 4]])
-        assert a.winner_statement is b.winner_statement
+        assert a["winner_seq"] == b["winner_seq"]
 
     def test_duplicating_winner_keeps_category(self):
         cluster = make_statements(["d1", "d2", "d3", "d4", "d4 copy"])
         base = vote(cluster[:4], [[1], [2, 3, 4]])
         grown = vote(cluster, [[1], [2, 3, 4, 5]])
-        assert base.winner_category == [2, 3, 4]
-        assert grown.winner_category == [2, 3, 4, 5]
-        assert grown.winner_statement.generation_seq == 5
+        assert base["winner_category"] == [2, 3, 4]
+        assert grown["winner_category"] == [2, 3, 4, 5]
+        assert grown["winner_seq"] == 5
 
 
 ARTICLE = Article.from_text(

@@ -113,6 +113,44 @@ class TestSummarize:
         assert [line["id"] for line in lines] == ["good"]
         assert os.listdir(out / "records") == ["good.json"]
 
+    @pytest.mark.parametrize("bad_id", [None, True, False, 1.5, [1, 2], {"n": 1}],
+                             ids=["null", "true", "false", "float", "array", "object"])
+    def test_id_neither_string_nor_integer_skipped(self, tmp_path, capsys, bad_id):
+        """An id is a string or an integer, kept as its decimal string: a line
+        with any other id is skipped as malformed (exit 2), and the valid
+        article still gets its record and summary line."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": bad_id, "article": "Fine text here. More text there."},
+                            {"id": 7, "article": "Birds sing at dawn. Cats nap."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        assert f"{path}:1: skipping malformed record" in capsys.readouterr().err
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["7"]
+        assert os.listdir(out / "records") == ["7.json"]
+
+    def test_record_that_cannot_be_written_fails_only_its_article(self, tmp_path, capsys):
+        """A record path that is a directory fails its article with one
+        warning naming it and the reason, and gives it no summary line (exit
+        2); the next article still gets its record and line."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [
+            {"id": "solar", "article": "Solar panels cut energy costs. Solar panels cut "
+                                       "energy bills. Wind farms grow fast."},
+            {"id": "birds", "article": "Birds sing at dawn. Birds sing at sunrise. "
+                                       "Cats nap at noon."},
+        ])
+        out = tmp_path / "out"
+        (out / "records" / "solar.json").mkdir(parents=True)
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "slisum: article 'solar': cannot write its record (Is a directory)"
+        assert len(err) == 2 and err[1].startswith("slisum: birds: backend_calls=")
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["birds"]
+        assert sorted(os.listdir(out / "records")) == ["birds.json", "solar.json"]
+        assert os.listdir(out / "records" / "solar.json") == []
+
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -167,25 +205,32 @@ class TestSummarize:
         assert records["short"] == "short.json"
         assert records[long_id].startswith("x" * 200) and len(records[long_id]) < 255
 
-    @pytest.mark.parametrize("base_url", [None, "http://:80"], ids=["unset", "no-host"])
+    @pytest.mark.parametrize("base_url, api_key, variable", [
+        (None, None, "SLISUM_BASE_URL"),
+        ("http://:80", None, "SLISUM_BASE_URL"),
+        ("http://127.0.0.1:9", "sk-secret\nx", "SLISUM_API_KEY"),
+    ], ids=["unset", "no-host", "bad-key"])
     def test_http_backend_without_base_url_fails_each_article_at_once(
-            self, corpus, tmp_path, monkeypatch, capsys, base_url):
-        """With SLISUM_BASE_URL unset, or naming no host, --backend http fails
-        every article before any call or backoff sleep: exit 2, each warning
-        naming the variable."""
+            self, corpus, tmp_path, monkeypatch, capsys, base_url, api_key, variable):
+        """With SLISUM_BASE_URL unset or naming no host, or an SLISUM_API_KEY
+        that cannot go in an HTTP header, --backend http fails every article
+        before any call or backoff sleep: exit 2, each warning naming the
+        variable and none echoing the key."""
         sleeps = []
-        if base_url is None:
-            monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
-        else:
-            monkeypatch.setenv("SLISUM_BASE_URL", base_url)
+        for name, value in (("SLISUM_BASE_URL", base_url), ("SLISUM_API_KEY", api_key)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
         monkeypatch.setattr("slisum.pipeline.make_engine",
                             lambda backend: HttpEngine(sleep=sleeps.append))
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), "--backend", "http"]) == EXIT_PARTIAL
-        err = capsys.readouterr().err.splitlines()
+        err = capsys.readouterr().err
+        assert "secret" not in err
+        err = err.splitlines()
         assert len(err) == 3
-        assert all(line.startswith("slisum: article '") and "SLISUM_BASE_URL" in line
-                   for line in err)
+        assert all(line.startswith("slisum: article '") and variable in line for line in err)
         assert sleeps == []
         assert (out / "summaries.jsonl").read_text() == ""
 
@@ -902,10 +947,15 @@ class TestEvaluate:
         *(pytest.param(name, {"id": "b", field: value}, id=f"{name}-{type(value).__name__}")
           for name, field in (("summaries", "summary"), ("references", "reference"))
           for value in (7, None, ["a", "dog"], {"text": "a dog ran"})),
+        *(pytest.param(name, {"id": value, field: "a dog ran"},
+                       id=f"{name}-id-{type(value).__name__}")
+          for name, field in (("summaries", "summary"), ("references", "reference"))
+          for value in (None, True, 1.5, ["b"])),
     ])
     def test_malformed_line_exits_partial(self, tmp_path, capsys, malformed, bad_line):
-        """A line that is not JSON, or whose text is not a string, is skipped
-        with a warning, and the other file's line with its id goes unmatched."""
+        """A line that is not JSON, whose id is neither a string nor an
+        integer, or whose text is not a string, is skipped with a warning, and
+        the other file's line with its id goes unmatched."""
         rows = {
             "summaries": [{"id": "a", "summary": "the cat sat"},
                           {"id": "b", "summary": "a dog ran"}],

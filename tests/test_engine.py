@@ -379,6 +379,13 @@ def test_make_engine(monkeypatch):
     assert isinstance(make_engine("mock"), MockEngine)
     monkeypatch.setenv("SLISUM_BASE_URL", "http://x")
     assert isinstance(make_engine("http"), HttpEngine)
+    for key in ("ключ", "sk-secret\nx", "sk-secret\r"):  # cannot go in an HTTP header
+        monkeypatch.setenv("SLISUM_API_KEY", key)
+        with pytest.raises(ConfigurationError, match="SLISUM_API_KEY") as info:
+            make_engine("http")
+        assert "secret" not in str(info.value) and key not in str(info.value)
+    monkeypatch.setenv("SLISUM_API_KEY", "clé")  # Latin-1 goes in a header
+    assert make_engine("http").api_key == "clé"
     for url in (None, "localhost:8000", "ftp://x", "http://:80", "http:///api", "https://?q",
                 "http://x:abc"):
         if url is None:

@@ -643,6 +643,36 @@ class TestRun:
         assert record.status == "aborted"
         assert "aborted: engine error" in record.flags
 
+    def test_aborted_record_keeps_no_votes(self):
+        """A classify call that raises partway through the votes leaves the
+        aborted record's clusters filled and its votes empty."""
+        class SecondClassifyFails(MockEngine):
+            def __init__(self):
+                self.draws = self.classifies = 0
+
+            def summarize(self, window_text, params=None):
+                self.draws += 1
+                return ("Cats nap at noon. Dogs bark at night." if self.draws % 2 else
+                        "Cats nap at noon today. Dogs bark at night loudly.")
+
+            def classify(self, statements, params=None):
+                self.classifies += 1
+                if self.classifies == 2:
+                    raise EngineError("backend down")
+                return super().classify(statements, params)
+
+        article = Article.from_text("pets", "Cats nap at noon. Dogs bark at night.")
+        engine = SecondClassifyFails()
+        with CallScheduler(1) as scheduler:
+            record, finish = start(article, PipelineConfig(concurrency=1), engine, None,
+                                   scheduler)
+            with pytest.raises(EngineError):
+                finish()
+        assert engine.classifies == 2
+        assert len(record.clusters) == 2
+        assert record.votes == []
+        assert record.status == "aborted"
+
     def test_breakeven_report_fields(self, planted):
         record = run(planted, PipelineConfig(concurrency=1))
         plan = record.plan
