@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .lexical import TokenBag, rouge1_f1, tokenize
 from .text import ConfigurationError, segment_sentences
@@ -92,6 +92,19 @@ def render(task: str, items: str | list[str]) -> str:
     raise ValueError(f"unknown task {task!r}")
 
 
+def request(task: str, items: str | list[str], params: EngineParams | None = None) -> dict:
+    """The chat-completions payload of one call, and its only description:
+    HttpEngine sends it, and the response cache's key hashes it."""
+    params = params or EngineParams()
+    payload = {"model": params.model,
+               "messages": [{"role": "system", "content": INSTRUCTIONS[task]},
+                            {"role": "user", "content": render(task, items)}],
+               "temperature": TEMPERATURES[task], "max_tokens": params.max_tokens}
+    if params.seed is not None:
+        payload["seed"] = params.seed
+    return payload
+
+
 def render_partition(partition: list[list[int]]) -> str:
     """Canonical wire form of a partition, one 'Category k: ...' line per group."""
     return "\n".join(
@@ -100,11 +113,15 @@ def render_partition(partition: list[list[int]]) -> str:
     )
 
 
-_CATEGORY_LINE = re.compile(r"^\s*category\s+\d+\s*[:.]?\s*(.*)$", re.IGNORECASE)
+_CATEGORY_LINE = re.compile(
+    r"^\s*(?:[-*•]|\d+[.)]|#+)?\s*[*_]*category\s+\d+\s*[*_]*\s*[:.]?[*_]*\s*(.*)$",
+    re.IGNORECASE)
 
 
 def parse_classification_response(raw: str, n: int) -> list[list[int]]:
-    """Parse 'Category k: i, j, ...' lines into a partition of {1..n}.
+    """Parse 'Category k: i, j, ...' lines into a partition of {1..n}; a line
+    may open with one list marker ('-', '*', '•', '1.', '1)') or '#' heading
+    and wrap 'Category k:' in markdown emphasis ('**Category 1:** 1, 3').
 
     Out-of-range indices are dropped, duplicates keep their first assignment,
     and never-mentioned indices become trailing singleton categories; the
@@ -142,9 +159,12 @@ class SummaryEngine:
     Each call makes one attempt. A backend whose attempts can fail with a
     retryable EngineError sets `max_attempts` above 1 and defines
     `backoff(attempt, error)`, which waits before the next attempt.
+    `identity` names the backend in cache keys: calls with one identity,
+    request and sample number share an answer.
     """
 
     max_attempts = 1
+    identity: str
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
         raise NotImplementedError
@@ -158,6 +178,8 @@ class SummaryEngine:
 
 class MockEngine(SummaryEngine):
     """Deterministic extractive backend: pure function of its inputs."""
+
+    identity = "mock"
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
         sentences = [s.text for s in segment_sentences(window_text)]
@@ -236,10 +258,12 @@ def replay_transport(path):
 class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
-    Each call makes one attempt and sends `params.model`, the model the
-    response cache's key hashes. A transport error, a 429 or a 5xx raises a
-    retryable EngineError; any other status, a malformed body or an empty
-    reply raises a non-retryable one. The retry policy stays here:
+    Each call makes one attempt and sends `request(task, items, params)`, the
+    payload the response cache's key hashes with `identity`: the scheme,
+    host[:port] and path the requests go to, without the URL's userinfo or
+    the API key. A transport error, a 429 or a 5xx raises a retryable
+    EngineError; any other status, a malformed body or an empty reply raises
+    a non-retryable one. The retry policy stays here:
     `CachedEngine` makes up to `max_attempts` attempts, and `backoff` waits a
     full-jitter delay, uniform in [0, backoff_base * 2**(attempt - 1)]
     seconds (Brooker, "Exponential Backoff and Jitter", 2015), drawn from
@@ -296,20 +320,18 @@ class HttpEngine(SummaryEngine):
             body = {"raw": resp.text}
         return resp.status_code, body
 
-    def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
-        params = params or EngineParams()
-        payload = {
-            "model": params.model,
-            "messages": [
-                {"role": "system", "content": INSTRUCTIONS[task]},
-                {"role": "user", "content": render(task, items)},
-            ],
-            "temperature": TEMPERATURES[task],
-            "max_tokens": params.max_tokens,
-        }
-        if params.seed is not None:
-            payload["seed"] = params.seed
+    @property
+    def identity(self) -> str:
+        """scheme://host[:port]/path the requests go to: no userinfo, query or fragment."""
+        url = self.base_url + self.path
+        try:
+            parts = urlsplit(url)
+        except ValueError:  # an unbalanced IPv6 bracket, accepted with a transport only
+            return url.rpartition("@")[2]
+        return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
 
+    def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
+        payload = request(task, items, params)
         try:
             status, body = self._transport(payload, self.timeout)
         except OSError as exc:  # covers requests transport exceptions

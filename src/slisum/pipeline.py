@@ -27,14 +27,14 @@ from .cluster import (
     local_summary_count,
 )
 from .engine import (
-    TEMPERATURES,
     EngineError,
     EngineParams,
     SummaryEngine,
     json_loads,
     make_engine,
     parse_classification_response,
-    render,
+    request,
+    request_hash,
 )
 from .lexical import TokenBag, tokenize
 from .scheduler import CallScheduler
@@ -57,7 +57,6 @@ LONG_GEOMETRY = (750, 150)  # K=5
 DEFAULT_EPS = 0.25
 BREAKEVEN_FACTOR = 1.36
 LOG_NAME = "responses.jsonl"  # the response cache's log, in its directory
-_PARAM_FIELDS = tuple(f.name for f in fields(EngineParams))
 _KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
 _LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
 _encode_str = json.encoder.encode_basestring  # a str as JSON, non-ASCII kept
@@ -128,8 +127,8 @@ class ResponseCache:
     """Content-addressed cache of engine responses: one append-only log per
     directory (as in Bitcask) and an in-memory index of its keys.
 
-    Keys hash the task, the prompt body, every field of the EngineParams with
-    the task's temperature, and the sample number. `responses.jsonl` holds one
+    Keys are opaque to the cache; `CachedEngine` hashes the backend's
+    identity, the whole request and the sample number. `responses.jsonl` holds one
     line per stored entry, `<key>\\t<entry as JSON>`, written by one append;
     the first readable line for a key is its entry, so every process sharing
     the directory on a local filesystem serves the same answer. The index maps
@@ -149,18 +148,6 @@ class ResponseCache:
         self._indexed_to = 0  # every complete line before this offset is indexed
         self._lock = threading.Lock()
         self._turns: dict[str, threading.Lock] = {}  # key -> the lock its callers take turns on
-
-    @staticmethod
-    def key(task: str, prompt_body: str, params: EngineParams, sample: int = 1) -> str:
-        material = json.dumps(
-            {"task": task, "prompt_body": prompt_body,
-             "params": ({f: getattr(params, f) for f in _PARAM_FIELDS}
-                        | {"temperature": TEMPERATURES[task]}),
-             "sample": sample},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get(self, key: str, task: str, fetch: Callable[[], str]) -> tuple[str, bool]:
         """(text, hit): the text of the key's first readable line and True,
@@ -293,11 +280,11 @@ class CachedEngine:
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
-        params = params or EngineParams()
         if self.cache is None:
             text, hit = self._fetch(task, items, params), False
         else:
-            key = ResponseCache.key(task, render(task, items), params, sample)
+            key = request_hash({"backend": self.engine.identity,
+                                "request": request(task, items, params), "sample": sample})
             text, hit = self.cache.get(key, task, lambda: self._fetch(task, items, params))
         self.calls.append((task, hit))
         return text
@@ -371,15 +358,16 @@ class RunStats:
 @dataclass
 class RunRecord:
     article_id: str
-    status: str  # complete | aborted
     config: dict
     plan: dict
-    local_summaries: list[dict]
-    clusters: list[dict]
-    noise: list[dict]
-    votes: list[dict]
-    final: dict
-    flags: list[str]
+    status: str = "aborted"  # until finish() completes it
+    local_summaries: list[dict] = field(default_factory=list)
+    clusters: list[dict] = field(default_factory=list)
+    noise: list[dict] = field(default_factory=list)
+    votes: list[dict] = field(default_factory=list)
+    final: dict = field(default_factory=lambda: {
+        "statements": [], "connected_text": "", "fallback": False})
+    flags: list[str] = field(default_factory=list)
     stats: RunStats = field(default_factory=RunStats)
 
     def to_dict(self) -> dict:
@@ -434,20 +422,14 @@ def _statement_dict(stmt: Statement) -> dict:
     }
 
 
-def run(
-    article: Article,
-    config: PipelineConfig,
-    engine: SummaryEngine | None = None,
-    scheduler: CallScheduler | None = None,
-) -> RunRecord:
+def run(article: Article, config: PipelineConfig,
+        engine: SummaryEngine | None = None) -> RunRecord:
     """Execute the full pipeline for one article and return its record,
     with a response cache in `config.cache_dir` when that is set and a
-    scheduler of the configured concurrency when none is given."""
+    scheduler of the configured concurrency."""
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    if scheduler is None:
-        with CallScheduler(config.concurrency) as scheduler:
-            return start(article, config, engine, cache, scheduler)[1]()
-    return start(article, config, engine, cache, scheduler)[1]()
+    with CallScheduler(config.concurrency) as scheduler:
+        return start(article, config, engine, cache, scheduler)[1]()
 
 
 def start(
@@ -490,7 +472,6 @@ def start(
 
     record = RunRecord(
         article_id=article.id,
-        status="aborted",
         config={**content_config, "k": resolved.k},
         plan={
             "k_ratio": plan.k_ratio,
@@ -501,12 +482,6 @@ def start(
             "breakeven_input_words": BREAKEVEN_FACTOR * plan.k_ratio * plan.window_size,
             "windows": [{f: getattr(w, f) for f in _WINDOW_FIELDS} for w in plan.windows],
         },
-        local_summaries=[],
-        clusters=[],
-        noise=[],
-        votes=[],
-        final={"statements": [], "connected_text": "", "fallback": False},
-        flags=[],
     )
     futures = [
         scheduler.submit(cached.summarize, window_text(article, window), params, sample=rep)

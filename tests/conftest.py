@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from slisum.cluster import Statement
-from slisum.engine import INSTRUCTIONS, MockEngine, request_hash
+from slisum.engine import INSTRUCTIONS, MockEngine, request, request_hash
 from slisum.text import Article, segment_sentences
 
 STRIP = string.punctuation + "‘’“”–—…"
@@ -210,6 +210,13 @@ _EVENT_POSITIONS = {
     12: EVENT_B, 15: EVENT_B, 18: EVENT_B,
     22: EVENT_C, 25: EVENT_C, 28: EVENT_C,
 }
+
+
+def cache_key(task, items, params=None, sample=1, backend="mock"):
+    """The response cache's key of a call: the backend's identity, the
+    request and the sample number, hashed as CachedEngine hashes them."""
+    return request_hash({"backend": backend, "request": request(task, items, params),
+                         "sample": sample})
 
 
 def _noise_sentence(i: int) -> str:

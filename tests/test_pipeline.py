@@ -22,7 +22,7 @@ from slisum.engine import (
     EngineParams,
     HttpEngine,
     MockEngine,
-    render,
+    request_hash,
 )
 from slisum.pipeline import (
     LOG_NAME,
@@ -43,6 +43,7 @@ from conftest import (
     PLANTED_EVENTS,
     PeakTransport,
     SamplingEngine,
+    cache_key,
     planted_article,
     random_article,
     zipf_texts,
@@ -146,7 +147,7 @@ class TestResponseCache:
 
     def test_hit_after_store(self, tmp_path):
         cache = ResponseCache(str(tmp_path))
-        key = ResponseCache.key("summarize", "body", self.params())
+        key = cache_key("summarize", "body", self.params())
         assert cache.lookup(key) is None
         cache.store(key, {"text": "cached"})
         assert cache.lookup(key)["text"] == "cached"
@@ -154,28 +155,29 @@ class TestResponseCache:
     def test_key_includes_params(self):
         params = EngineParams(model="m")
         keys = {
-            ResponseCache.key("summarize", "body", params),
-            ResponseCache.key("classify", "body", params),
-            ResponseCache.key("summarize", "other body", params),
-            ResponseCache.key("summarize", "body", EngineParams(model="n")),
-            ResponseCache.key("summarize", "body", EngineParams(model="m", max_tokens=64)),
-            ResponseCache.key("summarize", "body", EngineParams(model="m", seed=7)),
-            ResponseCache.key("summarize", "body", params, sample=2),
+            cache_key("summarize", "body", params),
+            cache_key("classify", ["body"], params),
+            cache_key("summarize", "other body", params),
+            cache_key("summarize", "body", EngineParams(model="n")),
+            cache_key("summarize", "body", EngineParams(model="m", max_tokens=64)),
+            cache_key("summarize", "body", EngineParams(model="m", seed=7)),
+            cache_key("summarize", "body", params, sample=2),
+            cache_key("summarize", "body", params, backend="http://h/v1/chat/completions"),
         }
-        assert len(keys) == 7
+        assert len(keys) == 8
 
     @pytest.mark.parametrize("task, args, kwargs, key", [
         ("summarize", ("One fine sentence.",), {"sample": 2},
-         "f0012ec47c53451b17528b40cb1746b6e8a477dcf58ff9b86d1d011ca2058eb9"),
+         "5f331448701c8b1d2a7b3e9e1f3b92f418991a9ad8daf692cc78482edc27ad00"),
         ("classify", (["A cat sat.", "A dog ran."],), {},
-         "f61ceaa33039a68f4cbe864c636c064e6c6bb0bdeb5dbbf201f302d7caad030c"),
+         "6bbe2265a39771bf051b6d380c57bd3cd7ad7009a333f5e9caa78a280d6e2573"),
         ("connect", (["A cat sat.", "A dog ran."],), {},
-         "44fd14220167dc194a3dc3596f1e0f973224cd0e6df19f2b3432f635a5e52790"),
-    ])
+         "3bb340ca65a7ff5eebec236fd03c7c5cf5f00c11179cb3419dde3bd838a283c6"),
+    ], ids=["summarize", "classify", "connect"])
     def test_cache_file_names_are_pinned(self, tmp_path, task, args, kwargs, key):
-        """A call's cache key hashes its task, prompt body, parameters, the
-        task's temperature and its sample number. Any change to that material
-        turns every warm cache cold, so one key per task is pinned."""
+        """A call's cache key hashes the backend's identity, the request it
+        sends and its sample number. Any change to that material turns every
+        warm cache cold, so one key per task is pinned."""
         params = EngineParams(model="m", max_tokens=64, seed=3)
         with CallScheduler(1) as scheduler:
             cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
@@ -187,8 +189,8 @@ class TestResponseCache:
         """A line whose key or entry does not parse is skipped with a warning
         and its key misses; a later store of that key is served, here and by
         a fresh cache on the same directory."""
-        key = ResponseCache.key("summarize", "body", self.params())
-        other = ResponseCache.key("summarize", "other", self.params())
+        key = cache_key("summarize", "body", self.params())
+        other = cache_key("summarize", "other", self.params())
         with open(tmp_path / LOG_NAME, "w", encoding="utf-8") as fh:
             fh.write(f'{key}\t{{"text": "trunc\nnot a key\n{other}\t{{"text": "fine"}}\n')
         cache = ResponseCache(str(tmp_path))
@@ -212,7 +214,7 @@ class TestResponseCache:
 
         class RacedEngine(MockEngine):
             def summarize(self, window_text, params=None):
-                key = ResponseCache.key("summarize", render("summarize", window_text), params)
+                key = cache_key("summarize", window_text, params)
                 with open(os.path.join(directory, LOG_NAME), "a", encoding="utf-8") as fh:
                     fh.write(f"{key}\t{competitor}\n")
                 return "own answer"
@@ -228,7 +230,7 @@ class TestResponseCache:
     def test_processes_storing_one_key_agree(self, tmp_path):
         """Two processes that both missed a key store different texts; both,
         and a later lookup, get the text of whichever appended first."""
-        key = ResponseCache.key("summarize", "body", self.params())
+        key = cache_key("summarize", "body", self.params())
         child = (
             "import os, sys, time\n"
             "from slisum.pipeline import ResponseCache\n"
@@ -253,7 +255,7 @@ class TestResponseCache:
     def test_torn_tail_loses_only_the_fused_line(self, tmp_path):
         """A crash mid-append leaves a last line without a newline; the next
         append is fused with it, so those two entries miss and no other."""
-        kept, torn, fused, later = (ResponseCache.key("summarize", body, self.params())
+        kept, torn, fused, later = (cache_key("summarize", body, self.params())
                                     for body in ("kept", "torn", "fused", "later"))
         with open(tmp_path / LOG_NAME, "w", encoding="utf-8") as fh:
             fh.write(f'{kept}\t{{"text": "kept"}}\n{torn}\t{{"text": "to')
@@ -273,7 +275,7 @@ class TestResponseCache:
         """Another process clears the cache and stores another key at the
         same offset while this one holds an index of the old log: the stale
         entry misses, and is never the other key's answer."""
-        old, new = (ResponseCache.key("summarize", body, self.params()) for body in ("old", "new"))
+        old, new = (cache_key("summarize", body, self.params()) for body in ("old", "new"))
         reader = ResponseCache(str(tmp_path))
         reader.store(old, {"text": "old answer"})
         other = ResponseCache(str(tmp_path))
@@ -287,9 +289,9 @@ class TestResponseCache:
         """Indexing reads the log a chunk at a time; lines that straddle
         chunks, and a line longer than a chunk, are all found."""
         cache = ResponseCache(str(tmp_path))
-        texts = {ResponseCache.key("summarize", str(i), self.params()): f"{i} " * (i * 40)
+        texts = {cache_key("summarize", str(i), self.params()): f"{i} " * (i * 40)
                  for i in range(1, 60)}
-        texts[ResponseCache.key("connect", "long", self.params())] = "long " * 40000
+        texts[cache_key("connect", ["long"], self.params())] = "long " * 40000
         for key, text in texts.items():
             assert cache.store(key, {"text": text}) == text
         assert os.path.getsize(tmp_path / LOG_NAME) > 4 * 65536
@@ -302,10 +304,10 @@ class TestResponseCache:
         and by a fresh cache, and a key stored by several threads gives them
         all one text."""
         cache = ResponseCache(str(tmp_path))
-        shared = [ResponseCache.key("connect", f"shared {i}", self.params()) for i in range(20)]
+        shared = [cache_key("connect", [f"shared {i}"], self.params()) for i in range(20)]
 
         def work(worker):
-            own = [ResponseCache.key("summarize", f"{worker} {i}", self.params())
+            own = [cache_key("summarize", f"{worker} {i}", self.params())
                    for i in range(25)]
             stored = {}
             for key in own + shared:
@@ -499,6 +501,38 @@ class TestRun:
         assert second.stats.cache_hits == first.stats.backend_calls
         assert first.to_json() == second.to_json()
 
+    def test_edited_prompt_misses_the_cache(self, tmp_path, monkeypatch):
+        """An edited instruction changes its task's requests, so a warm rerun
+        draws the classify call again and serves the summarize calls from
+        the cache."""
+
+        class WordyEngine(MockEngine):
+            """The second sample of each window adds a word, so the cluster
+            of a window's three samples is contested."""
+
+            def __init__(self):
+                self.draws = self.classified = 0
+
+            def summarize(self, window_text, params=None):
+                self.draws += 1
+                text = super().summarize(window_text, params)
+                return text[:-1] + " sharply." if self.draws % 3 == 2 else text
+
+            def classify(self, statements, params=None):
+                self.classified += 1
+                return super().classify(statements, params)
+
+        article = Article.from_text("tiny", "Solar panels cut energy costs.")
+        config = PipelineConfig(concurrency=1, cache_dir=str(tmp_path / "cache"))
+        engine = WordyEngine()
+        cold = run(article, config, engine=engine)
+        warm = run(article, config, engine=engine)
+        assert (engine.draws, engine.classified, warm.stats.backend_calls) == (3, 1, 0)
+        monkeypatch.setitem(INSTRUCTIONS, "classify", INSTRUCTIONS["classify"] + " Be brief.")
+        edited = run(article, config, engine=engine)
+        assert (engine.draws, engine.classified, edited.stats.backend_calls) == (3, 2, 1)
+        assert cold.to_json() == warm.to_json() == edited.to_json()
+
     def test_cache_rerun_other_seed_calls_backend(self, planted, tmp_path):
         cache_dir = str(tmp_path / "cache")
         first = run(planted, PipelineConfig(concurrency=1,
@@ -557,7 +591,6 @@ class TestRun:
 
         monkeypatch.setenv("SLISUM_MODEL", "env-model")
         monkeypatch.setenv("SLISUM_BASE_URL", "http://example.invalid")
-        tasks = {instruction: task for task, instruction in INSTRUCTIONS.items()}
         sent = []
 
         def post(url, **kwargs):
@@ -577,12 +610,9 @@ class TestRun:
         record = run(article, config)
         assert record.status == "complete" and record.config["model"] == model
         assert sent and {payload["model"] for payload in sent} == {model}
-        expected = {
-            ResponseCache.key(tasks[p["messages"][0]["content"]], p["messages"][1]["content"],
-                              EngineParams(model=p["model"], max_tokens=p["max_tokens"]),
-                              sample)
-            for p in sent for sample in range(1, record.config["k"] + 1)
-        }
+        backend = "http://example.invalid/v1/chat/completions"
+        expected = {request_hash({"backend": backend, "request": p, "sample": sample})
+                    for p in sent for sample in range(1, record.config["k"] + 1)}
         stored = {line.split("\t", 1)[0] for line in log_lines(tmp_path / "cache")}
         assert len(stored) == len(sent) and stored <= expected
 

@@ -10,6 +10,8 @@ from slisum.engine import EngineParams, HttpEngine, MockEngine
 from slisum.pipeline import CachedEngine, ResponseCache
 from slisum.scheduler import CallScheduler
 
+from conftest import cache_key
+
 
 class CountingEngine(MockEngine):
     """Echoes the window, slowly, counting calls per text and calls in flight."""
@@ -57,7 +59,7 @@ def test_caller_waiting_on_a_failed_call_runs_its_own(tmp_path):
     """A caller that waited on a fetch which raised does not inherit the
     error: it fetches the key itself."""
     cache = ResponseCache(str(tmp_path))
-    key = ResponseCache.key("summarize", "One window.", EngineParams())
+    key = cache_key("summarize", "One window.", EngineParams())
     started = threading.Event()
 
     def failing():
@@ -100,7 +102,7 @@ def test_caches_on_one_scheduler_draw_a_key_each(tmp_path):
         assert [first.result(timeout=10), second.result(timeout=10)] == ["One window."] * 2
     assert both_in_flight
     assert [cached.calls for cached in engines] == [[("summarize", False)]] * 2
-    key = ResponseCache.key("summarize", "One window.", params)
+    key = cache_key("summarize", "One window.", params)
     for name in ("a", "b"):
         with open(tmp_path / name / "responses.jsonl", encoding="utf-8") as fh:
             assert [line.split("\t")[0] for line in fh] == [key]
@@ -111,7 +113,7 @@ def test_failed_first_fetches_leave_one_answer_per_key(tmp_path):
     key raises: every caller that does not raise gets the text of the key's
     first stored line, and a later call for each key is a hit."""
     cache = ResponseCache(str(tmp_path))
-    keys = [ResponseCache.key("summarize", f"Window {i}.", EngineParams()) for i in range(4)]
+    keys = [cache_key("summarize", f"Window {i}.", EngineParams()) for i in range(4)]
     lock = threading.Lock()
     fetches = dict.fromkeys(keys, 0)
 
