@@ -23,7 +23,6 @@ from .evalkit import (
     score,
 )
 from .pipeline import (
-    LOG_NAME,
     PipelineConfig,
     ResponseCache,
     indented_json,
@@ -133,8 +132,7 @@ def cmd_summarize(args) -> int:
             except OSError as exc:
                 _warn(f"cannot create {role} directory {directory}: {exc.strerror}")
                 return EXIT_USAGE
-    if config.cache_dir and not _cache_log_is_a_file(config.cache_dir):
-        return EXIT_USAGE
+    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
 
     bodies, partial = _load_pairs(args.input, ("article",))
     articles: list[Article] = []
@@ -170,7 +168,6 @@ def cmd_summarize(args) -> int:
     except OSError as exc:
         _warn(f"cannot write {summaries_path}: {exc.strerror}")
         return EXIT_USAGE
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     with fh, CallScheduler(config.concurrency) as scheduler:
         # Up to concurrency + 1 articles have their generations submitted while
         # the oldest of them is finished here, so outputs come in input order.
@@ -352,21 +349,9 @@ def cmd_analyze(args) -> int:
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def _cache_log_is_a_file(cache_dir) -> bool:
-    """False, after one warning, if the cache log in `cache_dir` exists but
-    is not a regular file (say, a directory)."""
-    path = os.path.join(cache_dir, LOG_NAME)
-    if os.path.exists(path) and not os.path.isfile(path):
-        _warn(f"not a file: {path}")
-        return False
-    return True
-
-
 def cmd_cache(args) -> int:
     if not os.path.isdir(args.cache_dir):
         _warn(f"not a directory: {args.cache_dir}")
-        return EXIT_USAGE
-    if not _cache_log_is_a_file(args.cache_dir):
         return EXIT_USAGE
     cache = ResponseCache(args.cache_dir)
     if args.action == "clear":

@@ -29,8 +29,8 @@ class EngineError(RuntimeError):
 
     A `retryable` error (a transport error, a 429 or a 5xx) may pass on a
     later attempt, so `CachedEngine` makes the call again after the engine's
-    backoff. It names its `request` and the `reason`, such as
-    'status 503', for the retry warnings and the final error.
+    backoff. It names its `request` and the `reason`, such as 'status 503',
+    for the final error; a retry warning names a transport error's class.
     """
 
     def __init__(self, message: str, *, retryable: bool = False, request: str = "",
@@ -261,9 +261,9 @@ class HttpEngine(SummaryEngine):
     Each call makes one attempt and sends `request(task, items, params)`, the
     payload the response cache's key hashes with `identity`: the scheme,
     host[:port] and path the requests go to, without the URL's userinfo or
-    the API key. A transport error, a 429 or a 5xx raises a retryable
-    EngineError; any other status, a malformed body or an empty reply raises
-    a non-retryable one. The retry policy stays here:
+    the API key, fixed when the engine is built. A transport error, a 429 or
+    a 5xx raises a retryable EngineError; any other status, a malformed body
+    or an empty reply raises a non-retryable one. The retry policy stays here:
     `CachedEngine` makes up to `max_attempts` attempts, and `backoff` waits a
     full-jitter delay, uniform in [0, backoff_base * 2**(attempt - 1)]
     seconds (Brooker, "Exponential Backoff and Jitter", 2015), drawn from
@@ -289,7 +289,17 @@ class HttpEngine(SummaryEngine):
         rng: random.Random | None = None,
     ):
         self.base_url = (base_url or os.environ.get("SLISUM_BASE_URL", "")).rstrip("/")
-        if transport is None and not _is_http_url(self.base_url):
+        url = self.base_url + path  # parsed once: its endpoint is the identity
+        self.identity = url.rpartition("@")[2]  # kept if urlsplit refuses the URL
+        try:
+            parts = urlsplit(url)  # ValueError on an unbalanced IPv6 bracket
+            self.identity = urlunsplit(
+                (parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+            parts.port  # ValueError if not a number in [0, 65535]
+            usable = url.startswith(("http://", "https://")) and bool(parts.hostname)
+        except ValueError:
+            usable = False
+        if transport is None and not usable:
             raise ConfigurationError(
                 f"the http backend needs an http:// or https:// base URL with a host "
                 f"(set SLISUM_BASE_URL), got {self.base_url!r}")
@@ -320,16 +330,6 @@ class HttpEngine(SummaryEngine):
             body = {"raw": resp.text}
         return resp.status_code, body
 
-    @property
-    def identity(self) -> str:
-        """scheme://host[:port]/path the requests go to: no userinfo, query or fragment."""
-        url = self.base_url + self.path
-        try:
-            parts = urlsplit(url)
-        except ValueError:  # an unbalanced IPv6 bracket, accepted with a transport only
-            return url.rpartition("@")[2]
-        return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
-
     def _chat(self, task: str, items: str | list[str], params: EngineParams | None) -> str:
         payload = request(task, items, params)
         try:
@@ -351,8 +351,11 @@ class HttpEngine(SummaryEngine):
     def backoff(self, attempt: int, error: EngineError) -> None:
         """Wait out the full-jitter delay after failed attempt `attempt`."""
         delay = self._rng.uniform(0.0, self.backoff_base * 2 ** (attempt - 1))
+        # A transport error is named by its class; its message is in the final error only.
+        cause = error.__cause__
+        reason = f"transport error: {type(cause).__name__}" if cause is not None else error.reason
         log.warning("request %s attempt %d failed (%s); retrying in %.1f ms",
-                    error.request, attempt, error.reason, delay * 1000)
+                    error.request, attempt, reason, delay * 1000)
         self._sleep(delay)
 
     @staticmethod
@@ -381,17 +384,6 @@ class HttpEngine(SummaryEngine):
 
     def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
         return self._chat("connect", statements, params)
-
-
-def _is_http_url(url: str) -> bool:
-    """Whether `url` starts with http:// or https:// and names a host, with
-    a port, if any, that is a number in range."""
-    try:
-        parts = urlsplit(url)
-        parts.port  # ValueError if not a number in [0, 65535]
-    except ValueError:  # that, or an unbalanced IPv6 bracket
-        return False
-    return url.startswith(("http://", "https://")) and bool(parts.hostname)
 
 
 def make_engine(backend: str) -> SummaryEngine:

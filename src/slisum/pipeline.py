@@ -89,7 +89,7 @@ class PipelineConfig:
     def resolved(self, article_words: int) -> "PipelineConfig":
         """Every setting filled in: the window geometry by article length
         (150/50 under 3000 words, else 750/150), eps 0.25 and MinPts half of K
-        rounded up, unless set."""
+        rounded up, unless set; ConfigurationError if one is out of range."""
         window_size, step_size = (
             SHORT_GEOMETRY if article_words < SHORT_ARTICLE_MAX_WORDS else LONG_GEOMETRY
         )
@@ -106,6 +106,8 @@ class PipelineConfig:
             raise ConfigurationError(f"eps must be in (0, 1), got {config.eps}")
         if not 1 <= config.min_pts <= k:
             raise ConfigurationError(f"min_pts {config.min_pts} outside [1, {k}]")
+        if config.max_tokens < 1:
+            raise ConfigurationError(f"max_tokens must be >= 1, got {config.max_tokens}")
         return config
 
 
@@ -137,13 +139,14 @@ class ResponseCache:
     indexed: an unreadable one, including one whose text holds a lone
     surrogate, gets one warning and is never indexed, so every indexed key can
     be served. `get` draws each missing key once per cache, however many
-    callers ask for it at the same moment.
+    callers ask for it at the same moment. Opening a cache creates nothing and
+    checks that the log, if any, is a file; a store creates a missing directory.
     """
 
     def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, LOG_NAME)
+        if os.path.exists(self.path) and not os.path.isfile(self.path):
+            raise ConfigurationError(f"not a file: {self.path}")
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_to = 0  # every complete line before this offset is indexed
         self._lock = threading.Lock()
@@ -195,7 +198,11 @@ class ResponseCache:
         """Append `entry` under `key` and return the text of the key's first
         readable line: another writer's, if it stored the key first."""
         line = f"{key}\t{json.dumps(entry, ensure_ascii=False)}\n".encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        except FileNotFoundError:  # the first store in a directory not made yet
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             if os.write(fd, line) != len(line):
                 raise OSError(f"short append to {self.path}")
@@ -285,7 +292,11 @@ class CachedEngine:
         else:
             key = request_hash({"backend": self.engine.identity,
                                 "request": request(task, items, params), "sample": sample})
-            text, hit = self.cache.get(key, task, lambda: self._fetch(task, items, params))
+            try:
+                text, hit = self.cache.get(key, task, lambda: self._fetch(task, items, params))
+            except OSError as exc:  # the log cannot be read or written: this call fails
+                reason = exc.strerror or exc
+                raise EngineError(f"response cache {self.cache.path}: {reason}") from exc
         self.calls.append((task, hit))
         return text
 

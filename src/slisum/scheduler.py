@@ -12,6 +12,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from .text import ConfigurationError
+
 
 class CallScheduler(ThreadPoolExecutor):
     """Call slots and dispatch threads shared by every article of a run;
@@ -22,7 +24,9 @@ class CallScheduler(ThreadPoolExecutor):
     """
 
     def __init__(self, concurrency: int):
-        self.concurrency = max(1, concurrency)
+        if concurrency < 1:
+            raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
+        self.concurrency = concurrency
         self.slots = threading.BoundedSemaphore(self.concurrency)  # held per attempt
         super().__init__(self.concurrency + 1, thread_name_prefix="slisum-call")
 

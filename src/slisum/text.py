@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 
 class ConfigurationError(ValueError):
-    """Raised when window/step parameters cannot yield a gap-free plan."""
+    """A setting that cannot be used: window and step sizes without a gap-free
+    plan, another run setting out of range, an unusable base URL or API key,
+    a config file that is not valid YAML or holds a bad value, a cache log
+    that is not a file."""
 
 
 # Tokens that end with a period but never close a sentence.

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -150,6 +151,37 @@ class TestSummarize:
         assert [line["id"] for line in lines] == ["birds"]
         assert sorted(os.listdir(out / "records")) == ["birds.json", "solar.json"]
         assert os.listdir(out / "records" / "solar.json") == []
+
+    def test_cache_io_error_fails_only_its_article(self, tmp_path, monkeypatch, capsys):
+        """A cache log that cannot be written fails only the article whose
+        answers it could not store: one warning naming the log, its record
+        kept as aborted and no summary line (exit 2); the next article runs."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [
+            {"id": "solar", "article": "Solar panels cut energy costs. Solar panels cut "
+                                       "energy bills. Wind farms grow fast."},
+            {"id": "birds", "article": "Birds sing at dawn. Birds sing at sunrise. "
+                                       "Cats nap at noon."},
+        ])
+        write = os.write
+
+        def disk_full_for_solar(fd, data):
+            if b"Solar" in data:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        monkeypatch.setattr("slisum.pipeline.os.write", disk_full_for_solar)
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        argv = ["summarize", str(path), "-o", str(out), "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (f"slisum: article 'solar' failed: response cache "
+                          f"{cache / 'responses.jsonl'}: No space left on device")
+        assert len(err) == 2 and err[1].startswith("slisum: birds: backend_calls=")
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["birds"]
+        assert sorted(os.listdir(out / "records")) == ["birds.json", "solar.json"]
+        assert json.loads((out / "records" / "solar.json").read_text())["status"] == "aborted"
 
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -1,9 +1,10 @@
 import json
 import random
 import re
+from urllib.parse import urlsplit, urlunsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slisum.engine import (
@@ -245,6 +246,30 @@ class TestHttpEngine:
         assert logged == [round(d * 1000, 1) for d in delays]
         assert all(0.0 < d < 0.05 for d in delays)
 
+    def test_retry_warnings_are_short_and_the_error_keeps_the_cause(self, caplog):
+        """Each retry warning names the request, the attempt and the status or
+        the transport exception's class, in at most 160 characters; the final
+        error carries the transport's full message, once."""
+        detail = ("HTTPConnectionPool(host='127.0.0.1', port=9): Max retries exceeded "
+                  "with url: /v1/chat/completions (Caused by NewConnectionError("
+                  "'Failed to establish a new connection: [Errno 111] Connection refused'))")
+        transport = ScriptedTransport([ConnectionRefusedError(detail), (503, {})] * 2
+                                      + [ConnectionRefusedError(detail)])
+        with CallScheduler(1) as scheduler:
+            cached, _ = self.cached(transport, scheduler)
+            with caplog.at_level("WARNING", logger="slisum.engine"):
+                with pytest.raises(EngineError) as info:
+                    cached.summarize("text")
+        request = request_hash(transport.calls[0])[:12]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert [re.sub(r" \S+ ms$", "", w) for w in warnings] == [
+            f"request {request} attempt {attempt} failed ({reason}); retrying in"
+            for attempt, reason in enumerate(["transport error: ConnectionRefusedError",
+                                              "status 503"] * 2, 1)]
+        assert max(map(len, warnings)) <= 160
+        assert str(info.value) == (f"request {request}: failed after 5 attempts "
+                                   f"(transport error: {detail})")
+
     def test_gives_up_after_max_attempts(self):
         transport = ScriptedTransport([(503, {})] * 5)
         with CallScheduler(1) as scheduler:
@@ -427,6 +452,56 @@ def test_identity_is_the_endpoint_without_credentials(monkeypatch, base_url, ide
     engine = HttpEngine(base_url=base_url, api_key="sk-secret", transport=ScriptedTransport([]))
     assert engine.identity == identity
     assert "secret" not in engine.identity
+
+
+def identity_oracle(self) -> str:
+    """HttpEngine's identity as the property it was before the engine parsed
+    its URL once, when built: kept here word for word, as an oracle."""
+    url = self.base_url + self.path
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # an unbalanced IPv6 bracket, accepted with a transport only
+        return url.rpartition("@")[2]
+    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+
+
+@pytest.mark.parametrize("base_url", [
+    "", "http://user:pw@x:abc", "http://x:abc", "https://x:65536", "http://u:p@x:99999/v1",
+    "http://x:-1", "http://x:", "http://user:pw@[::1", "http://[::1", "http://::1]",
+    "http://u@[::1]:8000/api", "http://[::1]x", "http://[zz]", "http://a@b@c:1",
+    "https://api.example.com/?q=1#frag", "localhost:8000",
+])
+def test_identity_matches_the_oracle_on_edge_cases(monkeypatch, base_url):
+    monkeypatch.delenv("SLISUM_BASE_URL", raising=False)
+    engine = HttpEngine(base_url=base_url, transport=ScriptedTransport([]))
+    assert engine.identity == identity_oracle(engine)
+
+
+_URL_PIECES = st.tuples(
+    st.sampled_from(["", "http://", "https://", "HTTP://", "ftp://", "//", "http:"]),
+    st.sampled_from(["", "user@", "user:pw@", "u:p@q@", "@", ":@"]),
+    st.sampled_from(["", "x", "127.0.0.1", "[::1]", "[::1", "::1]", "[v1.fe]", "[zz]"]),
+    st.sampled_from(["", ":", ":80", ":abc", ":65535", ":65536", ":-1", ":99999999999"]),
+    st.sampled_from(["", "/", "/api/", "/a@b", "?q=1", "#frag", "/p?q@r#f@g"]),
+).map("".join)
+
+
+@given(st.one_of(_URL_PIECES, st.text(max_size=40)),
+       st.sampled_from(["/v1/chat/completions", "", "/a@b", "chat", ":1/x"]))
+@settings(max_examples=300)
+def test_identity_matches_the_oracle(base_url, path):
+    """For every base URL and path the constructor accepts, with a transport
+    or without, the identity fixed when the engine is built is the one the
+    per-call property computed. An empty base URL reads SLISUM_BASE_URL, so
+    it is among the edge cases above."""
+    assume(base_url)
+    engine = HttpEngine(base_url=base_url, path=path, api_key="", transport=ScriptedTransport([]))
+    assert engine.identity == identity_oracle(engine)
+    try:
+        engine = HttpEngine(base_url=base_url, path=path, api_key="")
+    except ConfigurationError:
+        return
+    assert engine.identity == identity_oracle(engine)
 
 
 @given(st.text(max_size=40))

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import logging
@@ -139,6 +140,19 @@ class TestResolveProfile:
     def test_bad_eps_rejected(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig(eps=1.5).resolved(100)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("concurrency", 0), ("concurrency", -5), ("max_tokens", 0), ("max_tokens", -1),
+    ])
+    def test_run_rejects_a_setting_below_one_before_any_call(self, planted, setting, value):
+        """run() rejects what the CLI rejects: a concurrency or max_tokens
+        below 1 is a ConfigurationError, raised before any backend call."""
+        class Unused(MockEngine):
+            def summarize(self, window_text, params=None):
+                raise AssertionError("a rejected setting makes no call")
+
+        with pytest.raises(ConfigurationError, match=f"^{setting} must be >= 1, got {value}$"):
+            run(planted, PipelineConfig(**{setting: value}), Unused())
 
 
 class TestResponseCache:
@@ -286,8 +300,8 @@ class TestResponseCache:
         assert "the log changed under its index" in caplog.text
 
     def test_log_read_in_chunks(self, tmp_path):
-        """Indexing reads the log a chunk at a time; lines that straddle
-        chunks, and a line longer than a chunk, are all found."""
+        """A log of many lines, one of them longer than 64 KiB, is indexed
+        whole by a fresh cache: every key is served its own text."""
         cache = ResponseCache(str(tmp_path))
         texts = {cache_key("summarize", str(i), self.params()): f"{i} " * (i * 40)
                  for i in range(1, 60)}
@@ -298,6 +312,40 @@ class TestResponseCache:
         fresh = ResponseCache(str(tmp_path))
         assert {key: fresh.lookup(key)["text"] for key in texts} == texts
         assert fresh.count() == len(texts)
+
+    def test_opening_creates_nothing_and_checks_the_log(self, planted, tmp_path):
+        """Opening a cache makes no directory or file, and the first store
+        makes the directory. A log that is not a regular file is a
+        ConfigurationError naming it, for run() as for the CLI."""
+        directory = tmp_path / "new" / "cache"
+        cache = ResponseCache(str(directory))
+        key = cache_key("summarize", "body", self.params())
+        assert cache.lookup(key) is None and cache.count() == 0
+        assert not (tmp_path / "new").exists()
+        assert cache.store(key, {"text": "stored"}) == "stored"
+        assert os.listdir(directory) == [LOG_NAME]
+        log = tmp_path / "taken" / LOG_NAME
+        log.mkdir(parents=True)
+        with pytest.raises(ConfigurationError, match=f"^not a file: {log}$"):
+            ResponseCache(str(log.parent))
+        with pytest.raises(ConfigurationError, match=f"^not a file: {log}$"):
+            run(planted, PipelineConfig(cache_dir=str(log.parent)))
+
+    def test_log_io_error_is_a_non_retryable_engine_error(self, tmp_path, monkeypatch):
+        """An OSError of the log fails the call with an EngineError naming
+        the log, which no attempt retries."""
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("slisum.pipeline.os.write", disk_full)
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
+            with pytest.raises(EngineError) as info:
+                cached.summarize("One fine sentence.")
+        log = tmp_path / LOG_NAME
+        assert str(info.value) == f"response cache {log}: No space left on device"
+        assert not info.value.retryable
+        assert cached.calls == [] and cached.retries == 0
 
     def test_concurrent_stores_lose_nothing(self, tmp_path):
         """Threads storing at once into one cache: every key is found, here
@@ -500,6 +548,25 @@ class TestRun:
         assert second.stats.backend_calls == 0
         assert second.stats.cache_hits == first.stats.backend_calls
         assert first.to_json() == second.to_json()
+
+    def test_connect_whose_answer_cannot_be_stored_falls_back(self, planted, tmp_path,
+                                                              monkeypatch):
+        """A connect call the cache cannot store fails as any engine error
+        does: the statements are concatenated, and the article completes."""
+        write = os.write
+
+        def disk_full_for_connect(fd, data):
+            if b'"task": "connect"' in data:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        expected = run(planted, PipelineConfig(concurrency=2))
+        monkeypatch.setattr("slisum.pipeline.os.write", disk_full_for_connect)
+        record = run(planted, PipelineConfig(concurrency=2, cache_dir=str(tmp_path)))
+        assert (record.status, record.final["fallback"]) == ("complete", True)
+        assert record.final["statements"] == expected.final["statements"]
+        assert record.final["connected_text"] == " ".join(
+            s["text"] for s in expected.final["statements"])
 
     def test_edited_prompt_misses_the_cache(self, tmp_path, monkeypatch):
         """An edited instruction changes its task's requests, so a warm rerun
