@@ -170,8 +170,11 @@ def cmd_summarize(args) -> int:
         return EXIT_USAGE
     with fh, CallScheduler(config.concurrency) as scheduler:
         # Up to concurrency + 1 articles have their generations submitted while
-        # the oldest of them is finished here, so outputs come in input order.
+        # the oldest of them is finished here. Its connect step then runs
+        # beside the next finish, and its record is written after that one,
+        # so outputs come in input order.
         started: deque = deque()
+        finished: deque = deque()  # (record, its connect step's future or its EngineError)
         last = len(articles) - 1
         for index, article in enumerate(articles):
             try:
@@ -182,31 +185,45 @@ def cmd_summarize(args) -> int:
             while started and (len(started) > scheduler.concurrency or index == last):
                 record, finish = started.popleft()
                 try:
-                    finish()
+                    finished.append((record, finish()))
                 except EngineError as exc:
-                    _warn(f"article {record.article_id!r} failed: {exc}")
-                    partial = True
-                try:
-                    persist_record(record, records_dir)
-                except OSError as exc:
-                    _warn(f"article {record.article_id!r}: cannot write its record "
-                          f"({exc.strerror or exc})")
-                    partial = True
-                    continue
-                if record.status != "complete":
-                    continue
-                # After its record, and flushed: a line on disk implies its record.
-                fh.write(json.dumps(
-                    {"id": record.article_id, "summary": record.final["connected_text"]},
-                    ensure_ascii=False, sort_keys=True,
-                ) + "\n")
-                fh.flush()
-                _warn(
-                    f"{record.article_id}: backend_calls={record.stats.backend_calls} "
-                    f"cache_hits={record.stats.cache_hits} retries={record.stats.retries} "
-                    f"elapsed={record.stats.elapsed_s:.2f}s"
-                )
+                    finished.append((record, exc))
+                if len(finished) > 1:
+                    partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
+        while finished:
+            partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
     return EXIT_PARTIAL if partial else EXIT_OK
+
+
+def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
+    """Wait for a finished article's connect step (`outcome` is its future,
+    or the EngineError that failed the article), then write its record and,
+    if it completed, its summary line; False if it failed or its record
+    could not be written."""
+    if isinstance(outcome, EngineError):
+        _warn(f"article {record.article_id!r} failed: {outcome}")
+    else:
+        outcome.result()
+    try:
+        persist_record(record, records_dir)
+    except OSError as exc:
+        _warn(f"article {record.article_id!r}: cannot write its record "
+              f"({exc.strerror or exc})")
+        return False
+    if record.status != "complete":
+        return False
+    # After its record, and flushed: a line on disk implies its record.
+    fh.write(json.dumps(
+        {"id": record.article_id, "summary": record.final["connected_text"]},
+        ensure_ascii=False, sort_keys=True,
+    ) + "\n")
+    fh.flush()
+    _warn(
+        f"{record.article_id}: backend_calls={record.stats.backend_calls} "
+        f"cache_hits={record.stats.cache_hits} retries={record.stats.retries} "
+        f"elapsed={record.stats.elapsed_s:.2f}s"
+    )
+    return True
 
 
 def _load_pairs(path, value_fields):

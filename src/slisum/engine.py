@@ -212,7 +212,7 @@ def request_hash(payload: dict) -> str:
     ).hexdigest()
 
 
-def _request_id(payload: dict) -> str:
+def request_id(payload: dict) -> str:
     """Short name of a request in warnings and errors, computed only for them."""
     return request_hash(payload)[:12]
 
@@ -340,11 +340,11 @@ class HttpEngine(SummaryEngine):
             return self._extract_content(body, payload)
         if status == 429 or status >= 500:
             raise self._retryable(payload, f"status {status}")
-        raise EngineError(f"request {_request_id(payload)}: non-retryable status {status}")
+        raise EngineError(f"request {request_id(payload)}: non-retryable status {status}")
 
     @staticmethod
     def _retryable(payload: dict, reason: str) -> EngineError:
-        request = _request_id(payload)
+        request = request_id(payload)
         return EngineError(f"request {request}: {reason}", retryable=True,
                            request=request, reason=reason)
 
@@ -370,10 +370,10 @@ class HttpEngine(SummaryEngine):
             if text:
                 text.encode("utf-8")
         except (KeyError, IndexError, TypeError, UnicodeEncodeError):
-            raise EngineError(f"request {_request_id(payload)}: malformed response body")
+            raise EngineError(f"request {request_id(payload)}: malformed response body")
         text = (text or "").strip()
         if not text:
-            raise EngineError(f"request {_request_id(payload)}: empty response")
+            raise EngineError(f"request {request_id(payload)}: empty response")
         return text
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:

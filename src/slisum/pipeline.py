@@ -15,6 +15,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Callable
+from concurrent.futures import Future, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import arrange, integrate, vote
@@ -35,6 +36,7 @@ from .engine import (
     parse_classification_response,
     request,
     request_hash,
+    request_id,
 )
 from .lexical import TokenBag, tokenize
 from .scheduler import CallScheduler
@@ -272,8 +274,8 @@ class CachedEngine:
     calls for one key share a single backend call through `ResponseCache.get`.
     Without one, every call goes to the backend. `calls` gets one (task,
     cache_hit) entry per call, where a call served by another's fetch counts
-    as a hit; dispatch threads append to it concurrently, which a list append
-    tolerates. `retries` counts the attempts made after a retryable failure.
+    as a hit; the scheduler's threads append to it concurrently, which a list
+    append tolerates. `retries` counts the attempts made after a retryable failure.
     """
 
     def __init__(self, engine: SummaryEngine, cache: ResponseCache | None,
@@ -285,34 +287,55 @@ class CachedEngine:
         self.retries = 0
         self._retries_lock = threading.Lock()
 
+    def _key(self, task: str, items: str | list[str], params: EngineParams | None,
+             sample: int = 1) -> str:
+        return request_hash({"backend": self.engine.identity,
+                             "request": request(task, items, params), "sample": sample})
+
+    def answered(self, task: str, items: list[str], params: EngineParams | None) -> bool:
+        """Whether the cache holds the answer to this classify or connect call
+        now, so making it takes no call slot."""
+        return self.cache is not None and self.cache.lookup(
+            self._key(task, items, params)) is not None
+
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
         if self.cache is None:
-            text, hit = self._fetch(task, items, params), False
+            text, hit = self._fetch(task, items, params, sample), False
         else:
-            key = request_hash({"backend": self.engine.identity,
-                                "request": request(task, items, params), "sample": sample})
+            key = self._key(task, items, params, sample)
             try:
-                text, hit = self.cache.get(key, task, lambda: self._fetch(task, items, params))
+                text, hit = self.cache.get(
+                    key, task, lambda: self._fetch(task, items, params, sample))
             except OSError as exc:  # the log cannot be read or written: this call fails
                 reason = exc.strerror or exc
                 raise EngineError(f"response cache {self.cache.path}: {reason}") from exc
         self.calls.append((task, hit))
         return text
 
-    def _fetch(self, task: str, items: str | list[str], params: EngineParams) -> str:
+    def _fetch(self, task: str, items: str | list[str], params: EngineParams | None,
+               sample: int) -> str:
         """The backend's answer, in up to the engine's `max_attempts`
         attempts. A slot is held for each attempt only, so while this call
-        waits out the engine's backoff another call can use it."""
+        waits out the engine's backoff another call can use it. An OSError
+        the engine raises fails the call at once, as a non-retryable
+        EngineError, so the cache never reports it as its own."""
         call = getattr(self.engine, task)
+        # Without a seed the K samples of a window send one payload: a
+        # summarize call's warnings and errors name its sample too.
+        sample_name = f" sample {sample}" if task == "summarize" else ""
         attempt = 1
         while True:
             try:
                 with self.scheduler.slots:
                     return call(items, params)
+            except OSError as exc:
+                name = request_id(request(task, items, params)) + sample_name
+                raise EngineError(f"request {name}: {type(exc).__name__}: {exc}") from exc
             except EngineError as exc:
                 if not exc.retryable:
                     raise
+                exc.request += sample_name
                 if attempt >= self.engine.max_attempts:
                     raise EngineError(f"request {exc.request}: failed after {attempt} "
                                       f"attempts ({exc.reason})") from exc
@@ -440,7 +463,7 @@ def run(article: Article, config: PipelineConfig,
     scheduler of the configured concurrency."""
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     with CallScheduler(config.concurrency) as scheduler:
-        return start(article, config, engine, cache, scheduler)[1]()
+        return start(article, config, engine, cache, scheduler)[1]().result()
 
 
 def start(
@@ -449,19 +472,26 @@ def start(
     engine: SummaryEngine | None,
     cache: ResponseCache | None,
     scheduler: CallScheduler,
-) -> tuple[RunRecord, Callable[[], RunRecord]]:
+) -> tuple[RunRecord, Callable[[], Future]]:
     """Resolve the settings, plan the windows and submit the article's window
-    generations to the scheduler's dispatch threads; return the article's
-    record, `aborted` until `finish` completes it, and `finish`.
+    generations to the scheduler's generation queue; return the article's
+    record, `aborted` until its connect step completes it, and `finish`.
 
-    `finish()` waits for the generations and runs the rest on the calling
-    thread: statement split, clustering, filtering, voting (with its classify
-    calls), arranging and connecting. generation_seq numbering follows
-    deterministic plan order, so concurrency never changes the result. On an
-    engine failure `finish` cancels the generations not yet started, flags
-    the record and re-raises the error. Neither writes a file, apart from the
-    cache's log. Settings out of range raise ConfigurationError here, before
-    any call.
+    `finish()` waits for the generations and runs statement split,
+    clustering, filtering, voting and arranging on the calling thread; the
+    vote's classify calls go out together on the scheduler's `finishing`
+    threads. It then hands the connect step (the connect call, its
+    preservation check and the record's `final`) to a `finishing` thread and
+    returns that job's future, whose result is the completed record, so the
+    calling thread can finish the next article meanwhile. A classify call or
+    connect step the cache already answers runs on the calling thread, and
+    the future it returns is then done. generation_seq
+    numbering follows deterministic plan order, so concurrency never changes
+    the result. On an engine failure `finish` cancels the article's calls not
+    yet started, waits for the running ones, flags the record and re-raises
+    the error; a connect step does not fail on one, it falls back. Neither
+    writes a file, apart from the cache's log. Settings out of range raise
+    ConfigurationError here, before any call.
     """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
@@ -499,29 +529,49 @@ def start(
         for window, rep in tasks
     ]
 
-    def finish() -> RunRecord:
+    def stats() -> RunStats:
+        return RunStats.from_calls(cached.calls, time.monotonic() - started, cached.retries)
+
+    def finish() -> Future:
         try:
             summaries = [future.result() for future in futures]
-            _filter_and_aggregate(article, resolved, tasks, summaries, cached, params, record)
-            record.status = "complete"
-            return record
+            connect, winners = _filter_and_aggregate(article, resolved, tasks, summaries,
+                                                     cached, params, record)
         except EngineError:
             for future in futures:
                 future.cancel()
+            wait(futures)
             record.flags.append("aborted: engine error")
+            record.stats = stats()
             raise
-        finally:
-            record.stats = RunStats.from_calls(cached.calls, time.monotonic() - started,
-                                               cached.retries)
+
+        def connect_step() -> RunRecord:
+            connect()
+            record.status = "complete"
+            record.stats = stats()
+            return record
+
+        # A step that makes no backend call, as with fewer than two winners
+        # or a cached answer, runs here: a handoff would cost more than it.
+        if len(winners) < 2 or cached.answered("connect", winners, params):
+            return _run_now(connect_step)
+        return scheduler.finishing.submit(connect_step)
 
     return record, finish
 
 
 def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
                           summaries: list[str], cached: CachedEngine, params: EngineParams,
-                          record: RunRecord) -> None:
+                          record: RunRecord) -> tuple[Callable[[], None], list[str]]:
     """Fill the record from the local summaries: split them into statements,
-    cluster, vote inside each retained cluster, arrange and connect."""
+    cluster, vote inside each retained cluster and arrange the winners; return
+    the connect step, which connects them and fills `record.final`.
+
+    The classify calls of every contested cluster go out at once, on the
+    scheduler's `finishing` threads (a call the cache answers is made here),
+    and their replies are read in cluster order. If one raises, the calls not
+    started are cancelled and the running ones waited for before the error
+    propagates. Also returns the texts the connect step will connect."""
     statements: list[Statement] = []
     # Each distinct text the article's statements, sentences and connected
     # text hold is tokenized once: text -> (token bag, normalized form). The
@@ -579,42 +629,69 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
             }
         )
 
-    votes = []  # assigned after the loop, so an aborted record keeps none
+    replies = {}  # cluster id -> its classify call, for clusters of several phrasings
     for cid, members in enumerate(retained, 1):
-        normalized = {lexicon[s.text][1] for s in members}
-        if len(normalized) == 1:
-            partition = [list(range(1, len(members) + 1))]
-        else:
-            reply = cached.classify([s.text for s in members], params)
-            partition = parse_classification_response(reply, len(members))
-        votes.append({"cluster_id": cid, **vote(members, partition)})
+        if len({lexicon[s.text][1] for s in members}) > 1:
+            texts = [s.text for s in members]
+            answered = cached.answered("classify", texts, params)
+            submit = _run_now if answered else cached.scheduler.finishing.submit
+            replies[cid] = submit(cached.classify, texts, params)
+    votes = []  # assigned after the loop, so an aborted record keeps none
+    try:
+        for cid, members in enumerate(retained, 1):
+            reply = replies.get(cid)
+            if reply is None:
+                partition = [list(range(1, len(members) + 1))]
+            else:
+                partition = parse_classification_response(reply.result(), len(members))
+            votes.append({"cluster_id": cid, **vote(members, partition)})
+    except BaseException:
+        for reply in replies.values():
+            reply.cancel()
+        wait(replies.values())
+        raise
     record.votes = votes
 
     by_seq = {s.generation_seq: s for s in statements}
     winner_cluster = {v["winner_seq"]: v["cluster_id"] for v in votes}
-    arranged, connected, fallback = [], "", False
+    arranged = []
     if votes:
         arranged = arrange([by_seq[seq] for seq in winner_cluster], article, bag_of)
-        connected, fallback = integrate([s for s, _ in arranged], cached, params, bag_of)
     else:
         record.flags.append("no cluster survived MinPts")
 
-    offsets = _word_offsets(article)
-    record.final = {
-        "statements": [
-            {
-                "text": s.text,
-                "source_anchor": anchor_idx,
-                "anchor_word_offset": offsets[anchor_idx - 1],
-                "window_ordinal": s.window_ordinal,
-                "generation_seq": s.generation_seq,
-                "cluster_id": winner_cluster[s.generation_seq],
-            }
-            for s, anchor_idx in arranged
-        ],
-        "connected_text": connected,
-        "fallback": fallback,
-    }
+    def connect() -> None:
+        connected, fallback = "", False
+        if arranged:
+            connected, fallback = integrate([s for s, _ in arranged], cached, params, bag_of)
+        offsets = _word_offsets(article)
+        record.final = {
+            "statements": [
+                {
+                    "text": s.text,
+                    "source_anchor": anchor_idx,
+                    "anchor_word_offset": offsets[anchor_idx - 1],
+                    "window_ordinal": s.window_ordinal,
+                    "generation_seq": s.generation_seq,
+                    "cluster_id": winner_cluster[s.generation_seq],
+                }
+                for s, anchor_idx in arranged
+            ],
+            "connected_text": connected,
+            "fallback": fallback,
+        }
+
+    return connect, [s.text for s, _ in arranged]
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    """fn(*args), run on the calling thread, as a done future."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _word_offsets(article: Article) -> list[int]:

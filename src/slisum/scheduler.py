@@ -3,9 +3,18 @@
 A `CallScheduler` owns `concurrency` call slots. An attempt at a backend call
 holds one while it is in flight, so no more than `concurrency` calls are ever
 in flight in the process, however many articles are started; a cache hit and
-a backoff between attempts take none. It runs `concurrency + 1` dispatch
-threads, one more than the slots, so while one call waits out a backoff
-another queued call can take the slot it left.
+a backoff between attempts take none. Calls wait for a slot from one of two
+queues:
+
+* the generation queue (`submit`) holds the window generations of started
+  articles, run by `concurrency + 1` dispatch threads, one more than the
+  slots, so while one call waits out a backoff another queued call can take
+  the slot it left;
+* `finishing` holds what an article's finish sends out: its classify calls
+  and its connect step, run by `concurrency` threads of their own, so they
+  wait for a slot but never behind newer articles' queued generations. A
+  call the cache already answers is made on the thread finishing the
+  article.
 """
 from __future__ import annotations
 
@@ -17,7 +26,9 @@ from .text import ConfigurationError
 
 class CallScheduler(ThreadPoolExecutor):
     """Call slots and dispatch threads shared by every article of a run;
-    `submit` runs a call on a dispatch thread, in FIFO order.
+    `submit` runs a window generation on a dispatch thread, in FIFO order,
+    and `finishing.submit` runs a call or connect step of an article being
+    finished, in FIFO order among those.
 
     Leaving it as a context manager cancels the calls still queued and waits
     for the running ones.
@@ -29,6 +40,8 @@ class CallScheduler(ThreadPoolExecutor):
         self.concurrency = concurrency
         self.slots = threading.BoundedSemaphore(self.concurrency)  # held per attempt
         super().__init__(self.concurrency + 1, thread_name_prefix="slisum-call")
+        self.finishing = ThreadPoolExecutor(self.concurrency, thread_name_prefix="slisum-finish")
 
     def __exit__(self, *exc) -> None:
+        self.finishing.shutdown(wait=True, cancel_futures=True)
         self.shutdown(wait=True, cancel_futures=True)

@@ -257,6 +257,24 @@ class SamplingEngine(MockEngine):
         return sentences[draw % len(sentences)].text
 
 
+def reworded_window(window_text: str, seed: int | None) -> str:
+    """Every sentence of the window, each with one more word when the
+    window's length plus the seed is even: overlapping windows, and the
+    samples of one window drawn with seeds in turn, then phrase a fact two
+    ways, so most clusters need a classify call."""
+    sentences = [s.text for s in segment_sentences(window_text)]
+    if (len(window_text) + (seed or 0)) % 2 == 0:
+        sentences = [s[:-1] + " indeed" + s[-1] for s in sentences]
+    return " ".join(sentences)
+
+
+class ContestedEngine(MockEngine):
+    """MockEngine whose summarize answers `reworded_window` for the call's seed."""
+
+    def summarize(self, window_text, params=None):
+        return reworded_window(window_text, params.seed if params else None)
+
+
 class PeakTransport:
     """Chat transport answering like MockEngine, slowly, that records the peak
     number of requests in flight."""
@@ -310,3 +328,22 @@ class ThrottlingTransport(PeakTransport):
         if self.refusal == "reset":
             raise ConnectionResetError("connection reset by peer")
         return self.refusal, {"error": {"message": "refused"}}
+
+
+class RewordingTransport(PeakTransport):
+    """PeakTransport whose summarize answers `reworded_window` for the
+    payload's seed; `classified` counts the classify requests."""
+
+    def __init__(self):
+        super().__init__()
+        self.classified = 0
+
+    def answer(self, payload):
+        system, user = (m["content"] for m in payload["messages"])
+        if system == INSTRUCTIONS["summarize"]:
+            text = reworded_window(user, payload.get("seed"))
+            return 200, {"choices": [{"message": {"content": text}}]}
+        if system == INSTRUCTIONS["classify"]:
+            with self.lock:
+                self.classified += 1
+        return super().answer(payload)

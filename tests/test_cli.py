@@ -19,9 +19,16 @@ from hypothesis import strategies as st
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
-from slisum.pipeline import PipelineConfig, ResponseCache
+from slisum.pipeline import PipelineConfig, ResponseCache, persist_record
 
-from conftest import PeakTransport, SamplingEngine, ThrottlingTransport, planted_article
+from conftest import (
+    ContestedEngine,
+    PeakTransport,
+    RewordingTransport,
+    SamplingEngine,
+    ThrottlingTransport,
+    planted_article,
+)
 
 
 def write_corpus(path, records):
@@ -268,7 +275,8 @@ class TestSummarize:
 
     def test_jobs_do_not_change_outputs(self, corpus, tmp_path, monkeypatch):
         """Backend calls in flight never exceed --concurrency across the whole
-        process, whatever --jobs says, and outputs do not depend on either."""
+        process, whatever --jobs says, and outputs do not depend on either,
+        also with a backend whose clusters each need a classify call."""
         with open(corpus, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": "fourth", "article": planted_article().raw_text
                                  .replace("Alpha", "Beta")}) + "\n")
@@ -279,18 +287,21 @@ class TestSummarize:
                               transport=transport)
 
         monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
-        trees, peaks = [], []
-        for concurrency, jobs in ((1, 1), (2, 3), (8, 1)):
-            transport = PeakTransport()
-            out = tmp_path / f"c{concurrency}-j{jobs}"
-            assert main(["summarize", str(corpus), "-o", str(out), "--concurrency",
-                         str(concurrency), "--jobs", str(jobs)]) == EXIT_OK
-            assert transport.peak <= concurrency
-            trees.append(read_bytes_tree(out))
-            peaks.append(transport.peak)
-        assert len(trees[0]) == 5
-        assert trees[0] == trees[1] == trees[2]
-        assert peaks[2] > 1
+        for backend in (PeakTransport, RewordingTransport):
+            trees, peaks = [], []
+            for concurrency, jobs in ((1, 1), (2, 3), (8, 1)):
+                transport = backend()
+                out = tmp_path / f"{backend.__name__}-c{concurrency}-j{jobs}"
+                assert main(["summarize", str(corpus), "-o", str(out), "--concurrency",
+                             str(concurrency), "--jobs", str(jobs), "--seed", "1"]) == EXIT_OK
+                assert transport.peak <= concurrency
+                trees.append(read_bytes_tree(out))
+                peaks.append(transport.peak)
+                if backend is RewordingTransport:
+                    assert transport.classified > 10
+            assert len(trees[0]) == 5
+            assert trees[0] == trees[1] == trees[2]
+            assert peaks[2] > 1
 
     @pytest.mark.parametrize("refusal", [429, 503, "reset"])
     def test_refused_attempts_change_nothing_but_retries(self, corpus, tmp_path, monkeypatch,
@@ -528,13 +539,15 @@ class TestSummarize:
     def test_articles_finish_in_order_with_bounded_lookahead(self, tmp_path, monkeypatch):
         """summarize starts at most --concurrency + 1 articles ahead and
         finishes each on the calling thread, beside at most --concurrency + 1
-        call threads; outputs do not depend on the concurrency."""
+        call threads and --concurrency finishing threads, which run the
+        connect steps; an article's record is written once the next article
+        is finished; outputs do not depend on the concurrency."""
         caller = threading.get_ident()
         texts = [planted_article().raw_text.replace("nx", f"a{a}nx") for a in range(8)]
         path = tmp_path / "corpus.jsonl"
         write_corpus(path, [{"id": f"a{a}", "article": text} for a, text in enumerate(texts)])
         thread_names: set[str] = set()
-        connect_threads: set[int] = set()
+        connect_threads: set[str] = set()
 
         class SlowEngine(MockEngine):
             def summarize(self, window_text, params=None):
@@ -543,7 +556,8 @@ class TestSummarize:
                 return super().summarize(window_text, params)
 
             def connect(self, statements, params=None):
-                connect_threads.add(threading.get_ident())
+                thread_names.update(t.name for t in threading.enumerate())
+                connect_threads.add(threading.current_thread().name)
                 return super().connect(statements, params)
 
         trees = []
@@ -559,21 +573,25 @@ class TestSummarize:
 
             monkeypatch.setattr("slisum.pipeline.make_engine", make_engine)
             thread_names.clear()
+            connect_threads.clear()
             assert main(["summarize", str(path), "-o", str(out), "--concurrency",
                          str(concurrency)]) == EXIT_OK
-            assert written == [max(0, i - (concurrency + 1)) for i in range(1, len(texts) + 1)]
+            assert written == [max(0, i - (concurrency + 2)) for i in range(1, len(texts) + 1)]
             assert not [name for name in thread_names if name.startswith("slisum-article")]
             calls = [name for name in thread_names if name.startswith("slisum-call")]
             assert 1 <= len(calls) <= concurrency + 1
-            assert connect_threads == {caller}
+            finishing = [name for name in thread_names if name.startswith("slisum-finish")]
+            assert 1 <= len(finishing) <= concurrency
+            assert connect_threads and connect_threads <= set(finishing)
             trees.append(read_bytes_tree(out))
         assert len(trees[0]) == len(texts) + 1
         assert trees[0] == trees[1]
 
     def test_summary_line_flushed_after_its_record(self, tmp_path, monkeypatch):
         """Each summary line reaches the file, after its record, before later
-        articles run: while the third article is summarized at --concurrency 1,
-        the first article's line and record are on disk."""
+        articles run: while the fourth article is summarized at --concurrency
+        1, after the second article is finished, the first article's line and
+        record are on disk."""
         path = tmp_path / "corpus.jsonl"
         write_corpus(path, [{"id": f"a{a}", "article": f"Topic{a} birds sing at dawn. "
                              f"Topic{a} cats nap at noon. Topic{a} dogs run at dusk."}
@@ -583,7 +601,7 @@ class TestSummarize:
 
         class PeekingEngine(MockEngine):
             def summarize(self, window_text, params=None):
-                if "Topic2" in window_text:
+                if "Topic3" in window_text:
                     lines = (out / "summaries.jsonl").read_text().splitlines()
                     seen.append(([json.loads(line)["id"] for line in lines],
                                  (out / "records" / "a0.json").exists()))
@@ -594,6 +612,124 @@ class TestSummarize:
         assert main(["summarize", str(path), "-o", str(out), "--concurrency", "1"]) == EXIT_OK
         assert seen
         assert all(ids[:1] == ["a0"] and record for ids, record in seen)
+
+    def test_classify_calls_of_an_article_go_out_together(self, tmp_path, monkeypatch):
+        """The classify calls of one article's contested clusters are in
+        flight at once, up to --concurrency."""
+        lock = threading.Lock()
+        in_flight = []
+        two_in_flight = threading.Event()
+
+        class GatedEngine(ContestedEngine):
+            def classify(self, statements, params=None):
+                with lock:
+                    in_flight.append(statements)
+                    if len(in_flight) >= 2:
+                        two_in_flight.set()
+                two_in_flight.wait(timeout=1)
+                with lock:
+                    in_flight.remove(statements)
+                return super().classify(statements, params)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kw: GatedEngine())
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "pets", "article": "Cats nap at noon. Dogs bark at night. "
+                                                      "Birds sing at dawn."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "3",
+                     "--seed", "1"]) == EXIT_OK
+        assert two_in_flight.is_set()
+        with open(out / "records" / "pets.json") as fh:
+            assert len(json.load(fh)["votes"]) == 3
+
+    def test_connect_call_overlaps_the_next_articles_classify_calls(self, tmp_path,
+                                                                    monkeypatch):
+        """Article i's connect call is still in flight while article i + 1's
+        classify calls run, and the records are as in input order."""
+        lock = threading.Lock()
+        connecting = []
+        seen_connecting = []
+        classified = threading.Event()
+
+        class OverlapEngine(ContestedEngine):
+            def classify(self, statements, params=None):
+                if "Birds" in statements[0]:
+                    with lock:
+                        seen_connecting.append(bool(connecting))
+                    classified.set()
+                return super().classify(statements, params)
+
+            def connect(self, statements, params=None):
+                if "Cats" in statements[0]:
+                    with lock:
+                        connecting.append(statements)
+                    classified.wait(timeout=1)
+                    with lock:
+                        connecting.remove(statements)
+                return super().connect(statements, params)
+
+        monkeypatch.setattr("slisum.pipeline.make_engine", lambda backend, **kw: OverlapEngine())
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "pets", "article": "Cats nap at noon. Dogs bark at night."},
+                            {"id": "wild", "article": "Birds sing at dawn. Fish swim in lakes."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "2",
+                     "--seed", "1"]) == EXIT_OK
+        assert seen_connecting and seen_connecting[0]
+        ids = [json.loads(line)["id"]
+               for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert ids == ["pets", "wild"]
+
+    def test_failed_classify_call_cancels_and_waits_for_the_others(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        """When one classify call of an article raises, its classify calls
+        not started are cancelled and the running ones finish before the
+        record's stats are taken; the record is written aborted, without
+        votes."""
+        lock = threading.Lock()
+        entered, completed, in_flight = [], [], []
+        other_entered = threading.Event()
+        at_write = []
+
+        class FailingClassify(ContestedEngine):
+            def classify(self, statements, params=None):
+                with lock:
+                    entered.append(statements[0])
+                if "Cats" in statements[0]:
+                    other_entered.wait(timeout=5)
+                    raise EngineError("classify down")
+                with lock:
+                    in_flight.append(statements[0])
+                other_entered.set()
+                time.sleep(0.3)
+                with lock:
+                    in_flight.remove(statements[0])
+                    completed.append(statements[0])
+                return super().classify(statements, params)
+
+        def persist(record, directory):
+            with lock:
+                at_write.append((list(in_flight), record.stats.classify_calls,
+                                 len(completed)))
+            return persist_record(record, directory)
+
+        monkeypatch.setattr("slisum.cli.persist_record", persist)
+        monkeypatch.setattr("slisum.pipeline.make_engine",
+                            lambda backend, **kw: FailingClassify())
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "pets", "article": "Cats nap at noon. Dogs bark at night. "
+                             "Birds sing at dawn. Fish swim in lakes. Bees buzz near hives."}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "2",
+                     "--seed", "1"]) == EXIT_PARTIAL
+        assert "article 'pets' failed: classify down" in capsys.readouterr().err
+        assert 2 <= len(entered) < 5
+        assert at_write == [([], len(completed), len(completed))]
+        with open(out / "records" / "pets.json") as fh:
+            record = json.load(fh)
+        assert (record["status"], record["votes"], len(record["clusters"])) == (
+            "aborted", [], 5)
+        assert (out / "summaries.jsonl").read_text() == ""
 
     def test_dry_run_prints_plan(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"

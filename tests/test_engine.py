@@ -263,11 +263,11 @@ class TestHttpEngine:
         request = request_hash(transport.calls[0])[:12]
         warnings = [r.getMessage() for r in caplog.records]
         assert [re.sub(r" \S+ ms$", "", w) for w in warnings] == [
-            f"request {request} attempt {attempt} failed ({reason}); retrying in"
+            f"request {request} sample 1 attempt {attempt} failed ({reason}); retrying in"
             for attempt, reason in enumerate(["transport error: ConnectionRefusedError",
                                               "status 503"] * 2, 1)]
         assert max(map(len, warnings)) <= 160
-        assert str(info.value) == (f"request {request}: failed after 5 attempts "
+        assert str(info.value) == (f"request {request} sample 1: failed after 5 attempts "
                                    f"(transport error: {detail})")
 
     def test_gives_up_after_max_attempts(self):
@@ -291,7 +291,27 @@ class TestHttpEngine:
         req_id = "02a11501cb8c"
         assert req_id == request_hash(transport.calls[0])[:12]
         assert str(info.value) == f"request {req_id}: non-retryable status 400"
-        assert f"request {req_id} attempt 1 failed (status 503)" in caplog.text
+        assert f"request {req_id} sample 1 attempt 1 failed (status 503)" in caplog.text
+
+    def test_samples_of_a_window_are_named_apart(self, caplog):
+        """Without a seed the samples of a window send one payload, so a
+        summarize call's retry warnings and final error name its sample; a
+        classify call's name its request alone."""
+        transport = ScriptedTransport([(503, {})] * 5
+                                      + [(429, {}), (200, ok_body("Category 1: 1"))])
+        with CallScheduler(1) as scheduler:
+            cached, _ = self.cached(transport, scheduler)
+            with caplog.at_level("WARNING", logger="slisum.engine"):
+                with pytest.raises(EngineError) as info:
+                    cached.summarize("text", sample=2)
+                assert cached.classify(["A statement."]) == "Category 1: 1"
+        window, statements = (request_hash(transport.calls[i])[:12] for i in (0, 5))
+        assert str(info.value) == (f"request {window} sample 2: failed after 5 attempts "
+                                   f"(status 503)")
+        warnings = [re.sub(r"; retrying in \S+ ms$", "", r.getMessage()) for r in caplog.records]
+        assert warnings == [
+            f"request {window} sample 2 attempt {attempt} failed (status 503)"
+            for attempt in range(1, 5)] + [f"request {statements} attempt 1 failed (status 429)"]
 
     def test_empty_response_is_engine_error(self):
         transport = ScriptedTransport([(200, ok_body("   "))])
@@ -521,6 +541,6 @@ def test_engine_without_retry_policy_makes_one_attempt():
 
     with CallScheduler(1) as scheduler:
         cached = CachedEngine(Throttled(), None, scheduler)
-        with pytest.raises(EngineError, match=r"request r: failed after 1 attempts"):
+        with pytest.raises(EngineError, match=r"request r sample 1: failed after 1 attempts"):
             cached.summarize("text")
     assert cached.retries == 0

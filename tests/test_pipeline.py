@@ -23,6 +23,7 @@ from slisum.engine import (
     EngineParams,
     HttpEngine,
     MockEngine,
+    request,
     request_hash,
 )
 from slisum.pipeline import (
@@ -42,6 +43,7 @@ from slisum.text import Article, ConfigurationError, Window, build_window_plan, 
 
 from conftest import (
     PLANTED_EVENTS,
+    ContestedEngine,
     PeakTransport,
     SamplingEngine,
     cache_key,
@@ -347,6 +349,33 @@ class TestResponseCache:
         assert not info.value.retryable
         assert cached.calls == [] and cached.retries == 0
 
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "cache"])
+    def test_engine_os_error_is_not_a_cache_error(self, tmp_path, with_cache):
+        """An OSError the engine raises fails its call at once, with or
+        without a cache, as a non-retryable EngineError naming the request,
+        the sample and the error class, not the cache's log."""
+        class ResetEngine(MockEngine):
+            max_attempts = 5
+            calls = 0
+
+            def summarize(self, window_text, params=None):
+                self.calls += 1
+                raise ConnectionResetError("peer reset")
+
+        engine = ResetEngine()
+        cache = ResponseCache(str(tmp_path)) if with_cache else None
+        with CallScheduler(1) as scheduler:
+            cached = CachedEngine(engine, cache, scheduler)
+            with pytest.raises(EngineError) as info:
+                cached.summarize("One fine sentence.", sample=2)
+        request_id = request_hash(request("summarize", "One fine sentence."))[:12]
+        assert str(info.value) == (f"request {request_id} sample 2: "
+                                   f"ConnectionResetError: peer reset")
+        assert not info.value.retryable
+        assert isinstance(info.value.__cause__, ConnectionResetError)
+        assert (engine.calls, cached.calls, cached.retries) == (1, [], 0)
+        assert not (tmp_path / LOG_NAME).exists()
+
     def test_concurrent_stores_lose_nothing(self, tmp_path):
         """Threads storing at once into one cache: every key is found, here
         and by a fresh cache, and a key stored by several threads gives them
@@ -567,6 +596,34 @@ class TestRun:
         assert record.final["statements"] == expected.final["statements"]
         assert record.final["connected_text"] == " ".join(
             s["text"] for s in expected.final["statements"])
+
+    def test_cached_classify_and_connect_calls_stay_on_the_calling_thread(self, tmp_path,
+                                                                          monkeypatch):
+        """A classify or connect call the cache answers is made on the thread
+        finishing the article; one that misses goes to a finishing thread."""
+        threads = []
+
+        def on_thread(task):
+            method = getattr(CachedEngine, task)
+
+            def traced(self, *args, **kwargs):
+                threads.append((task, threading.current_thread().name))
+                return method(self, *args, **kwargs)
+            return traced
+
+        for task in ("classify", "connect"):
+            monkeypatch.setattr(CachedEngine, task, on_thread(task))
+        article = Article.from_text("pets", "Cats nap at noon. Dogs bark at night.")
+        config = PipelineConfig(concurrency=2, seed=1, cache_dir=str(tmp_path))
+        cold = run(article, config, engine=ContestedEngine())
+        assert sorted(task for task, _ in threads) == ["classify", "classify", "connect"]
+        assert all(name.startswith("slisum-finish") for _, name in threads)
+        threads.clear()
+        warm = run(article, config, engine=ContestedEngine())
+        assert warm.stats.backend_calls == 0
+        main = threading.current_thread().name
+        assert sorted(threads) == [("classify", main), ("classify", main), ("connect", main)]
+        assert warm.to_json() == cold.to_json()
 
     def test_edited_prompt_misses_the_cache(self, tmp_path, monkeypatch):
         """An edited instruction changes its task's requests, so a warm rerun
