@@ -4,9 +4,10 @@ integration with a semantic-preservation guardrail."""
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 
 from .cluster import Statement
-from .engine import EngineError, EngineParams, SummaryEngine
+from .engine import EngineError
 # `rouge1_f1` is the score _best_matches reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
 from .lexical import TokenBag, rouge1_f1, rouge1_recall
@@ -124,11 +125,11 @@ def _appears_in_order(statements: list[Statement], connected_text: str, bag_of) 
 
 def integrate(
     statements: list[Statement],
-    engine: SummaryEngine,
-    params: EngineParams | None = None,
+    connect: Callable[[list[str]], str],
     bag_of=TokenBag.from_text,
 ) -> tuple[str, bool]:
-    """Connect the selected statements via the engine, validating that no
+    """Connect the selected statements with `connect(texts)`, an engine's
+    connect call or the reply the cache holds for it, validating that no
     statement was rewritten away (unigram recall >= 0.8 against the result and
     original order preserved); otherwise fall back to plain concatenation.
     `bag_of` gives the token bag of the connected text and of its sentences.
@@ -141,7 +142,7 @@ def integrate(
     if len(texts) == 1:
         return texts[0], False
     try:
-        connected = engine.connect(texts, params)
+        connected = connect(texts)
     except EngineError as exc:
         log.warning("connect failed (%s); falling back to concatenation", exc)
         return " ".join(texts), True

@@ -134,20 +134,10 @@ def cmd_summarize(args) -> int:
                 return EXIT_USAGE
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
 
-    bodies, partial = _load_pairs(args.input, ("article",))
-    articles: list[Article] = []
-    for article_id, body in bodies.items():
-        if body.strip():
-            articles.append(Article.from_text(article_id, body))
-        else:
-            _warn(f"{args.input}: skipping blank article {article_id!r}")
-            partial = True
-
-    if not articles:
-        _warn("no valid articles in input")
-
+    lines = _Pairs(args.input, ("article",))
+    partial = False  # whether an article failed; a skipped line is in lines.skipped
     if args.dry_run:
-        for article in articles:
+        for article in _articles(lines):
             try:
                 resolved = config.resolved(article.total_words)
                 plan = build_window_plan(article, resolved.window_size, resolved.step_size)
@@ -160,7 +150,7 @@ def cmd_summarize(args) -> int:
             for w in plan.windows:
                 print(f"  window {w.ordinal}: sentences [{w.start_sentence}, {w.end_sentence}]"
                       f" ({w.word_count} words) x{w.repetitions}")
-        return EXIT_PARTIAL if partial else EXIT_OK
+        return EXIT_PARTIAL if partial or lines.skipped else EXIT_OK
 
     summaries_path = os.path.join(args.output, "summaries.jsonl")
     try:
@@ -169,30 +159,53 @@ def cmd_summarize(args) -> int:
         _warn(f"cannot write {summaries_path}: {exc.strerror}")
         return EXIT_USAGE
     with fh, CallScheduler(config.concurrency) as scheduler:
-        # Up to concurrency + 1 articles have their generations submitted while
-        # the oldest of them is finished here. Its connect step then runs
-        # beside the next finish, and its record is written after that one,
-        # so outputs come in input order.
+        # Articles are read as they are started. Up to concurrency + 1 have
+        # their generations submitted while the oldest of them is finished
+        # here. Its connect step then runs beside the next finish, and its
+        # record is written after that one, so outputs come in input order
+        # and at most concurrency + 2 articles are held.
         started: deque = deque()
         finished: deque = deque()  # (record, its connect step's future or its EngineError)
-        last = len(articles) - 1
-        for index, article in enumerate(articles):
+
+        def finish_oldest() -> None:
+            nonlocal partial
+            record, finish = started.popleft()
+            try:
+                finished.append((record, finish()))
+            except EngineError as exc:
+                finished.append((record, exc))
+            if len(finished) > 1:
+                partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
+
+        for article in _articles(lines):
             try:
                 started.append(start(article, config, None, cache, scheduler))
             except ConfigurationError as exc:
                 _warn(f"article {article.id!r} failed: {exc}")
                 partial = True
-            while started and (len(started) > scheduler.concurrency or index == last):
-                record, finish = started.popleft()
-                try:
-                    finished.append((record, finish()))
-                except EngineError as exc:
-                    finished.append((record, exc))
-                if len(finished) > 1:
-                    partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
+            if len(started) > scheduler.concurrency:
+                finish_oldest()
+        while started:
+            finish_oldest()
         while finished:
             partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
-    return EXIT_PARTIAL if partial else EXIT_OK
+    return EXIT_PARTIAL if partial or lines.skipped else EXIT_OK
+
+
+def _articles(lines: _Pairs):
+    """The articles of `lines`, each segmented as it is read. A blank one is
+    skipped with a warning and counts as a skipped line; once the last line
+    is read without an article, 'no valid articles in input' is warned."""
+    valid = False
+    for article_id, body in lines:
+        if body.strip():
+            valid = True
+            yield Article.from_text(article_id, body)
+        else:
+            _warn(f"{lines.path}: skipping blank article {article_id!r}")
+            lines.skipped = True
+    if not valid:
+        _warn("no valid articles in input")
 
 
 def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
@@ -226,42 +239,50 @@ def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
     return True
 
 
-def _load_pairs(path, value_fields):
-    """id -> text of the first line with that id whose JSON parses and has a
-    string text (the first of `value_fields` present), in file order, and
-    whether any non-blank line was skipped: one that is not UTF-8, not such a
-    JSON object, has an id that is neither a string nor an integer (an
-    integer id is kept as its decimal string), holds an id or text that
-    cannot be written as UTF-8 (a lone surrogate escape such as "\\ud800"),
-    or repeats an id. A line ends at a newline byte."""
-    pairs = {}
-    skipped = False
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
-                if not line.strip():
+class _Pairs:
+    """The (id, text) pairs of a JSONL file, read lazily in file order: each
+    line whose JSON parses and has a string text (the first of `value_fields`
+    present) and an id not seen on an earlier line. A non-blank line is
+    skipped, with one warning as the reader reaches it, if it is not UTF-8,
+    not such a JSON object, has an id that is neither a string nor an
+    integer (an integer id is kept as its decimal string), holds an id or
+    text that cannot be written as UTF-8 (a lone surrogate escape such as
+    "\\ud800"), or repeats an id; `skipped` says whether one was, so far. A
+    line ends at a newline byte. Only the ids seen are kept."""
+
+    def __init__(self, path, value_fields):
+        self.path = path
+        self.value_fields = value_fields
+        self.skipped = False
+
+    def __iter__(self):
+        seen = set()
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
+                    if not line.strip():
+                        continue
+                    obj = json_loads(line)
+                    key = obj["id"]
+                    if isinstance(key, bool) or not isinstance(key, (str, int)):
+                        raise TypeError("id is not a string or an integer")
+                    key = str(key)
+                    value = next(obj[f] for f in self.value_fields if f in obj)
+                    if not isinstance(value, str):
+                        raise TypeError("text is not a string")
+                    key.encode("utf-8")  # UnicodeEncodeError is a ValueError
+                    value.encode("utf-8")
+                except (ValueError, KeyError, TypeError, StopIteration):
+                    _warn(f"{self.path}:{lineno}: skipping malformed record")
+                    self.skipped = True
                     continue
-                obj = json_loads(line)
-                key = obj["id"]
-                if isinstance(key, bool) or not isinstance(key, (str, int)):
-                    raise TypeError("id is not a string or an integer")
-                key = str(key)
-                value = next(obj[f] for f in value_fields if f in obj)
-                if not isinstance(value, str):
-                    raise TypeError("text is not a string")
-                key.encode("utf-8")  # UnicodeEncodeError is a ValueError
-                value.encode("utf-8")
-            except (ValueError, KeyError, TypeError, StopIteration):
-                _warn(f"{path}:{lineno}: skipping malformed record")
-                skipped = True
-                continue
-            if key in pairs:
-                _warn(f"{path}:{lineno}: skipping duplicate id {key!r}")
-                skipped = True
-                continue
-            pairs[key] = value
-    return pairs, skipped
+                if key in seen:
+                    _warn(f"{self.path}:{lineno}: skipping duplicate id {key!r}")
+                    self.skipped = True
+                    continue
+                seen.add(key)
+                yield key, value
 
 
 def _write_report(path, text) -> bool:
@@ -281,8 +302,9 @@ def cmd_evaluate(args) -> int:
         if not os.path.isfile(path):
             _warn(f"not a file: {path}")
             return EXIT_USAGE
-    summaries, skipped_summaries = _load_pairs(args.summaries, ("summary",))
-    references, skipped_references = _load_pairs(args.references, ("reference", "summary"))
+    summary_lines = _Pairs(args.summaries, ("summary",))
+    reference_lines = _Pairs(args.references, ("reference", "summary"))
+    summaries, references = dict(summary_lines), dict(reference_lines)
     shared = sorted(set(summaries) & set(references))
     if not shared:
         _warn("no overlapping ids between summaries and references")
@@ -300,7 +322,7 @@ def cmd_evaluate(args) -> int:
     for key in ("unmatched_summaries", "unmatched_references"):
         if report[key]:
             _warn(f"{key}: {', '.join(report[key])}")
-    return EXIT_PARTIAL if skipped_summaries or skipped_references else EXIT_OK
+    return EXIT_PARTIAL if summary_lines.skipped or reference_lines.skipped else EXIT_OK
 
 
 def _read_record(path):

@@ -29,16 +29,21 @@ class EngineError(RuntimeError):
 
     A `retryable` error (a transport error, a 429 or a 5xx) may pass on a
     later attempt, so `CachedEngine` makes the call again after the engine's
-    backoff. It names its `request` and the `reason`, such as 'status 503',
-    for the final error; a retry warning names a transport error's class.
+    backoff. An error about a request names its `request` and the `reason`,
+    such as 'status 503', and reads `request <request>: <reason>`;
+    `CachedEngine` appends a summarize call's sample to `request`. A retry
+    warning names a transport error's class.
     """
 
-    def __init__(self, message: str, *, retryable: bool = False, request: str = "",
+    def __init__(self, message: str = "", *, retryable: bool = False, request: str = "",
                  reason: str = ""):
         super().__init__(message)
         self.retryable = retryable
         self.request = request
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"request {self.request}: {self.reason}" if self.request else super().__str__()
 
 
 INSTRUCTIONS = {
@@ -340,13 +345,11 @@ class HttpEngine(SummaryEngine):
             return self._extract_content(body, payload)
         if status == 429 or status >= 500:
             raise self._retryable(payload, f"status {status}")
-        raise EngineError(f"request {request_id(payload)}: non-retryable status {status}")
+        raise EngineError(request=request_id(payload), reason=f"non-retryable status {status}")
 
     @staticmethod
     def _retryable(payload: dict, reason: str) -> EngineError:
-        request = request_id(payload)
-        return EngineError(f"request {request}: {reason}", retryable=True,
-                           request=request, reason=reason)
+        return EngineError(retryable=True, request=request_id(payload), reason=reason)
 
     def backoff(self, attempt: int, error: EngineError) -> None:
         """Wait out the full-jitter delay after failed attempt `attempt`."""
@@ -370,10 +373,10 @@ class HttpEngine(SummaryEngine):
             if text:
                 text.encode("utf-8")
         except (KeyError, IndexError, TypeError, UnicodeEncodeError):
-            raise EngineError(f"request {request_id(payload)}: malformed response body")
+            raise EngineError(request=request_id(payload), reason="malformed response body")
         text = (text or "").strip()
         if not text:
-            raise EngineError(f"request {request_id(payload)}: empty response")
+            raise EngineError(request=request_id(payload), reason="empty response")
         return text
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:

@@ -292,11 +292,17 @@ class CachedEngine:
         return request_hash({"backend": self.engine.identity,
                              "request": request(task, items, params), "sample": sample})
 
-    def answered(self, task: str, items: list[str], params: EngineParams | None) -> bool:
-        """Whether the cache holds the answer to this classify or connect call
-        now, so making it takes no call slot."""
-        return self.cache is not None and self.cache.lookup(
-            self._key(task, items, params)) is not None
+    def stored_reply(self, task: str, items: list[str],
+                     params: EngineParams | None) -> str | None:
+        """The reply the cache holds now for this classify or connect call,
+        logged as a call the cache served, so the caller uses it in place of
+        the call; None, and nothing logged, if it holds none."""
+        entry = None if self.cache is None else self.cache.lookup(
+            self._key(task, items, params))
+        if entry is None:
+            return None
+        self.calls.append((task, True))
+        return entry["text"]
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
               sample: int = 1) -> str:
@@ -333,9 +339,10 @@ class CachedEngine:
                 name = request_id(request(task, items, params)) + sample_name
                 raise EngineError(f"request {name}: {type(exc).__name__}: {exc}") from exc
             except EngineError as exc:
+                if exc.request:
+                    exc.request += sample_name
                 if not exc.retryable:
                     raise
-                exc.request += sample_name
                 if attempt >= self.engine.max_attempts:
                     raise EngineError(f"request {exc.request}: failed after {attempt} "
                                       f"attempts ({exc.reason})") from exc
@@ -483,15 +490,15 @@ def start(
     threads. It then hands the connect step (the connect call, its
     preservation check and the record's `final`) to a `finishing` thread and
     returns that job's future, whose result is the completed record, so the
-    calling thread can finish the next article meanwhile. A classify call or
-    connect step the cache already answers runs on the calling thread, and
-    the future it returns is then done. generation_seq
-    numbering follows deterministic plan order, so concurrency never changes
-    the result. On an engine failure `finish` cancels the article's calls not
-    yet started, waits for the running ones, flags the record and re-raises
-    the error; a connect step does not fail on one, it falls back. Neither
-    writes a file, apart from the cache's log. Settings out of range raise
-    ConfigurationError here, before any call.
+    calling thread can finish the next article meanwhile. A classify or
+    connect call the cache already answers is not made: its stored reply is
+    used on the calling thread, and the future `finish` returns is then done.
+    generation_seq numbering follows deterministic plan order, so concurrency
+    never changes the result. On an engine failure `finish` cancels the
+    article's calls not yet started, waits for the running ones, flags the
+    record and re-raises the error; a connect step does not fail on one, it
+    falls back. Neither writes a file, apart from the cache's log. Settings
+    out of range raise ConfigurationError here, before any call.
     """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
@@ -545,33 +552,36 @@ def start(
             record.stats = stats()
             raise
 
-        def connect_step() -> RunRecord:
-            connect()
+        def connect_step(ask: Callable[[list[str]], str]) -> RunRecord:
+            connect(ask)
             record.status = "complete"
             record.stats = stats()
             return record
 
         # A step that makes no backend call, as with fewer than two winners
-        # or a cached answer, runs here: a handoff would cost more than it.
-        if len(winners) < 2 or cached.answered("connect", winners, params):
-            return _run_now(connect_step)
-        return scheduler.finishing.submit(connect_step)
+        # or a stored reply, runs here: a handoff would cost more than it.
+        reply = cached.stored_reply("connect", winners, params) if len(winners) > 1 else None
+        if len(winners) < 2 or reply is not None:
+            return _run_now(connect_step, lambda texts: reply)
+        return scheduler.finishing.submit(connect_step,
+                                          lambda texts: cached.connect(texts, params))
 
     return record, finish
 
 
 def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
                           summaries: list[str], cached: CachedEngine, params: EngineParams,
-                          record: RunRecord) -> tuple[Callable[[], None], list[str]]:
+                          record: RunRecord) -> tuple[Callable[[Callable], None], list[str]]:
     """Fill the record from the local summaries: split them into statements,
     cluster, vote inside each retained cluster and arrange the winners; return
-    the connect step, which connects them and fills `record.final`.
+    the connect step, which connects them with the `ask` it is given and
+    fills `record.final`.
 
     The classify calls of every contested cluster go out at once, on the
-    scheduler's `finishing` threads (a call the cache answers is made here),
-    and their replies are read in cluster order. If one raises, the calls not
-    started are cancelled and the running ones waited for before the error
-    propagates. Also returns the texts the connect step will connect."""
+    scheduler's `finishing` threads (for a call the cache answers, its stored
+    reply is used), and their replies are read in cluster order. If one
+    raises, the calls not started are cancelled and the running ones waited
+    for before the error propagates. Also returns the texts the connect step will connect."""
     statements: list[Statement] = []
     # Each distinct text the article's statements, sentences and connected
     # text hold is tokenized once: text -> (token bag, normalized form). The
@@ -633,9 +643,9 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     for cid, members in enumerate(retained, 1):
         if len({lexicon[s.text][1] for s in members}) > 1:
             texts = [s.text for s in members]
-            answered = cached.answered("classify", texts, params)
-            submit = _run_now if answered else cached.scheduler.finishing.submit
-            replies[cid] = submit(cached.classify, texts, params)
+            reply = cached.stored_reply("classify", texts, params)
+            replies[cid] = (cached.scheduler.finishing.submit(cached.classify, texts, params)
+                            if reply is None else _done(reply))
     votes = []  # assigned after the loop, so an aborted record keeps none
     try:
         for cid, members in enumerate(retained, 1):
@@ -660,10 +670,10 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     else:
         record.flags.append("no cluster survived MinPts")
 
-    def connect() -> None:
+    def connect(ask: Callable[[list[str]], str]) -> None:
         connected, fallback = "", False
         if arranged:
-            connected, fallback = integrate([s for s, _ in arranged], cached, params, bag_of)
+            connected, fallback = integrate([s for s, _ in arranged], ask, bag_of)
         offsets = _word_offsets(article)
         record.final = {
             "statements": [
@@ -682,6 +692,13 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         }
 
     return connect, [s.text for s, _ in arranged]
+
+
+def _done(value) -> Future:
+    """A future whose result is `value`."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 def _run_now(fn: Callable, *args) -> Future:

@@ -236,7 +236,7 @@ class ReorderingEngine(MockEngine):
 class TestIntegrate:
     def test_mock_passthrough(self):
         stmts = make_statements(["First fact stated.", "Second fact stated."])
-        text, fallback = integrate(stmts, MockEngine())
+        text, fallback = integrate(stmts, MockEngine().connect)
         assert text == "First fact stated. Second fact stated."
         assert fallback is False
 
@@ -246,18 +246,18 @@ class TestIntegrate:
                 raise AssertionError("must not be called")
 
         stmts = make_statements(["Only statement."])
-        text, fallback = integrate(stmts, Exploding())
+        text, fallback = integrate(stmts, Exploding().connect)
         assert (text, fallback) == ("Only statement.", False)
 
     def test_rewrite_triggers_fallback(self):
         stmts = make_statements(["Alpha fact one here.", "Beta fact two there."])
-        text, fallback = integrate(stmts, RewritingEngine())
+        text, fallback = integrate(stmts, RewritingEngine().connect)
         assert fallback is True
         assert text == "Alpha fact one here. Beta fact two there."
 
     def test_reorder_triggers_fallback(self):
         stmts = make_statements(["Alpha fact one here.", "Beta fact two there."])
-        text, fallback = integrate(stmts, ReorderingEngine())
+        text, fallback = integrate(stmts, ReorderingEngine().connect)
         assert fallback is True
 
     def test_engine_error_falls_back(self):
@@ -268,7 +268,7 @@ class TestIntegrate:
                 raise EngineError("down")
 
         stmts = make_statements(["One fact.", "Two facts."])
-        text, fallback = integrate(stmts, Failing())
+        text, fallback = integrate(stmts, Failing().connect)
         assert fallback is True
         assert text == "One fact. Two facts."
 
@@ -279,4 +279,4 @@ class TestIntegrate:
 
         stmts = make_statements(["One fact.", "Two facts."])
         with pytest.raises(TypeError):
-            integrate(stmts, Broken())
+            integrate(stmts, Broken().connect)

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 
 import pytest
 import yaml
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
 from slisum.pipeline import PipelineConfig, ResponseCache, persist_record
+from slisum.text import Article
 
 from conftest import (
     ContestedEngine,
@@ -586,6 +588,49 @@ class TestSummarize:
             trees.append(read_bytes_tree(out))
         assert len(trees[0]) == len(texts) + 1
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_corpus_is_read_as_articles_start(self, tmp_path, monkeypatch, concurrency):
+        """summarize reads and segments an article only when it can start it:
+        at most --concurrency + 1 started articles, plus one finished and
+        waiting for its record to be written, are alive at once."""
+        alive = weakref.WeakSet()
+        counts = []
+        from_text = Article.from_text.__func__
+
+        def tracked(cls, article_id, raw_text):
+            article = from_text(cls, article_id, raw_text)
+            alive.add(article)
+            counts.append(len(alive))
+            return article
+
+        monkeypatch.setattr(Article, "from_text", classmethod(tracked))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": f"a{a}", "article": f"Topic{a} birds sing at dawn. "
+                             f"Topic{a} cats nap at noon. Topic{a} dogs run at dusk."}
+                            for a in range(12)])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency",
+                     str(concurrency)]) == EXIT_OK
+        assert len(counts) == 12
+        assert max(counts) <= concurrency + 2
+        assert len((out / "summaries.jsonl").read_text().splitlines()) == 12
+
+    def test_skipped_line_is_warned_when_read(self, tmp_path, capsys):
+        """A skipped line's warning comes when the reader reaches it: after
+        the first article's per-article line, when the malformed line is the
+        last of the corpus."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": f"a{a}", "article": f"Topic{a} birds sing at dawn. "
+                             f"Topic{a} cats nap at noon."} for a in range(3)] + ["{not json"])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out), "--concurrency", "1"]) \
+            == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        first = next(i for i, line in enumerate(err)
+                     if line.startswith("slisum: a0: backend_calls="))
+        assert first < err.index(f"slisum: {path}:4: skipping malformed record")
+        assert len((out / "summaries.jsonl").read_text().splitlines()) == 3
 
     def test_summary_line_flushed_after_its_record(self, tmp_path, monkeypatch):
         """Each summary line reaches the file, after its record, before later

@@ -290,7 +290,7 @@ class TestHttpEngine:
                 cached.summarize("text", EngineParams(model="test-model"))
         req_id = "02a11501cb8c"
         assert req_id == request_hash(transport.calls[0])[:12]
-        assert str(info.value) == f"request {req_id}: non-retryable status 400"
+        assert str(info.value) == f"request {req_id} sample 1: non-retryable status 400"
         assert f"request {req_id} sample 1 attempt 1 failed (status 503)" in caplog.text
 
     def test_samples_of_a_window_are_named_apart(self, caplog):
@@ -312,6 +312,23 @@ class TestHttpEngine:
         assert warnings == [
             f"request {window} sample 2 attempt {attempt} failed (status 503)"
             for attempt in range(1, 5)] + [f"request {statements} attempt 1 failed (status 429)"]
+
+    @pytest.mark.parametrize("reply, reason", [
+        ((400, {}), "non-retryable status 400"),
+        ((200, {"choices": []}), "malformed response body"),
+        ((200, ok_body("  ")), "empty response"),
+    ], ids=["status", "malformed", "empty"])
+    def test_non_retryable_errors_name_the_sample(self, reply, reason):
+        """Without a seed the samples of a window send one payload, so a
+        summarize call's non-retryable error names its sample as well."""
+        transport = ScriptedTransport([reply])
+        with CallScheduler(1) as scheduler:
+            cached, _ = self.cached(transport, scheduler)
+            with pytest.raises(EngineError) as info:
+                cached.summarize("text", sample=2)
+        window = request_hash(transport.calls[0])[:12]
+        assert str(info.value) == f"request {window} sample 2: {reason}"
+        assert not info.value.retryable
 
     def test_empty_response_is_engine_error(self):
         transport = ScriptedTransport([(200, ok_body("   "))])

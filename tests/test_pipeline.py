@@ -599,8 +599,9 @@ class TestRun:
 
     def test_cached_classify_and_connect_calls_stay_on_the_calling_thread(self, tmp_path,
                                                                           monkeypatch):
-        """A classify or connect call the cache answers is made on the thread
-        finishing the article; one that misses goes to a finishing thread."""
+        """A classify or connect call the cache answers is served from its
+        stored reply on the thread finishing the article; one that misses
+        goes to a finishing thread."""
         threads = []
 
         def on_thread(task):
@@ -611,6 +612,15 @@ class TestRun:
                 return method(self, *args, **kwargs)
             return traced
 
+        stored_reply = CachedEngine.stored_reply
+
+        def served_on_thread(self, task, *args):
+            reply = stored_reply(self, task, *args)
+            if reply is not None:
+                threads.append((task, threading.current_thread().name))
+            return reply
+
+        monkeypatch.setattr(CachedEngine, "stored_reply", served_on_thread)
         for task in ("classify", "connect"):
             monkeypatch.setattr(CachedEngine, task, on_thread(task))
         article = Article.from_text("pets", "Cats nap at noon. Dogs bark at night.")
@@ -623,6 +633,30 @@ class TestRun:
         assert warm.stats.backend_calls == 0
         main = threading.current_thread().name
         assert sorted(threads) == [("classify", main), ("classify", main), ("connect", main)]
+        assert warm.to_json() == cold.to_json()
+
+    def test_warm_run_looks_each_call_up_once(self, tmp_path, monkeypatch):
+        """On a warm run every call, classify and connect included, is one
+        cache lookup: the reply the probe finds is the one the vote and the
+        connect step use."""
+        article = planted_article()
+        config = PipelineConfig(concurrency=2, seed=1, cache_dir=str(tmp_path))
+        cold = run(article, config, engine=ContestedEngine())
+        lookups = []
+        lookup = ResponseCache.lookup
+
+        def counted(self, key):
+            lookups.append(key)
+            return lookup(self, key)
+
+        monkeypatch.setattr(ResponseCache, "lookup", counted)
+        warm = run(article, config, engine=ContestedEngine())
+        stats = warm.stats
+        calls = stats.summarize_calls + stats.classify_calls + stats.connect_calls
+        assert stats.classify_calls > 0 and stats.connect_calls == 1
+        assert len(lookups) == len(set(lookups)) == calls
+        assert (stats.backend_calls, stats.cache_hits) == (0, calls)
+        assert cold.stats.backend_calls == calls
         assert warm.to_json() == cold.to_json()
 
     def test_edited_prompt_misses_the_cache(self, tmp_path, monkeypatch):
