@@ -165,15 +165,12 @@ def cmd_summarize(args) -> int:
         # record is written after that one, so outputs come in input order
         # and at most concurrency + 2 articles are held.
         started: deque = deque()
-        finished: deque = deque()  # (record, its connect step's future or its EngineError)
+        finished: deque = deque()  # (record, the future of its finish)
 
         def finish_oldest() -> None:
             nonlocal partial
             record, finish = started.popleft()
-            try:
-                finished.append((record, finish()))
-            except EngineError as exc:
-                finished.append((record, exc))
+            finished.append((record, finish()))
             if len(finished) > 1:
                 partial |= not _write_outputs(*finished.popleft(), records_dir, fh)
 
@@ -209,14 +206,13 @@ def _articles(lines: _Pairs):
 
 
 def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
-    """Wait for a finished article's connect step (`outcome` is its future,
-    or the EngineError that failed the article), then write its record and,
-    if it completed, its summary line; False if it failed or its record
-    could not be written."""
-    if isinstance(outcome, EngineError):
-        _warn(f"article {record.article_id!r} failed: {outcome}")
-    else:
+    """Wait for a finished article's `outcome`, the future `finish` returned,
+    then write its record and, if it completed, its summary line; False if
+    it failed or its record could not be written."""
+    try:
         outcome.result()
+    except EngineError as exc:
+        _warn(f"article {record.article_id!r} failed: {exc}")
     try:
         persist_record(record, records_dir)
     except OSError as exc:

@@ -260,6 +260,22 @@ def replay_transport(path):
     return transport
 
 
+_local = threading.local()  # each thread's requests.Session, made on its first request
+
+
+def _session():
+    """This thread's `requests.Session`, whose pool keeps the thread's
+    connections open from one call to the next. A thread makes one call at a
+    time, so it holds at most one connection per endpoint, and its session's
+    connections are closed when the thread ends."""
+    session = getattr(_local, "session", None)
+    if session is None:
+        import requests
+
+        session = _local.session = requests.Session()
+    return session
+
+
 class HttpEngine(SummaryEngine):
     """Chat-completion backend over HTTP.
 
@@ -277,7 +293,9 @@ class HttpEngine(SummaryEngine):
     http:// or https:// URL that names a host, or construction raises
     ConfigurationError. The API key defaults to SLISUM_API_KEY; one that
     cannot go in an HTTP header (not Latin-1, or holding a CR or LF) raises
-    ConfigurationError too, without echoing the key.
+    ConfigurationError too, without echoing the key. Without a transport,
+    each thread sends through its own `requests.Session`, so a thread's
+    calls to one endpoint reuse one connection.
     """
 
     max_attempts = 5
@@ -313,6 +331,9 @@ class HttpEngine(SummaryEngine):
             raise ConfigurationError(
                 "the http backend's API key (SLISUM_API_KEY) must be Latin-1 text "
                 "without line breaks")
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
         self.path = path
         self.timeout = timeout
         self.backoff_base = backoff_base
@@ -321,13 +342,8 @@ class HttpEngine(SummaryEngine):
         self._rng = rng or random.Random()
 
     def _http_transport(self, payload: dict, timeout: float):
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = requests.post(
-            self.base_url + self.path, json=payload, headers=headers, timeout=timeout
+        resp = _session().post(
+            self.base_url + self.path, json=payload, headers=self._headers, timeout=timeout
         )
         try:
             body = json_loads(resp.content)

@@ -15,7 +15,8 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import Future, wait
+from concurrent.futures import Executor, Future, wait
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .aggregate import arrange, integrate, vote
@@ -267,7 +268,7 @@ class ResponseCache:
 class CachedEngine:
     """Engine wrapper that serves repeats from the cache, retries failed
     attempts and logs every call. Its summarize, classify and connect return
-    the reply text, as a backend's do.
+    the reply text, as a backend's do; `ask` is how the pipeline asks for one.
 
     Each attempt at a backend call holds one of the scheduler's call slots,
     and the backoff between attempts holds none. With a cache, concurrent
@@ -292,24 +293,30 @@ class CachedEngine:
         return request_hash({"backend": self.engine.identity,
                              "request": request(task, items, params), "sample": sample})
 
-    def stored_reply(self, task: str, items: list[str],
-                     params: EngineParams | None) -> str | None:
-        """The reply the cache holds now for this classify or connect call,
-        logged as a call the cache served, so the caller uses it in place of
-        the call; None, and nothing logged, if it holds none."""
-        entry = None if self.cache is None else self.cache.lookup(
-            self._key(task, items, params))
-        if entry is None:
-            return None
-        self.calls.append((task, True))
-        return entry["text"]
+    def ask(self, executor: Executor, task: str, items: str | list[str],
+            params: EngineParams | None, sample: int = 1) -> Future:
+        """The reply to this call, as a future: one the cache holds is read
+        on this thread and logged as a call the cache served; otherwise the
+        call goes to `executor`, through this engine's method for the task,
+        given the key computed here."""
+        key = entry = None
+        if self.cache is not None:
+            key = self._key(task, items, _sampled(task, params, sample), sample)
+            with suppress(OSError):  # an unreadable log fails the call made below
+                entry = self.cache.lookup(key)
+        if entry is not None:
+            self.calls.append((task, True))
+            return _done(entry["text"])
+        args = (items, params, sample) if task == "summarize" else (items, params)
+        return executor.submit(getattr(self, task), *args, key=key)
 
     def _call(self, task: str, items: str | list[str], params: EngineParams | None,
-              sample: int = 1) -> str:
+              sample: int = 1, key: str | None = None) -> str:
+        params = _sampled(task, params, sample)
         if self.cache is None:
             text, hit = self._fetch(task, items, params, sample), False
         else:
-            key = self._key(task, items, params, sample)
+            key = key or self._key(task, items, params, sample)
             try:
                 text, hit = self.cache.get(
                     key, task, lambda: self._fetch(task, items, params, sample))
@@ -352,19 +359,27 @@ class CachedEngine:
                 attempt += 1
 
     def summarize(self, window_text: str, params: EngineParams | None = None,
-                  sample: int = 1) -> str:
+                  sample: int = 1, key: str | None = None) -> str:
         """Draw sample number `sample` (from 1) of this window's summary. Each
         sample is its own cache entry, and with a seed set sample r sends
         seed + r - 1, so the K repetitions of a window are K draws."""
-        if params is not None and params.seed is not None:
-            params = replace(params, seed=params.seed + sample - 1)
-        return self._call("summarize", window_text, params, sample)
+        return self._call("summarize", window_text, params, sample, key)
 
-    def classify(self, statements: list[str], params: EngineParams | None = None) -> str:
-        return self._call("classify", statements, params)
+    def classify(self, statements: list[str], params: EngineParams | None = None,
+                 key: str | None = None) -> str:
+        return self._call("classify", statements, params, key=key)
 
-    def connect(self, statements: list[str], params: EngineParams | None = None) -> str:
-        return self._call("connect", statements, params)
+    def connect(self, statements: list[str], params: EngineParams | None = None,
+                key: str | None = None) -> str:
+        return self._call("connect", statements, params, key=key)
+
+
+def _sampled(task: str, params: EngineParams | None, sample: int) -> EngineParams | None:
+    """The params a call sends: sample r of a summarize call with a seed set
+    sends seed + r - 1."""
+    if task == "summarize" and params is not None and params.seed is not None:
+        return replace(params, seed=params.seed + sample - 1)
+    return params
 
 
 @dataclass
@@ -480,25 +495,25 @@ def start(
     cache: ResponseCache | None,
     scheduler: CallScheduler,
 ) -> tuple[RunRecord, Callable[[], Future]]:
-    """Resolve the settings, plan the windows and submit the article's window
-    generations to the scheduler's generation queue; return the article's
+    """Resolve the settings, plan the windows and ask for the article's window
+    generations on the scheduler's generation queue; return the article's
     record, `aborted` until its connect step completes it, and `finish`.
 
     `finish()` waits for the generations and runs statement split,
     clustering, filtering, voting and arranging on the calling thread; the
-    vote's classify calls go out together on the scheduler's `finishing`
-    threads. It then hands the connect step (the connect call, its
-    preservation check and the record's `final`) to a `finishing` thread and
-    returns that job's future, whose result is the completed record, so the
-    calling thread can finish the next article meanwhile. A classify or
-    connect call the cache already answers is not made: its stored reply is
-    used on the calling thread, and the future `finish` returns is then done.
-    generation_seq numbering follows deterministic plan order, so concurrency
-    never changes the result. On an engine failure `finish` cancels the
-    article's calls not yet started, waits for the running ones, flags the
-    record and re-raises the error; a connect step does not fail on one, it
-    falls back. Neither writes a file, apart from the cache's log. Settings
-    out of range raise ConfigurationError here, before any call.
+    vote's classify calls and then the connect call are asked for on the
+    scheduler's `finishing` threads. It returns a future whose result is the
+    completed record, so the calling thread can finish the next article
+    meanwhile: the connect step (the preservation check and the record's
+    `final`) runs on the thread that completes the connect call, or at once
+    for a stored reply or fewer than two winners. Every call is asked for
+    through `CachedEngine.ask`, so a reply the cache holds is served on the
+    asking thread. generation_seq numbering follows plan order, so
+    concurrency never changes the result. On an engine failure `finish`
+    cancels the article's calls not yet started, waits for the running ones,
+    flags the record and returns a future holding the error; a connect step
+    falls back instead. Neither writes a file, apart from the cache's log.
+    Settings out of range raise ConfigurationError here, before any call.
     """
     started = time.monotonic()
     resolved = config.resolved(article.total_words)
@@ -531,40 +546,38 @@ def start(
             "windows": [{f: getattr(w, f) for f in _WINDOW_FIELDS} for w in plan.windows],
         },
     )
-    futures = [
-        scheduler.submit(cached.summarize, window_text(article, window), params, sample=rep)
-        for window, rep in tasks
-    ]
+    futures = [cached.ask(scheduler, "summarize", window_text(article, window), params, rep)
+               for window, rep in tasks]
 
     def stats() -> RunStats:
         return RunStats.from_calls(cached.calls, time.monotonic() - started, cached.retries)
 
     def finish() -> Future:
+        outcome = Future()
         try:
-            summaries = [future.result() for future in futures]
+            summaries = _results(futures)
             connect, winners = _filter_and_aggregate(article, resolved, tasks, summaries,
                                                      cached, params, record)
-        except EngineError:
-            for future in futures:
-                future.cancel()
-            wait(futures)
+        except EngineError as exc:
             record.flags.append("aborted: engine error")
             record.stats = stats()
-            raise
+            outcome.set_exception(exc)
+            return outcome
 
-        def connect_step(ask: Callable[[list[str]], str]) -> RunRecord:
-            connect(ask)
-            record.status = "complete"
-            record.stats = stats()
-            return record
+        def connect_step(reply: Future) -> None:
+            try:
+                connect(lambda texts: reply.result())
+                record.status = "complete"
+                record.stats = stats()
+            except BaseException as exc:  # a done-callback's own exception would be lost
+                outcome.set_exception(exc)
+            else:
+                outcome.set_result(record)
 
-        # A step that makes no backend call, as with fewer than two winners
-        # or a stored reply, runs here: a handoff would cost more than it.
-        reply = cached.stored_reply("connect", winners, params) if len(winners) > 1 else None
-        if len(winners) < 2 or reply is not None:
-            return _run_now(connect_step, lambda texts: reply)
-        return scheduler.finishing.submit(connect_step,
-                                          lambda texts: cached.connect(texts, params))
+        reply = (cached.ask(scheduler.finishing, "connect", winners, params)
+                 if len(winners) > 1 else _done(None))  # one winner needs no connect call
+        reply.add_done_callback(connect_step)
+        return outcome
 
     return record, finish
 
@@ -577,11 +590,11 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     the connect step, which connects them with the `ask` it is given and
     fills `record.final`.
 
-    The classify calls of every contested cluster go out at once, on the
-    scheduler's `finishing` threads (for a call the cache answers, its stored
-    reply is used), and their replies are read in cluster order. If one
-    raises, the calls not started are cancelled and the running ones waited
-    for before the error propagates. Also returns the texts the connect step will connect."""
+    The classify calls of every contested cluster are asked for at once, on
+    the scheduler's `finishing` threads, and their replies are read in
+    cluster order. If one raises, the calls not started are cancelled and the
+    running ones waited for before the error propagates. Also returns the
+    texts the connect step will connect."""
     statements: list[Statement] = []
     # Each distinct text the article's statements, sentences and connected
     # text hold is tokenized once: text -> (token bag, normalized form). The
@@ -639,27 +652,15 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
             }
         )
 
-    replies = {}  # cluster id -> its classify call, for clusters of several phrasings
-    for cid, members in enumerate(retained, 1):
-        if len({lexicon[s.text][1] for s in members}) > 1:
-            texts = [s.text for s in members]
-            reply = cached.stored_reply("classify", texts, params)
-            replies[cid] = (cached.scheduler.finishing.submit(cached.classify, texts, params)
-                            if reply is None else _done(reply))
-    votes = []  # assigned after the loop, so an aborted record keeps none
-    try:
-        for cid, members in enumerate(retained, 1):
-            reply = replies.get(cid)
-            if reply is None:
-                partition = [list(range(1, len(members) + 1))]
-            else:
-                partition = parse_classification_response(reply.result(), len(members))
-            votes.append({"cluster_id": cid, **vote(members, partition)})
-    except BaseException:
-        for reply in replies.values():
-            reply.cancel()
-        wait(replies.values())
-        raise
+    replies = _results([  # a cluster of one phrasing is one category, without a call
+        cached.ask(cached.scheduler.finishing, "classify", [s.text for s in members], params)
+        if len({lexicon[s.text][1] for s in members}) > 1 else _done(None)
+        for members in retained])
+    votes = []
+    for cid, (members, reply) in enumerate(zip(retained, replies), 1):
+        partition = ([list(range(1, len(members) + 1))] if reply is None
+                     else parse_classification_response(reply, len(members)))
+        votes.append({"cluster_id": cid, **vote(members, partition)})
     record.votes = votes
 
     by_seq = {s.generation_seq: s for s in statements}
@@ -701,14 +702,16 @@ def _done(value) -> Future:
     return future
 
 
-def _run_now(fn: Callable, *args) -> Future:
-    """fn(*args), run on the calling thread, as a done future."""
-    future = Future()
+def _results(futures: list[Future]) -> list:
+    """The futures' results, in order. If one raises, those not started are
+    cancelled and the running ones waited for before the error propagates."""
     try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
+        return [future.result() for future in futures]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 def _word_offsets(article: Article) -> list[int]:

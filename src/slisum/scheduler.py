@@ -2,19 +2,17 @@
 
 A `CallScheduler` owns `concurrency` call slots. An attempt at a backend call
 holds one while it is in flight, so no more than `concurrency` calls are ever
-in flight in the process, however many articles are started; a cache hit and
-a backoff between attempts take none. Calls wait for a slot from one of two
-queues:
+in flight in the process, however many articles are started; a backoff
+between attempts takes none. A reply the cache holds is served on the thread
+asking for it; calls it does not hold wait for a slot from one of two queues:
 
 * the generation queue (`submit`) holds the window generations of started
   articles, run by `concurrency + 1` dispatch threads, one more than the
   slots, so while one call waits out a backoff another queued call can take
   the slot it left;
 * `finishing` holds what an article's finish sends out: its classify calls
-  and its connect step, run by `concurrency` threads of their own, so they
-  wait for a slot but never behind newer articles' queued generations. A
-  call the cache already answers is made on the thread finishing the
-  article.
+  and its connect call, run by `concurrency` threads of their own, so they
+  wait for a slot but never behind newer articles' queued generations.
 """
 from __future__ import annotations
 
@@ -27,8 +25,8 @@ from .text import ConfigurationError
 class CallScheduler(ThreadPoolExecutor):
     """Call slots and dispatch threads shared by every article of a run;
     `submit` runs a window generation on a dispatch thread, in FIFO order,
-    and `finishing.submit` runs a call or connect step of an article being
-    finished, in FIFO order among those.
+    and `finishing.submit` runs a classify or connect call of an article
+    being finished, in FIFO order among those.
 
     Leaving it as a context manager cancels the calls still queued and waits
     for the running ones.

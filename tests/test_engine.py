@@ -1,6 +1,8 @@
+import http.server
 import json
 import random
 import re
+import threading
 from urllib.parse import urlsplit, urlunsplit
 
 import pytest
@@ -351,16 +353,73 @@ class TestHttpEngine:
         than the JSON parser recurses, is a non-retryable malformed body."""
         import requests
 
-        def post(url, **kwargs):
+        def post(session, url, **kwargs):
             reply = requests.Response()
             reply.status_code, reply._content, reply.encoding = 200, content, "utf-8"
             return reply
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(requests.Session, "post", post)
         engine = HttpEngine(base_url="http://example.invalid", api_key="k")
         with pytest.raises(EngineError, match="malformed response body") as info:
             engine.summarize("text")
         assert not info.value.retryable
+
+    def test_calls_on_one_thread_reuse_one_connection(self):
+        """Ten calls through one engine at concurrency 1 go over one
+        keep-alive connection, each with the engine's headers, and the
+        connection is closed once the thread that made them ends."""
+        accepted, authorized = [], []
+        closed = threading.Event()
+
+        class Echo(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive
+            disable_nagle_algorithm = True  # a reply is two writes: no delayed-ACK stall
+
+            def setup(self):
+                accepted.append(self.client_address)
+                super().setup()
+
+            def finish(self):
+                super().finish()
+                closed.set()
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                authorized.append(self.headers["Authorization"])
+                body = json.dumps(ok_body(payload["messages"][1]["content"])).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+        serving = threading.Thread(target=server.serve_forever)
+        serving.start()
+        try:
+            engine = HttpEngine(base_url=f"http://127.0.0.1:{server.server_port}",
+                                api_key="k")
+            replies = []
+
+            def calls():
+                with CallScheduler(1) as scheduler:
+                    cached = CachedEngine(engine, None, scheduler)
+                    replies.extend(cached.summarize(f"text {i}") for i in range(10))
+
+            caller = threading.Thread(target=calls)
+            caller.start()
+            caller.join()
+            assert closed.wait(10)
+        finally:
+            server.shutdown()
+            serving.join()
+            server.server_close()
+        assert replies == [f"text {i}" for i in range(10)]
+        assert authorized == ["Bearer k"] * 10
+        assert len(accepted) == 1
 
     def test_classify_parses_partition(self):
         raw = "Category 1: 2\nCategory 2: 1, 4\nCategory 3: 3, 5"

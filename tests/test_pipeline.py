@@ -612,15 +612,15 @@ class TestRun:
                 return method(self, *args, **kwargs)
             return traced
 
-        stored_reply = CachedEngine.stored_reply
+        ask = CachedEngine.ask
 
-        def served_on_thread(self, task, *args):
-            reply = stored_reply(self, task, *args)
-            if reply is not None:
+        def served_on_thread(self, executor, task, *args):
+            reply = ask(self, executor, task, *args)
+            if task != "summarize" and self.calls[-1:] == [(task, True)]:
                 threads.append((task, threading.current_thread().name))
             return reply
 
-        monkeypatch.setattr(CachedEngine, "stored_reply", served_on_thread)
+        monkeypatch.setattr(CachedEngine, "ask", served_on_thread)
         for task in ("classify", "connect"):
             monkeypatch.setattr(CachedEngine, task, on_thread(task))
         article = Article.from_text("pets", "Cats nap at noon. Dogs bark at night.")
@@ -658,6 +658,45 @@ class TestRun:
         assert (stats.backend_calls, stats.cache_hits) == (0, calls)
         assert cold.stats.backend_calls == calls
         assert warm.to_json() == cold.to_json()
+
+    def test_warm_summarize_hits_stay_off_the_call_threads(self, tmp_path, monkeypatch):
+        """On a warm run a summarize reply the cache holds is read on the
+        thread asking for it: no call thread serves one."""
+        config = PipelineConfig(concurrency=2, seed=1, cache_dir=str(tmp_path))
+        cold = run(planted_article(), config, engine=ContestedEngine())
+        served = []
+        lookup = ResponseCache.lookup
+
+        def traced(self, key):
+            entry = lookup(self, key)
+            if entry is not None and entry["task"] == "summarize":
+                served.append(threading.current_thread().name)
+            return entry
+
+        monkeypatch.setattr(ResponseCache, "lookup", traced)
+        warm = run(planted_article(), config, engine=ContestedEngine())
+        assert len(served) == warm.stats.summarize_calls > 0
+        assert not [name for name in served if name.startswith("slisum-call")]
+        assert warm.stats.backend_calls == 0
+        assert warm.to_json() == cold.to_json()
+
+    def test_cold_call_computes_its_key_once(self, tmp_path, monkeypatch):
+        """A call the cache does not hold, of any task, hashes its request
+        into a cache key once: the key its lookup and its store use."""
+        keyed = []
+        key_of = CachedEngine._key
+
+        def counted(self, task, *args, **kwargs):
+            keyed.append(task)
+            return key_of(self, task, *args, **kwargs)
+
+        monkeypatch.setattr(CachedEngine, "_key", counted)
+        config = PipelineConfig(concurrency=2, seed=1, cache_dir=str(tmp_path))
+        stats = run(planted_article(), config, engine=ContestedEngine()).stats
+        assert stats.classify_calls > 0 and stats.connect_calls == 1
+        assert stats.backend_calls == stats.summarize_calls + stats.classify_calls + 1
+        assert Counter(keyed) == {"summarize": stats.summarize_calls,
+                                  "classify": stats.classify_calls, "connect": 1}
 
     def test_edited_prompt_misses_the_cache(self, tmp_path, monkeypatch):
         """An edited instruction changes its task's requests, so a warm rerun
@@ -751,7 +790,7 @@ class TestRun:
         monkeypatch.setenv("SLISUM_BASE_URL", "http://example.invalid")
         sent = []
 
-        def post(url, **kwargs):
+        def post(session, url, **kwargs):
             payload = kwargs["json"]
             sent.append(payload)
             reply = requests.Response()
@@ -761,7 +800,7 @@ class TestRun:
             ).encode("utf-8")
             return reply
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(requests.Session, "post", post)
         article = Article.from_text("tiny", "Solar panels cut energy costs. Wind turbines spin.")
         config = PipelineConfig(backend="http", model=model, concurrency=1,
                                 cache_dir=str(tmp_path / "cache"))
@@ -806,8 +845,9 @@ class TestRun:
         assert peak > 1
 
     def test_partial_record_aborted_on_engine_error(self, planted):
-        """On an engine error `finish` re-raises, the article's record stays
-        aborted and flagged, and its generations not yet started are cancelled."""
+        """On an engine error `finish` returns a future holding it, the
+        article's record stays aborted and flagged, and its generations not
+        yet started are cancelled."""
         class FailingEngine(MockEngine):
             def __init__(self):
                 self.calls = 0
@@ -825,7 +865,7 @@ class TestRun:
                                    scheduler)
             assert record.status == "aborted"
             with pytest.raises(EngineError):
-                finish()
+                finish().result()
             scheduler.submit(lambda: None).result(timeout=10)  # after every call not cancelled
         assert engine.calls < build_window_plan(planted, 150, 50).total_generations
         assert record.status == "aborted"
@@ -855,7 +895,7 @@ class TestRun:
             record, finish = start(article, PipelineConfig(concurrency=1), engine, None,
                                    scheduler)
             with pytest.raises(EngineError):
-                finish()
+                finish().result()
         assert engine.classifies == 2
         assert len(record.clusters) == 2
         assert record.votes == []
