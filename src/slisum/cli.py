@@ -38,7 +38,6 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-_AT_LEAST_ONE = ("max_tokens", "concurrency")  # run settings whose value must be >= 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +55,7 @@ def build_config(args) -> PipelineConfig:
     """Merge settings with precedence flags > environment > file > length
     defaults. Config-file keys are PipelineConfig field names, and a value
     must be null (unset) or of the type its flag parses; anything else, or a
-    max_tokens or concurrency below 1, is a usage error."""
+    value PipelineConfig rejects, is a usage error."""
     values: dict = {}
     if getattr(args, "config", None):
         import yaml  # only here: importing it is a large share of start-up
@@ -76,14 +75,15 @@ def build_config(args) -> PipelineConfig:
                 raise ConfigurationError(f"config file {args.config}: unknown key {key!r}")
             if val is not None:
                 values[key] = _file_value(args.config, key, val, flags[key])
+        try:
+            PipelineConfig(**values)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config file {args.config}: {exc}") from None
     if os.environ.get("SLISUM_MODEL"):
         values["model"] = os.environ["SLISUM_MODEL"]
     for field in _CONFIG_FIELDS:
         flag = getattr(args, field, None)
         if flag is not None:
-            if field in _AT_LEAST_ONE and flag < 1:
-                raise ConfigurationError(
-                    f"--{field.replace('_', '-')} must be >= 1, got {flag}")
             values[field] = flag
     return PipelineConfig(**values)
 
@@ -93,12 +93,8 @@ def _file_value(path: str, key: str, value, flag: argparse.Action):
     bool for nothing; ConfigurationError if it does not fit."""
     kind = flag.type or str
     fits = isinstance(value, (int, float) if kind is float else kind)
-    below_one = key in _AT_LEAST_ONE and fits and value < 1
-    if (isinstance(value, bool) or not fits or below_one
-            or (flag.choices and value not in flag.choices)):
+    if isinstance(value, bool) or not fits or (flag.choices and value not in flag.choices):
         expected = f"one of {', '.join(flag.choices)}" if flag.choices else kind.__name__
-        if key in _AT_LEAST_ONE:
-            expected += " >= 1"
         raise ConfigurationError(f"config file {path}: {key} must be {expected}, got {value!r}")
     return kind(value)
 
@@ -244,7 +240,8 @@ class _Pairs:
     integer (an integer id is kept as its decimal string), holds an id or
     text that cannot be written as UTF-8 (a lone surrogate escape such as
     "\\ud800"), or repeats an id; `skipped` says whether one was, so far. A
-    line ends at a newline byte. Only the ids seen are kept."""
+    line ends at a newline byte; a UTF-8 byte-order mark opening the file is
+    ignored (RFC 8259, section 8.1). Only the ids seen are kept."""
 
     def __init__(self, path, value_fields):
         self.path = path
@@ -256,7 +253,8 @@ class _Pairs:
         with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 try:
-                    line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
+                    # UnicodeDecodeError is a ValueError
+                    line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
                     if not line.strip():
                         continue
                     obj = json_loads(line)

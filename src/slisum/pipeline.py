@@ -84,6 +84,16 @@ class PipelineConfig:
     cache_dir: str | None = None
     seed: int | None = None
 
+    def __post_init__(self):
+        """ConfigurationError if a setting that does not depend on the article
+        is out of range: eps outside (0, 1), or max_tokens or concurrency
+        below 1."""
+        if self.eps is not None and not 0.0 < self.eps < 1.0:
+            raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
+        for name in ("max_tokens", "concurrency"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @property
     def k(self) -> int:
         """Coverage ratio K of the window geometry; needs both sizes set."""
@@ -92,7 +102,7 @@ class PipelineConfig:
     def resolved(self, article_words: int) -> "PipelineConfig":
         """Every setting filled in: the window geometry by article length
         (150/50 under 3000 words, else 750/150), eps 0.25 and MinPts half of K
-        rounded up, unless set; ConfigurationError if one is out of range."""
+        rounded up, unless set; ConfigurationError if MinPts is outside [1, K]."""
         window_size, step_size = (
             SHORT_GEOMETRY if article_words < SHORT_ARTICLE_MAX_WORDS else LONG_GEOMETRY
         )
@@ -105,12 +115,8 @@ class PipelineConfig:
         k = config.k
         if config.min_pts is None:
             config.min_pts = default_min_pts(k)
-        if not 0.0 < config.eps < 1.0:
-            raise ConfigurationError(f"eps must be in (0, 1), got {config.eps}")
         if not 1 <= config.min_pts <= k:
             raise ConfigurationError(f"min_pts {config.min_pts} outside [1, {k}]")
-        if config.max_tokens < 1:
-            raise ConfigurationError(f"max_tokens must be >= 1, got {config.max_tokens}")
         return config
 
 
@@ -153,7 +159,8 @@ class ResponseCache:
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_to = 0  # every complete line before this offset is indexed
         self._lock = threading.Lock()
-        self._turns: dict[str, threading.Lock] = {}  # key -> the lock its callers take turns on
+        # key -> [the lock its callers take turns on, how many hold or wait on it]
+        self._turns: dict[str, list] = {}
 
     def get(self, key: str, task: str, fetch: Callable[[], str]) -> tuple[str, bool]:
         """(text, hit): the text of the key's first readable line and True,
@@ -161,15 +168,21 @@ class ResponseCache:
         turns on the key's lock to do this (single-flight, as in Go's
         golang.org/x/sync/singleflight): a caller that waited finds the
         stored line, a hit, or, if the fetch raised, fetches the key itself.
-        A key's lock is made on its first call and kept for the cache's
-        life."""
+        A key's lock lives only while a caller holds or waits on it."""
         with self._lock:
-            turn = self._turns.setdefault(key, threading.Lock())
-        with turn:
-            entry = self.lookup(key)
-            if entry is not None:
-                return entry["text"], True
-            return self.store(key, {"text": fetch(), "task": task}), False
+            turn = self._turns.setdefault(key, [threading.Lock(), 0])
+            turn[1] += 1
+        try:
+            with turn[0]:
+                entry = self.lookup(key)
+                if entry is not None:
+                    return entry["text"], True
+                return self.store(key, {"text": fetch(), "task": task}), False
+        finally:
+            with self._lock:
+                turn[1] -= 1
+                if not turn[1]:
+                    del self._turns[key]
 
     def lookup(self, key: str) -> dict | None:
         """The entry of the key's first readable line, or None."""

@@ -7,6 +7,8 @@ and a double-loop Hausdorff.
 from __future__ import annotations
 
 import functools
+import http.server
+import json
 import random
 import string
 import threading
@@ -347,3 +349,55 @@ class RewordingTransport(PeakTransport):
             with self.lock:
                 self.classified += 1
         return super().answer(payload)
+
+
+class EchoServer:
+    """Loopback keep-alive HTTP server, serving on a thread while used as a
+    context manager at `url`, that answers each chat-completions request with
+    its user message. `accepted` gets each connection's client address,
+    `authorized` each request's Authorization header, and `closed` is set
+    when a connection ends."""
+
+    def __init__(self):
+        self.accepted, self.authorized = [], []
+        self.closed = threading.Event()
+        owner = self
+
+        class Echo(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive
+            disable_nagle_algorithm = True  # a reply is two writes: no delayed-ACK stall
+
+            def setup(self):
+                owner.accepted.append(self.client_address)
+                super().setup()
+
+            def finish(self):
+                super().finish()
+                owner.closed.set()
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                owner.authorized.append(self.headers["Authorization"])
+                content = payload["messages"][1]["content"]
+                body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+        self._serving = threading.Thread(target=self._server.serve_forever)
+
+    def __enter__(self):
+        self._serving.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._serving.join()
+        self._server.server_close()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
 from slisum.pipeline import PipelineConfig, ResponseCache, persist_record
-from slisum.text import Article
+from slisum.text import Article, ConfigurationError
 
 from conftest import (
     ContestedEngine,
@@ -92,6 +92,22 @@ class TestSummarize:
         err = capsys.readouterr().err
         for lineno in (2, 3):
             assert f"{path}:{lineno}: skipping malformed record" in err
+
+    def test_byte_order_mark_opening_the_corpus_is_ignored(self, tmp_path, capsys):
+        """A UTF-8 byte-order mark before the first line is not part of it
+        (RFC 8259, section 8.1); on a later line it is a malformed record."""
+        bom = b"\xef\xbb\xbf"
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [bom + json.dumps({"id": "a", "article": "Birds sing."}).encode()])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.startswith("slisum: a: backend_calls=")
+        write_corpus(path, [{"id": "a", "article": "Birds sing."},
+                            bom + json.dumps({"id": "b", "article": "Cats nap."}).encode()])
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        assert f"{path}:2: skipping malformed record" in capsys.readouterr().err
+        assert [json.loads(line)["id"] for line in
+                (out / "summaries.jsonl").read_text().splitlines()] == ["a"]
 
     @pytest.mark.parametrize("line", [
         r'{"id": "bad", "article": "Broken \ud800 text here. More text there."}',
@@ -218,13 +234,21 @@ class TestSummarize:
             f"slisum: cannot create output directory {taken}: File exists\n")
         assert taken.read_text() == "keep"
 
-    def test_duplicate_id_partial(self, tmp_path):
+    def test_duplicate_id_partial(self, tmp_path, capsys):
+        """A repeated id is skipped with a warning naming its line, which
+        counts the malformed lines before it."""
         path = tmp_path / "corpus.jsonl"
         write_corpus(path, [
             {"id": "a", "article": "One sentence here. Another one there."},
+            "{not json",
             {"id": "a", "article": "Different text now. And again more."},
         ])
-        assert main(["summarize", str(path), "-o", str(tmp_path / "out")]) == EXIT_PARTIAL
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert f"{path}:2: skipping malformed record" in err
+        assert f"{path}:3: skipping duplicate id 'a'" in err
+        assert len((out / "summaries.jsonl").read_text().splitlines()) == 1
 
     def test_long_id_gets_a_record(self, tmp_path, capsys):
         """A 300-character id is cut to a file name that leaves room for the
@@ -781,7 +805,7 @@ class TestSummarize:
         code = main(["summarize", str(corpus), "-o", str(out), "--dry-run"])
         assert code == EXIT_OK
         captured = capsys.readouterr().out
-        assert "summarize calls" in captured
+        assert any(line.endswith(" summarize calls") for line in captured.splitlines())
         assert "window 1:" in captured
         assert not out.exists()
         # A dry run writes nothing, also when no article is valid.
@@ -1118,7 +1142,25 @@ class TestConfig:
     def test_flag_below_one_exits_one(self, corpus, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), flag, value]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"slisum: {flag} must be >= 1, got {value}\n"
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"slisum: {field} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_eps_out_of_range_exits_one_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                                  source):
+        """eps does not depend on the article, so an eps outside (0, 1) is a
+        usage error found before the corpus is read: exit 1, one line, and
+        no output directory."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, ["{not json", {"id": "a", "article": "Birds sing at dawn."}])
+        config = tmp_path / "config.yaml"
+        config.write_text("eps: 2\n")
+        out = tmp_path / "out"
+        setting = ["--eps", "2"] if source == "flag" else ["--config", str(config)]
+        assert main(["summarize", str(path), "-o", str(out), *setting]) == EXIT_USAGE
+        prefix = f"config file {config}: " if source == "file" else ""
+        assert capsys.readouterr().err == f"slisum: {prefix}eps must be in (0, 1), got 2.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["eps: [\n", "eps: 0.2\n\tseed: 1\n", "eps: 0.2: 1\n",
@@ -1155,12 +1197,15 @@ class TestConfig:
     def test_null_is_unset_and_an_int_stands_for_a_float(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SLISUM_MODEL", raising=False)
         config = tmp_path / "config.yaml"
-        config.write_text("eps: 1\nbackend: null\nseed: null\n")
+        config.write_text("eps: 0.5\nbackend: null\nseed: null\n")
         args = make_parser().parse_args(["summarize", "corpus.jsonl", "-o", "out",
                                          "--config", str(config)])
-        built = build_config(args)
-        assert built == PipelineConfig(eps=1.0)
-        assert isinstance(built.eps, float)
+        assert build_config(args) == PipelineConfig(eps=0.5)
+        # No int is in eps's range: an int eps is read as a float, then range-checked.
+        config.write_text("eps: 1\n")
+        with pytest.raises(ConfigurationError,
+                           match=r": eps must be in \(0, 1\), got 1\.0$"):
+            build_config(args)
 
 
 class TestEvaluate:
@@ -1174,6 +1219,9 @@ class TestEvaluate:
         assert code == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["per_article"][0]["rouge1"] == 1.0
+        assert {"per_article", "means", "count", "unavailable", "unmatched_summaries",
+                "unmatched_references"} <= set(report)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("mean ")
 
     def test_disjoint_ids_usage_error(self, tmp_path, capsys):
         summaries = tmp_path / "sums.jsonl"
@@ -1192,6 +1240,16 @@ class TestEvaluate:
         assert main(["evaluate", str(summaries), str(references), "-o", str(report_path)]) == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["per_article"][0]["rouge1"] == pytest.approx(2 * 2 / 6)
+
+    def test_byte_order_mark_opening_a_file_is_ignored(self, tmp_path):
+        summaries = tmp_path / "sums.jsonl"
+        references = tmp_path / "refs.jsonl"
+        bom = b"\xef\xbb\xbf"
+        write_corpus(summaries, [bom + b'{"id": "a", "summary": "the cat sat"}'])
+        write_corpus(references, [bom + b'{"id": "a", "reference": "the cat sat"}'])
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", str(summaries), str(references), "-o", str(report_path)]) == EXIT_OK
+        assert json.loads(report_path.read_text())["per_article"][0]["rouge1"] == 1.0
 
     @pytest.mark.parametrize("duplicated", ["summaries", "references"])
     def test_duplicate_id_keeps_first_and_exits_partial(self, tmp_path, capsys, duplicated):

@@ -1,4 +1,3 @@
-import http.server
 import json
 import random
 import re
@@ -25,6 +24,8 @@ from slisum.engine import (
 from slisum.pipeline import CachedEngine
 from slisum.text import ConfigurationError
 from slisum.scheduler import CallScheduler
+
+from conftest import EchoServer
 
 
 class TestRender:
@@ -368,40 +369,8 @@ class TestHttpEngine:
         """Ten calls through one engine at concurrency 1 go over one
         keep-alive connection, each with the engine's headers, and the
         connection is closed once the thread that made them ends."""
-        accepted, authorized = [], []
-        closed = threading.Event()
-
-        class Echo(http.server.BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"  # keep-alive
-            disable_nagle_algorithm = True  # a reply is two writes: no delayed-ACK stall
-
-            def setup(self):
-                accepted.append(self.client_address)
-                super().setup()
-
-            def finish(self):
-                super().finish()
-                closed.set()
-
-            def do_POST(self):
-                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                authorized.append(self.headers["Authorization"])
-                body = json.dumps(ok_body(payload["messages"][1]["content"])).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Echo)
-        serving = threading.Thread(target=server.serve_forever)
-        serving.start()
-        try:
-            engine = HttpEngine(base_url=f"http://127.0.0.1:{server.server_port}",
-                                api_key="k")
+        with EchoServer() as server:
+            engine = HttpEngine(base_url=server.url, api_key="k")
             replies = []
 
             def calls():
@@ -412,14 +381,10 @@ class TestHttpEngine:
             caller = threading.Thread(target=calls)
             caller.start()
             caller.join()
-            assert closed.wait(10)
-        finally:
-            server.shutdown()
-            serving.join()
-            server.server_close()
+            assert server.closed.wait(10)
         assert replies == [f"text {i}" for i in range(10)]
-        assert authorized == ["Bearer k"] * 10
-        assert len(accepted) == 1
+        assert server.authorized == ["Bearer k"] * 10
+        assert len(server.accepted) == 1
 
     def test_classify_parses_partition(self):
         raw = "Category 1: 2\nCategory 2: 1, 4\nCategory 3: 3, 5"

@@ -148,13 +148,19 @@ class TestResolveProfile:
     ])
     def test_run_rejects_a_setting_below_one_before_any_call(self, planted, setting, value):
         """run() rejects what the CLI rejects: a concurrency or max_tokens
-        below 1 is a ConfigurationError, raised before any backend call."""
+        below 1 is a ConfigurationError, raised when the config is built and,
+        for a config changed after that, by run() before any backend call."""
         class Unused(MockEngine):
             def summarize(self, window_text, params=None):
                 raise AssertionError("a rejected setting makes no call")
 
-        with pytest.raises(ConfigurationError, match=f"^{setting} must be >= 1, got {value}$"):
-            run(planted, PipelineConfig(**{setting: value}), Unused())
+        message = f"^{setting} must be >= 1, got {value}$"
+        with pytest.raises(ConfigurationError, match=message):
+            PipelineConfig(**{setting: value})
+        config = PipelineConfig()
+        setattr(config, setting, value)
+        with pytest.raises(ConfigurationError, match=message):
+            run(planted, config, Unused())
 
 
 class TestResponseCache:

@@ -156,6 +156,50 @@ def test_failed_first_fetches_leave_one_answer_per_key(tmp_path):
     assert fetches == dict.fromkeys(keys, 2)
 
 
+def test_key_locks_live_only_while_callers_hold_or_wait(tmp_path):
+    """The cache keeps a key's lock only while a caller holds or waits on
+    it: sequential gets, concurrent gets and a fetch that raised while
+    another caller waited on its key all leave the lock table empty."""
+    cache = ResponseCache(str(tmp_path))
+    keys = [cache_key("summarize", f"Window {i}.", EngineParams()) for i in range(40)]
+    for key in keys[:20]:
+        assert cache.get(key, "summarize", lambda: "drawn") == ("drawn", False)
+        assert cache.get(key, "summarize", lambda: "unused") == ("drawn", True)
+    assert cache._turns == {}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(lambda key: cache.get(key, "summarize", lambda: "drawn"),
+                          keys * 5, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert cache._turns == {}
+
+    key = cache_key("summarize", "Failing window.", EngineParams())
+    started, release = threading.Event(), threading.Event()
+
+    def failing():
+        started.set()
+        assert release.wait(timeout=10)
+        raise ValueError("backend down")
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(cache.get, key, "summarize", failing)
+        assert started.wait(timeout=10)
+        second = pool.submit(cache.get, key, "summarize", lambda: "own answer")
+        deadline = time.monotonic() + 10
+        while cache._turns[key][1] < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert cache._turns[key][1] == 2  # the second caller waits on the key
+        release.set()
+        with pytest.raises(ValueError, match="backend down"):
+            first.result(timeout=10)
+        assert second.result(timeout=10) == ("own answer", False)
+    assert cache._turns == {}
+
+
 def test_backoff_leaves_the_slot_to_another_call():
     """At concurrency 1, a call waiting out a 429 backoff holds no call slot
     and no dispatch thread another call needs: a call submitted after the
