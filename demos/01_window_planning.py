@@ -31,6 +31,5 @@ for window in plan.windows:
     print(f"  {preview[:70]}...")
 
 print("\nper-sentence coverage (how many generations see each sentence):")
-for sentence in ARTICLE.sentences:
-    print(f"  s{sentence.index:>2} ({sentence.word_count:>2} words): "
-          f"{plan.coverage(sentence.index)}")
+for index, (before, after) in enumerate(zip(ARTICLE.offsets, ARTICLE.offsets[1:]), 1):
+    print(f"  s{index:>2} ({after - before:>2} words): {plan.coverage(index)}")

@@ -105,10 +105,9 @@ def arrange(statements: list[Statement], article: Article,
     text's token bag; a caller holding bags already passes a lookup."""
     if not article.sentences:
         raise ValueError("article has no sentences")
-    sentences = article.sentences
     best = _best_matches([s.token_bag for s in statements],
-                         [bag_of(sent.text) for sent in sentences])
-    anchored = [(s, sentences[pos].index) for s, pos in zip(statements, best)]
+                         [bag_of(sent) for sent in article.sentences])
+    anchored = [(s, pos + 1) for s, pos in zip(statements, best)]
     anchored.sort(key=lambda pair: (pair[1], pair[0].generation_seq))
     return anchored
 
@@ -116,7 +115,7 @@ def arrange(statements: list[Statement], article: Article,
 def _appears_in_order(statements: list[Statement], connected_text: str, bag_of) -> bool:
     """Check the statements surface in the connected text in their given order,
     by anchoring each to the connected text's own sentences."""
-    pieces = [bag_of(p.text) for p in segment_sentences(connected_text)]
+    pieces = [bag_of(p) for p in segment_sentences(connected_text)]
     if not pieces:
         return False
     positions = _best_matches([s.token_bag for s in statements], pieces)

@@ -187,7 +187,7 @@ class MockEngine(SummaryEngine):
     identity = "mock"
 
     def summarize(self, window_text: str, params: EngineParams | None = None) -> str:
-        sentences = [s.text for s in segment_sentences(window_text)]
+        sentences = segment_sentences(window_text)
         if not sentences:
             return window_text.strip()
         if len(sentences) == 1:

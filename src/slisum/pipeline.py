@@ -627,12 +627,12 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     seq = 0
     for (window, rep), summary in zip(tasks, summaries):
         seqs = []
-        for pos, sent in enumerate(segment_sentences(summary), 1):
+        for pos, text in enumerate(segment_sentences(summary), 1):
             seq += 1
-            entry = lookup(sent.text)
+            entry = lookup(text)
             statements.append(
                 Statement(
-                    text=sent.text,
+                    text=text,
                     window_ordinal=window.ordinal,
                     generation_seq=seq,
                     position_in_summary=pos,
@@ -688,13 +688,12 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         connected, fallback = "", False
         if arranged:
             connected, fallback = integrate([s for s, _ in arranged], ask, bag_of)
-        offsets = _word_offsets(article)
         record.final = {
             "statements": [
                 {
                     "text": s.text,
                     "source_anchor": anchor_idx,
-                    "anchor_word_offset": offsets[anchor_idx - 1],
+                    "anchor_word_offset": article.offsets[anchor_idx - 1] + 1,
                     "window_ordinal": s.window_ordinal,
                     "generation_seq": s.generation_seq,
                     "cluster_id": winner_cluster[s.generation_seq],
@@ -725,16 +724,6 @@ def _results(futures: list[Future]) -> list:
             future.cancel()
         wait(futures)
         raise
-
-
-def _word_offsets(article: Article) -> list[int]:
-    """1-based word offset of each sentence's first word."""
-    offsets = []
-    total = 0
-    for sent in article.sentences:
-        offsets.append(total + 1)
-        total += sent.word_count
-    return offsets
 
 
 # The longest record file name that leaves room for `_write_atomic`'s temp

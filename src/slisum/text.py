@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
 
 
 class ConfigurationError(ValueError):
@@ -18,40 +20,35 @@ _ABBREVIATIONS = {
     "al.", "e.g.", "i.e.", "vs.", "no.",
 }
 
-# Terminal punctuation followed by whitespace; group 1 is the first
-# non-space character after it. Regex \s and str.isspace test the same
-# characters.
-_TERMINAL = re.compile(r"[.!?]+(?=\s+(\S))")
-_INITIAL = re.compile(r"\A[a-z]\.\Z")
+# Terminal punctuation, then any closing quotes or brackets, followed by
+# whitespace; group 1 is the first non-space character after it. Regex \s
+# and str.isspace test the same characters.
+_TERMINAL = re.compile(r"[.!?]+[\"'”’)\]]*(?=\s+(\S))")
+# One letter of any script and a period.
+_INITIAL = re.compile(r"\A[^\W\d_]\.\Z")
 _OPENERS = "\"'“‘(["
-
-
-@dataclass(frozen=True)
-class Sentence:
-    """One article sentence with its 1-based position and exact character span."""
-
-    index: int
-    text: str
-    word_count: int
-    char_span: tuple[int, int]
+# Stripped from both ends of the token before the abbreviation and initial tests.
+_QUOTES_AND_BRACKETS = _OPENERS + "”’)]"
 
 
 @dataclass(frozen=True)
 class Article:
+    """An article's sentence texts and word offsets: offsets[i] is the number
+    of words before sentence i + 1, so offsets[-1] is the article's length."""
+
     id: str
-    raw_text: str
-    sentences: tuple[Sentence, ...]
-    total_words: int
+    sentences: tuple[str, ...]
+    offsets: tuple[int, ...]
+
+    @property
+    def total_words(self) -> int:
+        return self.offsets[-1]
 
     @classmethod
     def from_text(cls, article_id: str, raw_text: str) -> "Article":
         sentences = tuple(segment_sentences(raw_text))
-        return cls(
-            id=article_id,
-            raw_text=raw_text,
-            sentences=sentences,
-            total_words=sum(s.word_count for s in sentences),
-        )
+        offsets = tuple(accumulate((len(s.split()) for s in sentences), initial=0))
+        return cls(id=article_id, sentences=sentences, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -86,17 +83,15 @@ class WindowPlan:
         )
 
 
-def segment_sentences(raw_text: str) -> list[Sentence]:
-    """Split text at terminal punctuation followed by whitespace and an
-    uppercase/opening character.
+def segment_sentences(raw_text: str) -> list[str]:
+    """Split text at terminal punctuation, optionally followed by closing
+    quotes or brackets, then whitespace and an uppercase/opening character.
 
     A fixed abbreviation list, single-letter initials, and decimal points do
-    not split. Character spans index into the original text; whitespace-only
-    fragments are dropped.
+    not split; quotes and brackets around the token are ignored for the first
+    two. Returns the stripped sentence texts; whitespace-only fragments are
+    dropped.
     """
-    if not raw_text or not raw_text.strip():
-        return []
-
     boundaries = []
     for match in _TERMINAL.finditer(raw_text):
         nxt = match.group(1)
@@ -106,30 +101,19 @@ def segment_sentences(raw_text: str) -> list[Sentence]:
         k = end
         while k > 0 and not raw_text[k - 1].isspace():
             k -= 1
-        token = raw_text[k:end].casefold()
+        token = raw_text[k:end].strip(_QUOTES_AND_BRACKETS).casefold()
         if token in _ABBREVIATIONS or _INITIAL.match(token):
             continue
         boundaries.append(end)
     boundaries.append(len(raw_text))
 
-    sentences: list[Sentence] = []
+    sentences = []
     prev = 0
     for bound in boundaries:
-        chunk = raw_text[prev:bound]
-        lead = chunk.lstrip()
-        text = lead.rstrip()
-        start = bound - len(lead)
+        text = raw_text[prev:bound].strip()
         prev = bound
-        if not text:
-            continue
-        sentences.append(
-            Sentence(
-                index=len(sentences) + 1,
-                text=text,
-                word_count=len(text.split()),
-                char_span=(start, start + len(text)),
-            )
-        )
+        if text:
+            sentences.append(text)
     return sentences
 
 
@@ -144,19 +128,15 @@ def k_ratio(window_size: int, step_size: int) -> int:
     return window_size // step_size
 
 
-def _step_segments(sentences, step_size: int) -> list[tuple[int, int]]:
-    """Partition the article into consecutive runs of sentences, each run being
-    the fewest sentences totaling >= step_size words (last run may fall short)."""
+def _step_segments(offsets: tuple[int, ...], step_size: int) -> list[tuple[int, int]]:
+    """Partition the article, given by its word offsets, into consecutive runs
+    of sentences, each run being the fewest sentences totaling >= step_size
+    words (last run may fall short)."""
+    n = len(offsets) - 1
     segments = []
     start = 0
-    while start < len(sentences):
-        words = 0
-        end = start
-        while end < len(sentences):
-            words += sentences[end].word_count
-            end += 1
-            if words >= step_size:
-                break
+    while start < n:
+        end = min(bisect_left(offsets, offsets[start] + step_size, start + 1), n)
         segments.append((start + 1, end))  # 1-based inclusive
         start = end
     return segments
@@ -179,13 +159,9 @@ def build_window_plan(article: Article, window_size: int, step_size: int) -> Win
     if not article.sentences:
         raise ConfigurationError(f"article {article.id!r} has no sentences")
 
-    sentences = article.sentences
-    n = len(sentences)
-
-    def words(lo: int, hi: int) -> int:
-        return sum(s.word_count for s in sentences[lo - 1 : hi])
-
-    segments = _step_segments(sentences, step_size)
+    n = len(article.sentences)
+    offsets = article.offsets
+    segments = _step_segments(offsets, step_size)
     t = len(segments)
 
     # (start, end, repetitions). Window i spans segments i..i+K-1, clipped to
@@ -202,7 +178,7 @@ def build_window_plan(article: Article, window_size: int, step_size: int) -> Win
             ordinal=i + 1,
             start_sentence=lo,
             end_sentence=hi,
-            word_count=words(lo, hi),
+            word_count=offsets[hi] - offsets[lo - 1],
             repetitions=reps,
         )
         for i, (lo, hi, reps) in enumerate(ranges)
@@ -212,6 +188,4 @@ def build_window_plan(article: Article, window_size: int, step_size: int) -> Win
 
 def window_text(article: Article, window: Window) -> str:
     """Concatenated sentence texts of the window, single-space separated."""
-    return " ".join(
-        s.text for s in article.sentences[window.start_sentence - 1 : window.end_sentence]
-    )
+    return " ".join(article.sentences[window.start_sentence - 1 : window.end_sentence])

@@ -227,12 +227,15 @@ def _noise_sentence(i: int) -> str:
     return " ".join(words) + "."
 
 
-def planted_article() -> Article:
+def planted_text() -> str:
     """30 sentences with three events, each planted as three identical copies
     spread over consecutive step segments; all other sentences use vocabularies
     disjoint from everything else."""
-    sentences = [_EVENT_POSITIONS.get(i, _noise_sentence(i)) for i in range(1, 31)]
-    return Article.from_text("planted", " ".join(sentences))
+    return " ".join(_EVENT_POSITIONS.get(i, _noise_sentence(i)) for i in range(1, 31))
+
+
+def planted_article() -> Article:
+    return Article.from_text("planted", planted_text())
 
 
 @pytest.fixture
@@ -256,7 +259,7 @@ class SamplingEngine(MockEngine):
             self.draws += 1
         time.sleep(0.005)
         sentences = segment_sentences(window_text)
-        return sentences[draw % len(sentences)].text
+        return sentences[draw % len(sentences)]
 
 
 def reworded_window(window_text: str, seed: int | None) -> str:
@@ -264,7 +267,7 @@ def reworded_window(window_text: str, seed: int | None) -> str:
     window's length plus the seed is even: overlapping windows, and the
     samples of one window drawn with seeds in turn, then phrase a fact two
     ways, so most clusters need a classify call."""
-    sentences = [s.text for s in segment_sentences(window_text)]
+    sentences = segment_sentences(window_text)
     if (len(window_text) + (seed or 0)) % 2 == 0:
         sentences = [s[:-1] + " indeed" + s[-1] for s in sentences]
     return " ".join(sentences)

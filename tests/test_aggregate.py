@@ -98,7 +98,7 @@ class TestAnchor:
         # brute-force scan agrees
         from slisum.lexical import rouge1_f1
 
-        scores = [rouge1_f1(stmt.text, s.text) for s in ARTICLE.sentences]
+        scores = [rouge1_f1(stmt.text, s) for s in ARTICLE.sentences]
         assert scores.index(max(scores)) + 1 == 2
 
     def test_zero_overlap_ties_to_first(self):
@@ -132,8 +132,8 @@ class TestArrange:
 
 
 def brute_force_anchor(text: str, article: Article) -> int:
-    scores = [oracle_rouge1(text, sent.text) for sent in article.sentences]
-    return article.sentences[scores.index(max(scores))].index
+    scores = [oracle_rouge1(text, sent) for sent in article.sentences]
+    return scores.index(max(scores)) + 1
 
 
 class TestArrangeMatchesBruteForce:

@@ -29,7 +29,7 @@ from conftest import (
     RewordingTransport,
     SamplingEngine,
     ThrottlingTransport,
-    planted_article,
+    planted_text,
 )
 
 
@@ -46,10 +46,9 @@ def write_corpus(path, records):
 
 @pytest.fixture
 def corpus(tmp_path):
-    planted = planted_article()
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, [
-        {"id": "planted", "article": planted.raw_text, "reference": "Some reference."},
+        {"id": "planted", "article": planted_text(), "reference": "Some reference."},
         {"id": "tiny", "article": "Solar panels cut energy costs. Solar panels cut energy bills."},
         {"id": "third", "article": "Birds sing at dawn. Birds sing at sunrise. Cats nap at noon."},
     ])
@@ -304,7 +303,7 @@ class TestSummarize:
         process, whatever --jobs says, and outputs do not depend on either,
         also with a backend whose clusters each need a classify call."""
         with open(corpus, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"id": "fourth", "article": planted_article().raw_text
+            fh.write(json.dumps({"id": "fourth", "article": planted_text()
                                  .replace("Alpha", "Beta")}) + "\n")
         transport = None
 
@@ -569,7 +568,7 @@ class TestSummarize:
         connect steps; an article's record is written once the next article
         is finished; outputs do not depend on the concurrency."""
         caller = threading.get_ident()
-        texts = [planted_article().raw_text.replace("nx", f"a{a}nx") for a in range(8)]
+        texts = [planted_text().replace("nx", f"a{a}nx") for a in range(8)]
         path = tmp_path / "corpus.jsonl"
         write_corpus(path, [{"id": f"a{a}", "article": text} for a, text in enumerate(texts)])
         thread_names: set[str] = set()

@@ -968,7 +968,7 @@ class TestRun:
         assert warm.stats.backend_calls == 0
         assert warm.to_json() == cold.to_json()
         assert cold.final["connected_text"] in tokenized
-        assert {s.text for s in article.sentences} <= set(tokenized)
+        assert set(article.sentences) <= set(tokenized)
         assert max(tokenized.values()) == 1
 
     def test_statements_traceable_to_one_generation(self, planted):

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ def uniform_article(n_sentences: int, words_per_sentence: int) -> Article:
 
 class TestSegmentation:
     def test_basic_split(self):
-        got = [s.text for s in segment_sentences("Hello world. How are you? Fine!")]
+        got = segment_sentences("Hello world. How are you? Fine!")
         assert got == ["Hello world.", "How are you?", "Fine!"]
 
     def test_empty_input(self):
@@ -47,22 +48,33 @@ class TestSegmentation:
 
     def test_initials_and_decimals(self):
         got = segment_sentences("He met J. Doe at 3.14 pm. Then he left.")
-        assert [s.text for s in got] == ["He met J. Doe at 3.14 pm.", "Then he left."]
+        assert got == ["He met J. Doe at 3.14 pm.", "Then he left."]
+
+    def test_initial_in_any_script(self):
+        assert len(segment_sentences("The novel by Émile É. Zola sold well.")) == 1
+        assert len(segment_sentences("Coach Ö. Yılmaz won again.")) == 1
+        assert len(segment_sentences("Her friend John J. Doe won again.")) == 1
+
+    def test_closing_quote_ends_sentence(self):
+        assert segment_sentences('He said "we will win." The crowd cheered.') == [
+            'He said "we will win."', "The crowd cheered."]
+        assert segment_sentences("'Yes.' He nodded.") == ["'Yes.'", "He nodded."]
+        assert segment_sentences("It rose (by 3%.) Then it fell.") == [
+            "It rose (by 3%.)", "Then it fell."]
+
+    def test_quoted_abbreviation_not_split(self):
+        assert segment_sentences("(Dr.) Smith came.") == ["(Dr.) Smith came."]
+        assert segment_sentences('"Dr. Smith came.') == ['"Dr. Smith came.']
+        assert segment_sentences("He met (J.) Doe.") == ["He met (J.) Doe."]
 
     def test_lowercase_continuation_not_split(self):
         assert len(segment_sentences("it ended. and then continued")) == 1
 
-    def test_char_spans_exact(self):
-        raw = "  First one.  Second here!  "
-        got = segment_sentences(raw)
-        assert [raw[a:b] for s in got for a, b in [s.char_span]] == [s.text for s in got]
-        for prev, cur in zip(got, got[1:]):
-            assert prev.char_span[1] <= cur.char_span[0]
-
     def test_indices_and_word_counts(self):
-        got = segment_sentences("One two. Three four five. Six!")
-        assert [s.index for s in got] == [1, 2, 3]
-        assert [s.word_count for s in got] == [2, 3, 1]
+        article = Article.from_text("counts", "  One two.  Three four five. Six!  ")
+        assert article.sentences == ("One two.", "Three four five.", "Six!")
+        assert article.offsets == (0, 2, 5, 6)
+        assert article.total_words == 6
 
     @given(
         st.lists(
@@ -80,16 +92,18 @@ class TestSegmentation:
     def test_resegmentation_idempotent(self, word_lists):
         sentences = [(" ".join(ws)).capitalize() + "." for ws in word_lists]
         joined = " ".join(sentences)
-        assert [s.text for s in segment_sentences(joined)] == sentences
+        assert segment_sentences(joined) == sentences
 
 
-def scanning_segment(raw_text: str) -> list[tuple[str, int, tuple[int, int]]]:
+def scanning_segment(raw_text: str) -> list[tuple[str, int]]:
     """The earlier segment_sentences, which skipped and stripped whitespace
-    with index loops and str.isspace, as (text, word count, span) triples."""
+    with index loops and str.isspace, as (text, word count) pairs. A terminal
+    run may be followed by closing quotes or brackets, and the abbreviation
+    and initial tests see the token without surrounding quotes or brackets."""
     if not raw_text or not raw_text.strip():
         return []
     boundaries = []
-    for match in re.finditer(r"[.!?]+(?=\s)", raw_text):
+    for match in re.finditer(r"[.!?]+[\"'”’)\]]*(?=\s)", raw_text):
         end = match.end()
         j = end
         while j < len(raw_text) and raw_text[j].isspace():
@@ -102,7 +116,7 @@ def scanning_segment(raw_text: str) -> list[tuple[str, int, tuple[int, int]]]:
         k = end
         while k > 0 and not raw_text[k - 1].isspace():
             k -= 1
-        token = raw_text[k:end].casefold()
+        token = raw_text[k:end].strip("\"'“‘([”’)]").casefold()
         if token in _ABBREVIATIONS or _INITIAL.match(token):
             continue
         boundaries.append(end)
@@ -119,7 +133,7 @@ def scanning_segment(raw_text: str) -> list[tuple[str, int, tuple[int, int]]]:
         text = raw_text[start:end]
         words = len(text.split())
         if words:
-            sentences.append((text, words, (start, end)))
+            sentences.append((text, words))
     return sentences
 
 
@@ -127,8 +141,9 @@ def scanning_segment(raw_text: str) -> list[tuple[str, int, tuple[int, int]]]:
 # that are not whitespace.
 _SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
 _PIECES = st.one_of(
-    st.sampled_from(list(_SPACES + ".!?" + _OPENERS + "aZÉσΣ1\u200b\ufeff")),
-    st.sampled_from(["Dr.", "e.g.", "al.", "J.", "3.14", "no.", "Word", "word", "...", "?!"]),
+    st.sampled_from(list(_SPACES + ".!?" + _OPENERS + "”’)]" + "aZÉσΣ1\u200b\ufeff")),
+    st.sampled_from(["Dr.", "e.g.", "al.", "J.", "É.", "3.14", "no.", "Word", "word", "...",
+                     "?!", '"Dr.', "(Dr.)", 'win."', ".'", "!)", "?”"]),
     st.characters(),
 )
 
@@ -140,8 +155,10 @@ class TestSegmentationMatchesScan:
 
     @given(st.lists(_PIECES, max_size=40).map("".join))
     def test_same_sentences_as_the_scan(self, raw):
-        got = [(s.text, s.word_count, s.char_span) for s in segment_sentences(raw)]
-        assert got == scanning_segment(raw)
+        article = Article.from_text("drawn", raw)
+        words = [b - a for a, b in zip(article.offsets, article.offsets[1:])]
+        assert list(zip(article.sentences, words)) == scanning_segment(raw)
+        assert article.offsets[0] == 0
 
 
 def looped_ranges(segments: list[tuple[int, int]], k: int, n: int) -> list[tuple[int, int, int]]:
@@ -161,6 +178,24 @@ def looped_ranges(segments: list[tuple[int, int]], k: int, n: int) -> list[tuple
     return ranges
 
 
+def looped_segments(word_counts: list[int], step_size: int) -> list[tuple[int, int]]:
+    """The earlier _step_segments, which summed each sentence's word count in
+    a loop, as 1-based inclusive (start, end) pairs."""
+    segments = []
+    start = 0
+    while start < len(word_counts):
+        words = 0
+        end = start
+        while end < len(word_counts):
+            words += word_counts[end]
+            end += 1
+            if words >= step_size:
+                break
+        segments.append((start + 1, end))
+        start = end
+    return segments
+
+
 def article_of(word_counts: list[int]) -> Article:
     """An article of one sentence per count, each of that many words."""
     return Article.from_text("drawn", " ".join(
@@ -174,12 +209,27 @@ class TestWindowPlanMatchesLoops:
     @settings(max_examples=300)
     def test_same_windows_as_the_loops(self, word_counts, step_size, k):
         article = article_of(word_counts)
-        assert [s.word_count for s in article.sentences] == word_counts
+        assert [len(s.split()) for s in article.sentences] == word_counts
         plan = build_window_plan(article, k * step_size, step_size)
-        expected = looped_ranges(_step_segments(article.sentences, step_size), k,
+        expected = looped_ranges(looped_segments(word_counts, step_size), k,
                                  len(word_counts))
         assert [(w.start_sentence, w.end_sentence, w.repetitions)
                 for w in plan.windows] == expected
+
+
+class TestOffsetsMatchLoops:
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60), st.data())
+    def test_step_segments_match_the_loop(self, word_counts, data):
+        step_size = data.draw(st.integers(1, sum(word_counts) + 10), label="step_size")
+        offsets = tuple(accumulate(word_counts, initial=0))
+        assert _step_segments(offsets, step_size) == looped_segments(word_counts, step_size)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60),
+           st.integers(1, 80), st.integers(1, 6))
+    def test_window_word_counts_sum_their_sentences(self, word_counts, step_size, k):
+        plan = build_window_plan(article_of(word_counts), k * step_size, step_size)
+        for w in plan.windows:
+            assert w.word_count == sum(word_counts[w.start_sentence - 1 : w.end_sentence])
 
 
 class TestKRatio:
@@ -254,11 +304,11 @@ class TestWindowPlan:
             article = random_article(rng, rng.randint(10, 150))
             for window_size, step_size in ((150, 50), (750, 150)):
                 plan = build_window_plan(article, window_size, step_size)
-                for sentence in article.sentences:
+                for index in range(1, len(article.sentences) + 1):
                     covered = sum(
                         w.repetitions
                         for w in plan.windows
-                        if w.start_sentence <= sentence.index <= w.end_sentence
+                        if w.start_sentence <= index <= w.end_sentence
                     )
                     assert covered >= plan.k_ratio
 
@@ -266,11 +316,9 @@ class TestWindowPlan:
         article = uniform_article(4, 5)
         plan = build_window_plan(article, 10, 5)
         first = plan.windows[0]
-        expected = " ".join(
-            s.text for s in article.sentences[first.start_sentence - 1 : first.end_sentence]
-        )
+        expected = " ".join(article.sentences[first.start_sentence - 1 : first.end_sentence])
         assert window_text(article, first) == expected
 
     def test_total_words_invariant(self):
         article = uniform_article(6, 9)
-        assert article.total_words == sum(s.word_count for s in article.sentences) == 54
+        assert article.total_words == sum(len(s.split()) for s in article.sentences) == 54
