@@ -25,11 +25,10 @@ from .evalkit import (
 from .pipeline import (
     PipelineConfig,
     ResponseCache,
-    indented_json,
-    persist_record,
     run,  # noqa: F401  (bench/spans.py traces slisum.cli.run by name)
     start,
 )
+from .record import indented_json, persist_record, read_record, write_atomic
 from .scheduler import CallScheduler
 from .text import Article, ConfigurationError, build_window_plan
 
@@ -280,13 +279,12 @@ class _Pairs:
 
 
 def _write_report(path, text) -> bool:
-    """Write `text` and a newline to `path`; False, after one warning, if it
-    cannot be written."""
+    """Write `text` and a newline to `path` through `write_atomic`; False,
+    after one warning, if it cannot be written."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_atomic(path, text + "\n")
     except OSError as exc:
-        _warn(f"cannot write {path}: {exc.strerror}")
+        _warn(f"cannot write {path}: {exc.strerror or exc}")
         return False
     return True
 
@@ -319,31 +317,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_PARTIAL if summary_lines.skipped or reference_lines.skipped else EXIT_OK
 
 
-def _read_record(path):
-    """(article id, anchor word offsets, cluster texts) of one run-record
-    file; ValueError if the file is not JSON or not a run record. The id
-    must be a string that can be written as UTF-8, each offset an int, and
-    each cluster's texts a non-empty list of strings."""
-    with open(path, encoding="utf-8") as fh:
-        record = json_loads(fh.read())
-    try:
-        offsets = [s["anchor_word_offset"] for s in record["final"]["statements"]]
-        article_id = record["article_id"]
-        if not isinstance(article_id, str):
-            raise TypeError("article_id is not a string")
-        article_id.encode("utf-8")  # fails on a lone surrogate escape ("\ud800")
-        clusters = [entry["texts"] for entry in record["clusters"]]
-    except (KeyError, TypeError, UnicodeEncodeError) as exc:
-        raise ValueError(f"not a run record ({type(exc).__name__}: {exc})") from exc
-    if not all(type(offset) is int for offset in offsets):
-        raise ValueError("not a run record (an anchor_word_offset is not an int)")
-    if not all(isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)
-               for texts in clusters):
-        raise ValueError("not a run record (a cluster's texts are not a non-empty "
-                         "list of strings)")
-    return article_id, offsets, clusters
-
-
 def cmd_analyze(args) -> int:
     if not os.path.isdir(args.records):
         _warn(f"not a directory: {args.records}")
@@ -354,7 +327,7 @@ def cmd_analyze(args) -> int:
         if not name.endswith(".json"):
             continue
         try:
-            records.append(_read_record(os.path.join(args.records, name)))
+            records.append(read_record(os.path.join(args.records, name)))
         except (ValueError, OSError) as exc:
             _warn(f"skipping unreadable record {name}: {exc}")
             partial = True

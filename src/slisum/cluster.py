@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 # `distance` is the metric dbscan's neighbour test reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
-from .lexical import TokenBag, distance, earlier_distances
+from .lexical import TokenBag, distance, earlier_distances  # noqa: F401
 
 log = logging.getLogger(__name__)
 

@@ -6,29 +6,21 @@ engine backend.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import re
 import threading
 import time
-from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import Executor, Future, wait
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .aggregate import arrange, integrate, vote
-from .cluster import (
-    ClusterSet,
-    Statement,
-    dbscan,
-    default_min_pts,
-    filter_clusters,
-    local_summary_count,
-)
+from .cluster import Statement, dbscan, default_min_pts, filter_clusters, local_summary_count
 from .engine import (
+    BACKENDS,
     EngineError,
     EngineParams,
     SummaryEngine,
@@ -40,12 +32,12 @@ from .engine import (
     request_id,
 )
 from .lexical import TokenBag, tokenize
+from .record import RunRecord, RunStats
 from .scheduler import CallScheduler
 from .text import (
     Article,
     ConfigurationError,
     Window,
-    WindowPlan,
     build_window_plan,
     k_ratio,
     segment_sentences,
@@ -62,10 +54,6 @@ BREAKEVEN_FACTOR = 1.36
 LOG_NAME = "responses.jsonl"  # the response cache's log, in its directory
 _KEY_LEN = 64  # hex digits of a cache key; a log line starts with its key and a tab
 _LINE_KEY = re.compile(rb"[0-9a-f]{64}\t")
-_encode_str = json.encoder.encode_basestring  # a str as JSON, non-ASCII kept
-# indented_json's writers of the scalars records hold most, by exact type (so
-# a bool, an int subclass, is not written as an int)
-_WRITERS = {str: _encode_str, int: int.__repr__}
 _WINDOW_FIELDS = tuple(f.name for f in fields(Window))
 
 
@@ -86,13 +74,20 @@ class PipelineConfig:
 
     def __post_init__(self):
         """ConfigurationError if a setting that does not depend on the article
-        is out of range: eps outside (0, 1), or max_tokens or concurrency
-        below 1."""
+        is out of range: an unknown backend, eps outside (0, 1), a window or
+        step size, max_tokens or concurrency below 1, or, with both sizes set,
+        a window size that is not a multiple of the step size."""
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
-        for name in ("max_tokens", "concurrency"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("window_size", "step_size", "max_tokens", "concurrency"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.window_size is not None and self.step_size is not None:
+            k_ratio(self.window_size, self.step_size)
 
     @property
     def k(self) -> int:
@@ -395,93 +390,6 @@ def _sampled(task: str, params: EngineParams | None, sample: int) -> EngineParam
     return params
 
 
-@dataclass
-class RunStats:
-    """Volatile per-run diagnostics, kept out of the canonical serialization so
-    reruns stay byte-identical."""
-
-    backend_calls: int = 0
-    cache_hits: int = 0
-    retries: int = 0
-    summarize_calls: int = 0
-    classify_calls: int = 0
-    connect_calls: int = 0
-    elapsed_s: float = 0.0
-
-    @classmethod
-    def from_calls(cls, calls: list[tuple[str, bool]], elapsed_s: float,
-                   retries: int = 0) -> "RunStats":
-        tasks = Counter(task for task, _ in calls)
-        hits = sum(hit for _, hit in calls)
-        return cls(
-            backend_calls=len(calls) - hits,
-            cache_hits=hits,
-            retries=retries,
-            summarize_calls=tasks["summarize"],
-            classify_calls=tasks["classify"],
-            connect_calls=tasks["connect"],
-            elapsed_s=elapsed_s,
-        )
-
-
-@dataclass
-class RunRecord:
-    article_id: str
-    config: dict
-    plan: dict
-    status: str = "aborted"  # until finish() completes it
-    local_summaries: list[dict] = field(default_factory=list)
-    clusters: list[dict] = field(default_factory=list)
-    noise: list[dict] = field(default_factory=list)
-    votes: list[dict] = field(default_factory=list)
-    final: dict = field(default_factory=lambda: {
-        "statements": [], "connected_text": "", "fallback": False})
-    flags: list[str] = field(default_factory=list)
-    stats: RunStats = field(default_factory=RunStats)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stats"}
-
-    def to_json(self) -> str:
-        return indented_json(self.to_dict())
-
-
-def indented_json(value, newline: str = "\n") -> str:
-    """`json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)`, the
-    form of every record and report, for a value built of dicts, lists,
-    tuples and JSON scalars; a dict key that is not a str raises TypeError.
-
-    With `indent` set, CPython before 3.13 encodes in pure Python. Here each
-    str or int is written by one C call, a list of only ints or only strings
-    is joined in one C-level call, and any other scalar goes to `json.dumps`.
-    `newline` is the line break before the value's closing bracket, followed
-    by its indentation.
-    """
-    write = _WRITERS.get(type(value))
-    if write is not None:
-        return write(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key in sorted(value):  # _encode_str raises TypeError on a non-str key
-            item = value[key]
-            write = _WRITERS.get(type(item))
-            items.append(_encode_str(key) + ": "
-                         + (write(item) if write else indented_json(item, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        kinds = set(map(type, value))
-        write = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(write, value) if write else [indented_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value, ensure_ascii=False)
-
-
 def _statement_dict(stmt: Statement) -> dict:
     return {
         "text": stmt.text,
@@ -724,41 +632,3 @@ def _results(futures: list[Future]) -> list:
             future.cancel()
         wait(futures)
         raise
-
-
-# The longest record file name that leaves room for `_write_atomic`'s temp
-# suffix, `.<pid>-<thread id>.tmp`, in a 255-byte name. Linux caps pid_max,
-# which bounds thread ids too, at 2**22, so each id has at most 7 digits.
-_NAME_BYTES = 255 - len(".4194304-4194304.tmp")
-
-
-def record_filename(article_id: str) -> str:
-    """`<id>.json`, or, for an id that is empty, holds characters other than
-    letters, digits, `-`, `_` and `.`, or is too long, the id with those
-    characters as `_`, cut to fit, plus `-` and an 8-hex hash of the id."""
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in article_id)
-    if safe and safe == article_id and len(safe.encode()) + len(".json") <= _NAME_BYTES:
-        return safe + ".json"
-    digest = hashlib.sha256(article_id.encode()).hexdigest()[:8]
-    safe = safe.encode()[:_NAME_BYTES - len("-12345678.json")].decode(errors="ignore")
-    return (safe + "-" if safe else "") + digest + ".json"
-
-
-def persist_record(record: RunRecord, directory: str) -> str:
-    path = os.path.join(directory, record_filename(record.article_id))
-    _write_atomic(path, record.to_json() + "\n")
-    return path
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temp file in the same directory and
-    rename it into place, so a crash mid-write leaves the previous file, never
-    a truncated one. The temp name is unique per process and thread."""
-    tmp = f"{path}.{os.getpid()}-{threading.get_native_id()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)

@@ -118,12 +118,18 @@ def segment_sentences(raw_text: str) -> list[str]:
 
 
 def k_ratio(window_size: int, step_size: int) -> int:
-    """Number of times a middle text segment is summarized: floor(L_w / L_s)."""
+    """Number of times a middle text segment is summarized, L_w / L_s;
+    ConfigurationError unless the window size is a positive multiple of a
+    step size of at least 1."""
     if step_size < 1:
         raise ConfigurationError(f"step_size must be >= 1, got {step_size}")
     if window_size < step_size:
         raise ConfigurationError(
             f"window_size {window_size} < step_size {step_size} would leave gaps between windows"
+        )
+    if window_size % step_size:
+        raise ConfigurationError(
+            f"window_size {window_size} must be an integer multiple of step_size {step_size}"
         )
     return window_size // step_size
 
@@ -152,10 +158,6 @@ def build_window_plan(article: Article, window_size: int, step_size: int) -> Win
     Every sentence ends up covered exactly K times.
     """
     k = k_ratio(window_size, step_size)
-    if window_size != k * step_size:
-        raise ConfigurationError(
-            f"window_size {window_size} must be an integer multiple of step_size {step_size}"
-        )
     if not article.sentences:
         raise ConfigurationError(f"article {article.id!r} has no sentences")
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
-from slisum.pipeline import PipelineConfig, ResponseCache, persist_record
+from slisum.pipeline import PipelineConfig, ResponseCache
+from slisum.record import persist_record
 from slisum.text import Article, ConfigurationError
 
 from conftest import (
@@ -42,6 +43,20 @@ def write_corpus(path, records):
                 record = text.encode("utf-8")
             fh.write(record + b"\n")
 
+
+
+def short_and_long_corpus(tmp_path):
+    """A corpus of a 7-word article (window/step 150/50, K=3) and a
+    3,230-word one (750/150, K=5)."""
+    long_text = " ".join(f"Long{i} topic has detail{i} and point{i} with several more "
+                         f"words in it so that sentence{i} reaches twenty words here."
+                         for i in range(170))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, [
+        {"id": "short", "article": "Birds sing at dawn. Birds sing at sunrise."},
+        {"id": "long", "article": long_text},
+    ])
+    return path
 
 
 @pytest.fixture
@@ -536,14 +551,7 @@ class TestSummarize:
     def test_settings_out_of_range_fail_only_their_article(self, tmp_path, capsys):
         """MinPts 4 is out of range for a short article (K=3) but not for a
         long one (K=5): only the short article fails."""
-        long_text = " ".join(f"Long{i} topic has detail{i} and point{i} with several more "
-                             f"words in it so that sentence{i} reaches twenty words here."
-                             for i in range(170))
-        path = tmp_path / "corpus.jsonl"
-        write_corpus(path, [
-            {"id": "short", "article": "Birds sing at dawn. Birds sing at sunrise."},
-            {"id": "long", "article": long_text},
-        ])
+        path = short_and_long_corpus(tmp_path)
         dry = tmp_path / "dry"
         assert main(["summarize", str(path), "-o", str(dry), "--min-pts", "4",
                      "--dry-run"]) == EXIT_PARTIAL
@@ -560,6 +568,22 @@ class TestSummarize:
             record = json.load(fh)
         assert (record["status"], record["config"]["k"]) == ("complete", 5)
         assert os.listdir(out / "records") == ["long.json"]
+
+    def test_window_size_alone_fails_only_the_articles_it_does_not_fit(self, tmp_path,
+                                                                       capsys):
+        """A window size given alone meets the step its article's length
+        chooses: 100 is twice a short article's step of 50 but shorter than
+        a long article's step of 150, so only the long article fails."""
+        path = short_and_long_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out),
+                     "--window-size", "100"]) == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("slisum: article 'long' failed: window_size 100 < step_size 150 "
+                          "would leave gaps between windows")
+        assert len(err) == 2 and err[1].startswith("slisum: short: backend_calls=")
+        lines = [json.loads(line) for line in (out / "summaries.jsonl").read_text().splitlines()]
+        assert [line["id"] for line in lines] == ["short"]
 
     def test_articles_finish_in_order_with_bounded_lookahead(self, tmp_path, monkeypatch):
         """summarize starts at most --concurrency + 1 articles ahead and
@@ -1123,7 +1147,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "backend: nope", "eps: high", "concurrency: two", "window_size: 150.0", "seed: abc",
         "max_tokens: [1]", "concurrency: true", "concurrency: 0", "concurrency: -3",
-        "max_tokens: -5",
+        "max_tokens: -5", "step_size: 0", "window_size: -150",
     ])
     def test_bad_file_value_exits_one(self, corpus, tmp_path, capsys, line):
         config = tmp_path / "config.yaml"
@@ -1137,12 +1161,28 @@ class TestConfig:
         assert not (out / "summaries.jsonl").exists()
 
     @pytest.mark.parametrize("flag, value", [("--concurrency", "0"), ("--concurrency", "-3"),
-                                             ("--max-tokens", "-5"), ("--max-tokens", "0")])
+                                             ("--max-tokens", "-5"), ("--max-tokens", "0"),
+                                             ("--window-size", "0"), ("--step-size", "0")])
     def test_flag_below_one_exits_one(self, corpus, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), flag, value]) == EXIT_USAGE
         field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"slisum: {field} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window-size", "100", "--step-size", "30"],
+         "window_size 100 must be an integer multiple of step_size 30"),
+        (["--window-size", "100", "--step-size", "150"],
+         "window_size 100 < step_size 150 would leave gaps between windows"),
+    ], ids=["not-a-multiple", "gaps"])
+    def test_geometry_exits_one_before_the_corpus_is_read(self, corpus, tmp_path, capsys,
+                                                          flags, message):
+        """A window geometry that fits no article is a usage error found
+        before the corpus is read: exit 1, one line, and no output directory."""
+        out = tmp_path / "out"
+        assert main(["summarize", str(corpus), "-o", str(out), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"slisum: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])

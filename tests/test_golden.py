@@ -13,7 +13,8 @@ import pytest
 
 from slisum.evalkit import distance_diagnostics, score
 from slisum.lexical import tokenize
-from slisum.pipeline import PipelineConfig, indented_json, run
+from slisum.pipeline import PipelineConfig, run
+from slisum.record import indented_json
 from slisum.text import Article
 
 from conftest import planted_article, random_article, zipf_texts

@@ -31,13 +31,10 @@ from slisum.pipeline import (
     CachedEngine,
     PipelineConfig,
     ResponseCache,
-    RunStats,
-    indented_json,
-    persist_record,
-    record_filename,
     run,
     start,
 )
+from slisum.record import RunStats, indented_json, persist_record, record_filename
 from slisum.scheduler import CallScheduler
 from slisum.text import Article, ConfigurationError, Window, build_window_plan, window_text
 
@@ -145,11 +142,13 @@ class TestResolveProfile:
 
     @pytest.mark.parametrize("setting, value", [
         ("concurrency", 0), ("concurrency", -5), ("max_tokens", 0), ("max_tokens", -1),
+        ("window_size", 0), ("step_size", -2),
     ])
     def test_run_rejects_a_setting_below_one_before_any_call(self, planted, setting, value):
-        """run() rejects what the CLI rejects: a concurrency or max_tokens
-        below 1 is a ConfigurationError, raised when the config is built and,
-        for a config changed after that, by run() before any backend call."""
+        """run() rejects what the CLI rejects: a concurrency, max_tokens,
+        window or step size below 1 is a ConfigurationError, raised when the
+        config is built and, for a config changed after that, by run() before
+        any backend call."""
         class Unused(MockEngine):
             def summarize(self, window_text, params=None):
                 raise AssertionError("a rejected setting makes no call")
@@ -161,6 +160,26 @@ class TestResolveProfile:
         setattr(config, setting, value)
         with pytest.raises(ConfigurationError, match=message):
             run(planted, config, Unused())
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"window_size": 100, "step_size": 30},
+         "window_size 100 must be an integer multiple of step_size 30"),
+        ({"window_size": 100, "step_size": 150},
+         "window_size 100 < step_size 150 would leave gaps between windows"),
+        ({"backend": "nope"}, "backend must be one of mock, http, got 'nope'"),
+    ], ids=["not-a-multiple", "gaps", "backend"])
+    def test_settings_that_fit_no_article_rejected_when_built(self, planted, settings,
+                                                             message):
+        """A geometry that fits no article and an unknown backend are
+        rejected when the config is built and, for a config changed after
+        that, by run() before any backend call."""
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            PipelineConfig(**settings)
+        config = PipelineConfig()
+        for name, value in settings.items():
+            setattr(config, name, value)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            run(planted, config)
 
 
 class TestResponseCache:

@@ -245,6 +245,8 @@ class TestKRatio:
             k_ratio(100, 0)
         with pytest.raises(ConfigurationError):
             k_ratio(50, 100)
+        with pytest.raises(ConfigurationError, match="integer multiple of step_size 50"):
+            k_ratio(140, 50)
 
 
 class TestWindowPlan:
