@@ -15,6 +15,7 @@ import os
 import sys
 from collections import deque
 
+from .calls import CallScheduler, ResponseCache
 from .engine import BACKENDS, EngineError, json_loads
 from .evalkit import (
     distance_diagnostics,
@@ -24,12 +25,10 @@ from .evalkit import (
 )
 from .pipeline import (
     PipelineConfig,
-    ResponseCache,
     run,  # noqa: F401  (bench/spans.py traces slisum.cli.run by name)
     start,
 )
 from .record import indented_json, persist_record, read_record, write_atomic
-from .scheduler import CallScheduler
 from .text import Article, ConfigurationError, build_window_plan
 
 EXIT_OK = 0

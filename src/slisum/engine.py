@@ -128,8 +128,9 @@ def parse_classification_response(raw: str, n: int) -> list[list[int]]:
     may open with one list marker ('-', '*', '•', '1.', '1)') or '#' heading
     and wrap 'Category k:' in markdown emphasis ('**Category 1:** 1, 3').
 
-    Out-of-range indices are dropped, duplicates keep their first assignment,
-    and never-mentioned indices become trailing singleton categories; the
+    A range 'i-j' or 'i–j' with 1 <= i <= j <= n stands for i..j. Out-of-range
+    indices are dropped, duplicates keep their first assignment, and
+    never-mentioned indices become trailing singleton categories; the
     worst-case result is the all-singletons fallback.
     """
     if n < 1:
@@ -141,13 +142,16 @@ def parse_classification_response(raw: str, n: int) -> list[list[int]]:
         if not match:
             continue
         group = []
-        for num in re.findall(r"0*(\d+)", match.group(1)):  # leading zeros dropped
-            if len(num) > len(str(n)):  # out of range, and int() may refuse it
-                continue
-            idx = int(num)
-            if 1 <= idx <= n and idx not in assigned:
-                assigned.add(idx)
-                group.append(idx)
+        # Leading zeros are dropped. A number longer than n's is out of range,
+        # read as 0, since int() may refuse it.
+        for first, last in re.findall(r"0*(\d+)(?:\s*[-–]\s*0*(\d+))?", match.group(1)):
+            nums = [int(num) if len(num) <= len(str(n)) else 0 for num in (first, last) if num]
+            if len(nums) == 2 and 1 <= nums[0] <= nums[1] <= n:
+                nums = range(nums[0], nums[1] + 1)
+            for idx in nums:
+                if 1 <= idx <= n and idx not in assigned:
+                    assigned.add(idx)
+                    group.append(idx)
         if group:
             categories.append(group)
     for idx in range(1, n + 1):

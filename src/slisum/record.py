@@ -6,7 +6,6 @@ import hashlib
 import json
 import os
 import threading
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .engine import json_loads
@@ -29,21 +28,6 @@ class RunStats:
     classify_calls: int = 0
     connect_calls: int = 0
     elapsed_s: float = 0.0
-
-    @classmethod
-    def from_calls(cls, calls: list[tuple[str, bool]], elapsed_s: float,
-                   retries: int = 0) -> "RunStats":
-        tasks = Counter(task for task, _ in calls)
-        hits = sum(hit for _, hit in calls)
-        return cls(
-            backend_calls=len(calls) - hits,
-            cache_hits=hits,
-            retries=retries,
-            summarize_calls=tasks["summarize"],
-            classify_calls=tasks["classify"],
-            connect_calls=tasks["connect"],
-            elapsed_s=elapsed_s,
-        )
 
 
 @dataclass

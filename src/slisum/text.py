@@ -14,18 +14,20 @@ class ConfigurationError(ValueError):
     that is not a file."""
 
 
-# Tokens that end with a period but never close a sentence.
+# Tokens that end with a period but never close a sentence, titles that
+# precede a name among them.
 _ABBREVIATIONS = {
-    "dr.", "mr.", "mrs.", "ms.", "prof.", "fig.", "eq.",
-    "al.", "e.g.", "i.e.", "vs.", "no.",
+    "dr.", "mr.", "mrs.", "ms.", "prof.", "fig.", "eq.", "al.", "vs.", "no.",
+    "gen.", "gov.", "sen.", "rep.", "lt.", "col.", "sgt.", "capt.", "st.", "mt.", "rev.",
 }
 
 # Terminal punctuation, then any closing quotes or brackets, followed by
 # whitespace; group 1 is the first non-space character after it. Regex \s
 # and str.isspace test the same characters.
 _TERMINAL = re.compile(r"[.!?]+[\"'”’)\]]*(?=\s+(\S))")
-# One letter of any script and a period.
-_INITIAL = re.compile(r"\A[^\W\d_]\.\Z")
+# One or more letters of any script, each followed by a period: an initial
+# (`J.`) or a dotted acronym (`U.S.`, `p.m.`, `e.g.`).
+_INITIAL = re.compile(r"\A(?:[^\W\d_]\.)+\Z")
 _OPENERS = "\"'“‘(["
 # Stripped from both ends of the token before the abbreviation and initial tests.
 _QUOTES_AND_BRACKETS = _OPENERS + "”’)]"
@@ -87,8 +89,8 @@ def segment_sentences(raw_text: str) -> list[str]:
     """Split text at terminal punctuation, optionally followed by closing
     quotes or brackets, then whitespace and an uppercase/opening character.
 
-    A fixed abbreviation list, single-letter initials, and decimal points do
-    not split; quotes and brackets around the token are ignored for the first
+    A fixed abbreviation list, initials and dotted acronyms, and decimal
+    points do not split; quotes and brackets around the token are ignored for the first
     two. Returns the stripped sentence texts; whitespace-only fragments are
     dropped.
     """

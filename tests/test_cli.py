@@ -18,9 +18,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slisum.calls import ResponseCache
 from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_config, main, make_parser
 from slisum.engine import EngineError, HttpEngine, MockEngine
-from slisum.pipeline import PipelineConfig, ResponseCache
+from slisum.pipeline import PipelineConfig
 from slisum.record import persist_record
 from slisum.text import Article, ConfigurationError
 
@@ -89,6 +90,15 @@ class TestSummarize:
         assert [l["id"] for l in lines] == ["planted", "tiny", "third"]
         assert all(l["summary"] for l in lines)
         assert sorted(os.listdir(out / "records")) == ["planted.json", "third.json", "tiny.json"]
+
+    def test_summary_keeps_dotted_acronyms_and_titles_whole(self, tmp_path):
+        sentences = ["The U.S. Army said so.", "Gen. Smith agreed.",
+                     "It was 5 p.m. Monday when they left."]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "r", "article": " ".join(sentences)}])
+        out = tmp_path / "out"
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_OK
+        assert json.loads((out / "summaries.jsonl").read_text())["summary"] in sentences
 
     def test_malformed_line_partial_exit(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -209,7 +219,7 @@ class TestSummarize:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return write(fd, data)
 
-        monkeypatch.setattr("slisum.pipeline.os.write", disk_full_for_solar)
+        monkeypatch.setattr("slisum.calls.os.write", disk_full_for_solar)
         out, cache = tmp_path / "out", tmp_path / "cache"
         argv = ["summarize", str(path), "-o", str(out), "--cache-dir", str(cache)]
         assert main(argv) == EXIT_PARTIAL
@@ -1147,7 +1157,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "backend: nope", "eps: high", "concurrency: two", "window_size: 150.0", "seed: abc",
         "max_tokens: [1]", "concurrency: true", "concurrency: 0", "concurrency: -3",
-        "max_tokens: -5", "step_size: 0", "window_size: -150",
+        "max_tokens: -5", "step_size: 0", "window_size: -150", "min_pts: 0",
     ])
     def test_bad_file_value_exits_one(self, corpus, tmp_path, capsys, line):
         config = tmp_path / "config.yaml"
@@ -1162,7 +1172,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag, value", [("--concurrency", "0"), ("--concurrency", "-3"),
                                              ("--max-tokens", "-5"), ("--max-tokens", "0"),
-                                             ("--window-size", "0"), ("--step-size", "0")])
+                                             ("--window-size", "0"), ("--step-size", "0"),
+                                             ("--min-pts", "0")])
     def test_flag_below_one_exits_one(self, corpus, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["summarize", str(corpus), "-o", str(out), flag, value]) == EXIT_USAGE

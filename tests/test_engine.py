@@ -21,9 +21,8 @@ from slisum.engine import (
     replay_transport,
     request_hash,
 )
-from slisum.pipeline import CachedEngine
+from slisum.calls import CachedEngine, CallScheduler
 from slisum.text import ConfigurationError
-from slisum.scheduler import CallScheduler
 
 from conftest import EchoServer
 
@@ -93,6 +92,27 @@ class TestParseClassification:
         raw = "Category 1: 2, 3"
         assert parse_classification_response(raw, 4) == [[2, 3], [1], [4]]
 
+    @pytest.mark.parametrize("raw, n, partition", [
+        ("Category 1: 1-3\nCategory 2: 4", 4, [[1, 2, 3], [4]]),
+        ("Category 1: 1–3, 5\nCategory 2: 4", 5, [[1, 2, 3, 5], [4]]),
+        ("Category 1: 2 - 4\nCategory 2: 1-1", 4, [[2, 3, 4], [1]]),
+        ("Category 1: 02-004", 4, [[2, 3, 4], [1]]),
+        ("Category 1: 1-3\nCategory 2: 2-4", 4, [[1, 2, 3], [4]]),
+    ], ids=["hyphen", "en-dash", "spaced-and-one", "leading-zeros", "overlap"])
+    def test_range_stands_for_its_statements(self, raw, n, partition):
+        assert parse_classification_response(raw, n) == partition
+
+    @pytest.mark.parametrize("raw, partition", [
+        ("Category 1: 3-1", [[3, 1], [2], [4]]),
+        ("Category 1: 2-5", [[2], [1], [3], [4]]),
+        (f"Category 1: 2-{'9' * 5000}", [[2], [1], [3], [4]]),
+        ("Category 1: 0-2", [[2], [1], [3], [4]]),
+    ], ids=["reversed", "end-out-of-range", "end-too-long", "start-zero"])
+    def test_range_outside_one_to_n_is_its_two_ends(self, raw, partition):
+        """A range that is reversed or leaves 1..n is not expanded: its ends
+        are read as two numbers, each dropped if it is out of range."""
+        assert parse_classification_response(raw, 4) == partition
+
     def test_number_too_long_for_int_is_out_of_range(self):
         """A number with more digits than int() converts is skipped, not an
         error; one with leading zeros keeps its value."""
@@ -116,7 +136,10 @@ class TestParseClassification:
         partition = [[2], [1, 4], [3, 5]]
         assert parse_classification_response(render_partition(partition), 5) == partition
 
-    @given(st.text(max_size=200), st.integers(min_value=1, max_value=9))
+    @given(st.text(max_size=200) | st.lists(st.text("0123456789-–, ", max_size=20)).map(
+               lambda bodies: "\n".join(f"Category {k}: {body}"
+                                        for k, body in enumerate(bodies, 1))),
+           st.integers(min_value=1, max_value=9))
     @settings(max_examples=200)
     def test_always_a_valid_partition(self, raw, n):
         partition = parse_classification_response(raw, n)

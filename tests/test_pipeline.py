@@ -26,16 +26,9 @@ from slisum.engine import (
     request,
     request_hash,
 )
-from slisum.pipeline import (
-    LOG_NAME,
-    CachedEngine,
-    PipelineConfig,
-    ResponseCache,
-    run,
-    start,
-)
-from slisum.record import RunStats, indented_json, persist_record, record_filename
-from slisum.scheduler import CallScheduler
+from slisum.calls import LOG_NAME, CachedEngine, CallScheduler, ResponseCache
+from slisum.pipeline import PipelineConfig, run, start
+from slisum.record import indented_json, persist_record, record_filename
 from slisum.text import Article, ConfigurationError, Window, build_window_plan, window_text
 
 from conftest import (
@@ -142,11 +135,11 @@ class TestResolveProfile:
 
     @pytest.mark.parametrize("setting, value", [
         ("concurrency", 0), ("concurrency", -5), ("max_tokens", 0), ("max_tokens", -1),
-        ("window_size", 0), ("step_size", -2),
+        ("window_size", 0), ("step_size", -2), ("min_pts", 0),
     ])
     def test_run_rejects_a_setting_below_one_before_any_call(self, planted, setting, value):
         """run() rejects what the CLI rejects: a concurrency, max_tokens,
-        window or step size below 1 is a ConfigurationError, raised when the
+        MinPts, window or step size below 1 is a ConfigurationError, raised when the
         config is built and, for a config changed after that, by run() before
         any backend call."""
         class Unused(MockEngine):
@@ -235,7 +228,7 @@ class TestResponseCache:
         with open(tmp_path / LOG_NAME, "w", encoding="utf-8") as fh:
             fh.write(f'{key}\t{{"text": "trunc\nnot a key\n{other}\t{{"text": "fine"}}\n')
         cache = ResponseCache(str(tmp_path))
-        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+        with caplog.at_level("WARNING", logger="slisum.calls"):
             assert cache.lookup(key) is None
         assert len([r for r in caplog.records if "unreadable line" in r.getMessage()]) == 2
         assert cache.lookup(other)["text"] == "fine"
@@ -274,7 +267,7 @@ class TestResponseCache:
         key = cache_key("summarize", "body", self.params())
         child = (
             "import os, sys, time\n"
-            "from slisum.pipeline import ResponseCache\n"
+            "from slisum.calls import ResponseCache\n"
             "directory, key, me = sys.argv[1:]\n"
             "cache = ResponseCache(directory)\n"
             "assert cache.lookup(key) is None\n"
@@ -322,7 +315,7 @@ class TestResponseCache:
         other = ResponseCache(str(tmp_path))
         other.clear()
         other.store(new, {"text": "new answer"})
-        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+        with caplog.at_level("WARNING", logger="slisum.calls"):
             assert reader.lookup(old) is None
         assert "the log changed under its index" in caplog.text
 
@@ -364,7 +357,7 @@ class TestResponseCache:
         def disk_full(fd, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr("slisum.pipeline.os.write", disk_full)
+        monkeypatch.setattr("slisum.calls.os.write", disk_full)
         with CallScheduler(1) as scheduler:
             cached = CachedEngine(MockEngine(), ResponseCache(str(tmp_path)), scheduler)
             with pytest.raises(EngineError) as info:
@@ -442,7 +435,7 @@ class TestResponseCache:
         data = b"".join(appends)
         served, unreadable = served_by_oracle(data)
         warnings = _Warnings()
-        logger = logging.getLogger("slisum.pipeline")
+        logger = logging.getLogger("slisum.calls")
         with tempfile.TemporaryDirectory() as directory:
             follower = ResponseCache(directory)
             for append in appends:
@@ -470,7 +463,7 @@ class TestResponseCache:
             fh.write(_log_line(key, '{"text": "x", "deep": ' + "[" * 100000))
             fh.write(_log_line(other, '{"text": "fine"}'))
         cache = ResponseCache(str(tmp_path))
-        with caplog.at_level("WARNING", logger="slisum.pipeline"):
+        with caplog.at_level("WARNING", logger="slisum.calls"):
             assert cache.lookup(key) is None
         assert "nested too deeply" in caplog.text
         assert cache.lookup(other)["text"] == "fine"
@@ -493,7 +486,7 @@ class TestResponseCache:
                 list(pool.map(lambda i: cached.connect([f"Fact {i}."]), range(2000), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        stats = RunStats.from_calls(cached.calls, 0.0)
+        stats = cached.stats(0.0)
         assert (stats.connect_calls, stats.backend_calls) == (2000, 2000)
 
 
@@ -615,7 +608,7 @@ class TestRun:
             return write(fd, data)
 
         expected = run(planted, PipelineConfig(concurrency=2))
-        monkeypatch.setattr("slisum.pipeline.os.write", disk_full_for_connect)
+        monkeypatch.setattr("slisum.calls.os.write", disk_full_for_connect)
         record = run(planted, PipelineConfig(concurrency=2, cache_dir=str(tmp_path)))
         assert (record.status, record.final["fallback"]) == ("complete", True)
         assert record.final["statements"] == expected.final["statements"]
@@ -639,8 +632,8 @@ class TestRun:
 
         ask = CachedEngine.ask
 
-        def served_on_thread(self, executor, task, *args):
-            reply = ask(self, executor, task, *args)
+        def served_on_thread(self, task, *args):
+            reply = ask(self, task, *args)
             if task != "summarize" and self.calls[-1:] == [(task, True)]:
                 threads.append((task, threading.current_thread().name))
             return reply
@@ -1060,3 +1053,48 @@ class TestRandomizedPipeline:
             article = random_article(rng, rng.randint(10, 40))
             record = run(article, PipelineConfig(concurrency=2))
             assert record.status == "complete"
+
+
+class PlantingEngine(MockEngine):
+    """MockEngine that appends plant sentences to chosen samples: `plants`
+    maps (window text, sample) to the sentences to append. With seed 1 a
+    summarize call's seed is its sample number."""
+
+    def __init__(self, plants: dict):
+        self.plants = plants
+
+    def summarize(self, window_text, params=None):
+        extra = self.plants.get((window_text, params.seed), [])
+        return " ".join([super().summarize(window_text, params), *extra])
+
+
+_PLANTS = [" ".join(f"Plant{p}w{j}" for j in range(4)) + "." for p in range(4)]
+
+
+class TestMinPtsFilter:
+    @given(k=st.integers(1, 4), step_size=st.sampled_from([10, 20]),
+           eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), data=st.data())
+    @settings(deadline=None)
+    def test_a_plant_survives_exactly_when_minpts_summaries_hold_it(self, k, step_size,
+                                                                   eps, data):
+        """Plants share no token with the article or with each other, so
+        only their own copies lie within eps of them. A plant is in `final`
+        exactly when at least MinPts distinct local summaries hold it; copies
+        repeated within one summary add no support."""
+        article = random_article(random.Random(3), 12, min_words=5, max_words=15)
+        min_pts = data.draw(st.integers(1, k), label="min_pts")
+        plan = build_window_plan(article, k * step_size, step_size)
+        samples = [(window_text(article, window), rep)
+                   for window in plan.windows for rep in range(1, window.repetitions + 1)]
+        chosen = data.draw(st.lists(st.lists(st.sampled_from(range(len(_PLANTS))), max_size=3),
+                                    min_size=len(samples), max_size=len(samples)),
+                           label="plants per sample")
+        engine = PlantingEngine({sample: [_PLANTS[p] for p in plants]
+                                 for sample, plants in zip(samples, chosen)})
+        config = PipelineConfig(window_size=k * step_size, step_size=step_size, eps=eps,
+                                min_pts=min_pts, seed=1, concurrency=2)
+        record = run(article, config, engine)
+        support = Counter(p for plants in chosen for p in set(plants))
+        final = {s["text"] for s in record.final["statements"]}
+        assert {p for p, plant in enumerate(_PLANTS) if plant in final} == {
+            p for p, count in support.items() if count >= min_pts}

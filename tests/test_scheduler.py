@@ -7,8 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from slisum.engine import EngineParams, HttpEngine, MockEngine
-from slisum.pipeline import CachedEngine, ResponseCache
-from slisum.scheduler import CallScheduler
+from slisum.calls import CachedEngine, CallScheduler, ResponseCache
 
 from conftest import cache_key
 
