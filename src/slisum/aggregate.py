@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 
-from .cluster import Statement
+from .cluster import Statement, local_summary_count
 from .engine import EngineError
 # `rouge1_f1` is the score _best_matches reproduces exactly; it stays
 # importable from here because the benchmark's span tracer wraps it by name.
@@ -19,8 +19,10 @@ PRESERVATION_RECALL = 0.8
 
 
 def vote(cluster: list[Statement], partition: list[list[int]]) -> dict:
-    """The record's vote on one cluster: pick the largest semantic category,
-    break category ties toward the one holding the latest-generated
+    """The record's vote on one cluster, one vote per local summary: pick the
+    semantic category whose statements come from the most distinct local
+    summaries (`local_summary_count`), so a claim one summary repeats counts
+    once; break category ties toward the one holding the latest-generated
     statement, and inside the winning category pick the latest-generated
     statement. Returns `{partition, winner_category, winner_seq, rationale}`,
     where `winner_seq` is the winner's generation_seq and the rationale is
@@ -32,8 +34,9 @@ def vote(cluster: list[Statement], partition: list[list[int]]) -> dict:
     def latest_seq(group: list[int]) -> int:
         return max(cluster[i - 1].generation_seq for i in group)
 
-    top_size = max(len(g) for g in partition)
-    tied = [g for g in partition if len(g) == top_size]
+    support = [local_summary_count([cluster[i - 1] for i in g]) for g in partition]
+    top = max(support)
+    tied = [g for g, votes in zip(partition, support) if votes == top]
     winner_category = max(tied, key=latest_seq)
 
     if len(tied) > 1:

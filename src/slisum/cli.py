@@ -25,11 +25,12 @@ from .evalkit import (
 )
 from .pipeline import (
     PipelineConfig,
+    prepare,
     run,  # noqa: F401  (bench/spans.py traces slisum.cli.run by name)
     start,
 )
 from .record import indented_json, persist_record, read_record, write_atomic
-from .text import Article, ConfigurationError, build_window_plan
+from .text import Article, ConfigurationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,17 +134,16 @@ def cmd_summarize(args) -> int:
     if args.dry_run:
         for article in _articles(lines):
             try:
-                resolved = config.resolved(article.total_words)
-                plan = build_window_plan(article, resolved.window_size, resolved.step_size)
+                plan = prepare(article, config)[2].plan
             except ConfigurationError as exc:
                 _warn(f"article {article.id!r} failed: {exc}")
                 partial = True
                 continue
-            print(f"{article.id}: {article.total_words} words, K={plan.k_ratio}, "
-                  f"{len(plan.windows)} windows, {plan.total_generations} summarize calls")
-            for w in plan.windows:
-                print(f"  window {w.ordinal}: sentences [{w.start_sentence}, {w.end_sentence}]"
-                      f" ({w.word_count} words) x{w.repetitions}")
+            print(f"{article.id}: {article.total_words} words, K={plan['k_ratio']}, "
+                  f"{len(plan['windows'])} windows, {plan['total_generations']} summarize calls")
+            for window in plan["windows"]:
+                print("  window {ordinal}: sentences [{start_sentence}, {end_sentence}]"
+                      " ({word_count} words) x{repetitions}".format(**window))
         return EXIT_PARTIAL if partial or lines.skipped else EXIT_OK
 
     summaries_path = os.path.join(args.output, "summaries.jsonl")

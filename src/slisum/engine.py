@@ -385,15 +385,24 @@ class HttpEngine(SummaryEngine):
     def _extract_content(body: dict, payload: dict) -> str:
         """The reply's message content, stripped. EngineError if the body has
         no content, or the content is neither a string nor null, holds a lone
-        surrogate (so it cannot be written as UTF-8), or is blank."""
+        surrogate (so it cannot be written as UTF-8), or is blank, or if the
+        reply's `finish_reason` is set to anything but 'stop': a reply cut at
+        `max_tokens` ('length') or withheld ('content_filter') is refused."""
         try:
-            text = body["choices"][0]["message"]["content"]
+            choice = body["choices"][0]
+            text = choice["message"]["content"]
             if not isinstance(text, (str, type(None))):
                 raise TypeError(f"content is {type(text).__name__}")
             if text:
                 text.encode("utf-8")
         except (KeyError, IndexError, TypeError, UnicodeEncodeError):
             raise EngineError(request=request_id(payload), reason="malformed response body")
+        finish = choice.get("finish_reason")
+        if finish not in (None, "stop"):
+            reason = f"finish_reason {finish!r}"
+            if finish == "length":
+                reason += " (the reply was cut at max_tokens: raise --max-tokens)"
+            raise EngineError(request=request_id(payload), reason=reason)
         text = (text or "").strip()
         if not text:
             raise EngineError(request=request_id(payload), reason="empty response")

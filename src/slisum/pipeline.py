@@ -1,7 +1,10 @@
 """End-to-end orchestration: sliding generation, filtration, aggregation.
 
 Also owns configuration resolution (length-chosen window geometry, K/2
-MinPts rule); every call goes through `slisum.calls`.
+MinPts rule). `prepare` plans an article without an engine, `start` asks
+for its calls through `slisum.calls`, and `decide` maps its local summaries
+to the record, asking for classify and connect replies only through the
+`ask` it is given.
 """
 from __future__ import annotations
 
@@ -118,50 +121,19 @@ def run(article: Article, config: PipelineConfig,
         return start(article, config, engine, cache, scheduler)[1]().result()
 
 
-def start(
-    article: Article,
-    config: PipelineConfig,
-    engine: SummaryEngine | None,
-    cache: ResponseCache | None,
-    scheduler: CallScheduler,
-) -> tuple[RunRecord, Callable[[], Future]]:
-    """Resolve the settings, plan the windows and ask for the article's window
-    generations; return the article's record, `aborted` until its connect
-    step completes it, and `finish`. Every call is asked for through
-    `CachedEngine.ask`, which picks its queue.
-
-    `finish()` waits for the generations and runs statement split,
-    clustering, filtering, voting and arranging on the calling thread, then
-    asks for the vote's classify calls and the connect call. It returns a
-    future whose result is the completed record, so the calling thread can
-    finish the next article meanwhile: the connect step (the preservation
-    check and the record's `final`) runs on the thread that completes the
-    connect call, or at once for a stored reply or fewer than two winners.
-    generation_seq numbering follows plan order, so concurrency never
-    changes the result. On an engine failure `finish` cancels the article's
-    calls not yet started, waits for the running ones, flags the record and
-    returns a future holding the error; a connect step falls back instead.
-    Neither writes a file, apart from the cache's log. Settings out of range
-    raise ConfigurationError here, before any call.
-    """
-    started = time.monotonic()
+def prepare(article: Article, config: PipelineConfig
+            ) -> tuple[PipelineConfig, list[tuple[Window, int]], RunRecord]:
+    """The article's resolved settings, its summarize tasks as (window,
+    sample) pairs in plan order, and its record with the plan filled in,
+    `aborted` until a connect step completes it. Needs no engine; settings
+    out of range raise ConfigurationError."""
     resolved = config.resolved(article.total_words)
-    if engine is None:
-        engine = make_engine(resolved.backend)
-    cached = CachedEngine(engine, cache, scheduler)
     plan = build_window_plan(article, resolved.window_size, resolved.step_size)
-
-    tasks = [
-        (window, rep)
-        for window in plan.windows
-        for rep in range(1, window.repetitions + 1)
-    ]
-    params = EngineParams(model=resolved.model, max_tokens=resolved.max_tokens,
-                          seed=resolved.seed)
+    tasks = [(window, rep) for window in plan.windows
+             for rep in range(1, window.repetitions + 1)]
     # Concurrency and the cache directory change speed and storage, not content.
     content_config = asdict(resolved)
     del content_config["concurrency"], content_config["cache_dir"]
-
     record = RunRecord(
         article_id=article.id,
         config={**content_config, "k": resolved.k},
@@ -175,15 +147,45 @@ def start(
             "windows": [{f: getattr(w, f) for f in _WINDOW_FIELDS} for w in plan.windows],
         },
     )
+    return resolved, tasks, record
+
+
+def start(
+    article: Article,
+    config: PipelineConfig,
+    engine: SummaryEngine | None,
+    cache: ResponseCache | None,
+    scheduler: CallScheduler,
+) -> tuple[RunRecord, Callable[[], Future]]:
+    """`prepare` the article and ask for its window generations through
+    `CachedEngine.ask`, which picks each call's queue; return its record and
+    `finish`.
+
+    `finish()` waits for the generations and runs `decide` on the calling
+    thread, with an `ask` bound to the same `CachedEngine`. It returns a
+    future whose result is the completed record, so the calling thread can
+    finish the next article meanwhile: the connect step runs on the thread
+    that completes the connect call, or at once for a stored reply or fewer
+    than two winners. On an engine failure `finish` cancels the article's
+    calls not yet started, waits for the running ones, flags the record and
+    returns a future holding the error; a connect step falls back instead.
+    Neither writes a file, apart from the cache's log. Settings out of range
+    raise ConfigurationError here, before any call.
+    """
+    started = time.monotonic()
+    resolved, tasks, record = prepare(article, config)
+    cached = CachedEngine(make_engine(resolved.backend) if engine is None else engine,
+                          cache, scheduler)
+    params = EngineParams(model=resolved.model, max_tokens=resolved.max_tokens,
+                          seed=resolved.seed)
     futures = [cached.ask("summarize", window_text(article, window), params, rep)
                for window, rep in tasks]
 
     def finish() -> Future:
         outcome = Future()
         try:
-            summaries = _results(futures)
-            connect, winners = _filter_and_aggregate(article, resolved, tasks, summaries,
-                                                     cached, params, record)
+            reply, connect = decide(article, resolved, tasks, _results(futures),
+                                    lambda task, items: cached.ask(task, items, params), record)
         except EngineError as exc:
             record.flags.append("aborted: engine error")
             record.stats = cached.stats(time.monotonic() - started)
@@ -192,34 +194,37 @@ def start(
 
         def connect_step(reply: Future) -> None:
             try:
-                connect(lambda texts: reply.result())
-                record.status = "complete"
+                connect(reply)
                 record.stats = cached.stats(time.monotonic() - started)
             except BaseException as exc:  # a done-callback's own exception would be lost
                 outcome.set_exception(exc)
             else:
                 outcome.set_result(record)
 
-        reply = (cached.ask("connect", winners, params)
-                 if len(winners) > 1 else done(None))  # one winner needs no connect call
         reply.add_done_callback(connect_step)
         return outcome
 
     return record, finish
 
 
-def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: list,
-                          summaries: list[str], cached: CachedEngine, params: EngineParams,
-                          record: RunRecord) -> tuple[Callable[[Callable], None], list[str]]:
-    """Fill the record from the local summaries: split them into statements,
-    cluster, vote inside each retained cluster and arrange the winners; return
-    the connect step, which connects them with the `ask` it is given and
-    fills `record.final`.
+def decide(article: Article, resolved: PipelineConfig, tasks: list[tuple[Window, int]],
+           summaries: list[str], ask: Callable[[str, list[str]], Future],
+           record: RunRecord) -> tuple[Future, Callable[[Future], None]]:
+    """Fill the record from the local summaries, one per task: split them
+    into statements, cluster, vote inside each retained cluster and arrange
+    the winners. Every reply it needs is asked for as `ask(task, items)`, a
+    future: the classify calls of every contested cluster at once, their
+    replies read in cluster order (if one raises, the calls not started are
+    cancelled and the running ones waited for before the error propagates),
+    then the connect call, which fewer than two winners do not need.
+    Statements are numbered in task order, so concurrency never changes the
+    result.
 
-    The classify calls of every contested cluster are asked for at once, and
-    their replies are read in cluster order. If one raises, the calls not
-    started are cancelled and the running ones waited for before the error
-    propagates. Also returns the texts the connect step will connect."""
+    Returns the connect call's future and the connect step, which is given
+    that future, waits for its reply, connects the winners with it or falls
+    back, fills `record.final` and marks the record complete. (The step takes
+    the future rather than holding it, so a done-callback that runs the step
+    makes no reference cycle that would keep the article's statements alive.)"""
     statements: list[Statement] = []
     # Each distinct text the article's statements, sentences and connected
     # text hold is tokenized once: text -> (token bag, normalized form). The
@@ -241,25 +246,12 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
         seqs = []
         for pos, text in enumerate(segment_sentences(summary), 1):
             seq += 1
-            entry = lookup(text)
-            statements.append(
-                Statement(
-                    text=text,
-                    window_ordinal=window.ordinal,
-                    generation_seq=seq,
-                    position_in_summary=pos,
-                    token_bag=entry[0],
-                )
-            )
+            statements.append(Statement(text=text, window_ordinal=window.ordinal,
+                                        generation_seq=seq, position_in_summary=pos,
+                                        token_bag=bag_of(text)))
             seqs.append(seq)
-        record.local_summaries.append(
-            {
-                "window_ordinal": window.ordinal,
-                "repetition": rep,
-                "text": summary,
-                "statement_seqs": seqs,
-            }
-        )
+        record.local_summaries.append({"window_ordinal": window.ordinal, "repetition": rep,
+                                       "text": summary, "statement_seqs": seqs})
 
     cluster_set = dbscan(statements, resolved.eps, resolved.min_pts)
     retained = filter_clusters(cluster_set)
@@ -267,24 +259,20 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     for cid, members in enumerate(retained, 1):
         if len(members) > resolved.k:
             record.flags.append(f"cluster {cid} exceeds K={resolved.k} statements")
-        record.clusters.append(
-            {
-                "id": cid,
-                "size": len(members),
-                "statement_seqs": [s.generation_seq for s in members],
-                "texts": [s.text for s in members],
-                "local_summary_count": local_summary_count(members),
-            }
-        )
+        record.clusters.append({
+            "id": cid, "size": len(members),
+            "statement_seqs": [s.generation_seq for s in members],
+            "texts": [s.text for s in members],
+            "local_summary_count": local_summary_count(members)})
 
     replies = _results([  # a cluster of one phrasing is one category, without a call
-        cached.ask("classify", [s.text for s in members], params)
+        ask("classify", [s.text for s in members])
         if len({lexicon[s.text][1] for s in members}) > 1 else done(None)
         for members in retained])
     votes = []
-    for cid, (members, reply) in enumerate(zip(retained, replies), 1):
-        partition = ([list(range(1, len(members) + 1))] if reply is None
-                     else parse_classification_response(reply, len(members)))
+    for cid, (members, answer) in enumerate(zip(retained, replies), 1):
+        partition = ([list(range(1, len(members) + 1))] if answer is None
+                     else parse_classification_response(answer, len(members)))
         votes.append({"cluster_id": cid, **vote(members, partition)})
     record.votes = votes
 
@@ -296,10 +284,13 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
     else:
         record.flags.append("no cluster survived MinPts")
 
-    def connect(ask: Callable[[list[str]], str]) -> None:
+    winners = [s for s, _ in arranged]
+    reply = ask("connect", [s.text for s in winners]) if len(winners) > 1 else done(None)
+
+    def connect(reply: Future) -> None:
         connected, fallback = "", False
-        if arranged:
-            connected, fallback = integrate([s for s, _ in arranged], ask, bag_of)
+        if winners:
+            connected, fallback = integrate(winners, lambda texts: reply.result(), bag_of)
         record.final = {
             "statements": [
                 {
@@ -315,8 +306,9 @@ def _filter_and_aggregate(article: Article, resolved: PipelineConfig, tasks: lis
             "connected_text": connected,
             "fallback": fallback,
         }
+        record.status = "complete"
 
-    return connect, [s.text for s, _ in arranged]
+    return reply, connect
 
 
 def _results(futures: list[Future]) -> list:

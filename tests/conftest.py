@@ -13,13 +13,23 @@ import random
 import string
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from slisum.cluster import Statement
-from slisum.engine import INSTRUCTIONS, MockEngine, request, request_hash
+from slisum.engine import (
+    INSTRUCTIONS,
+    EngineError,
+    MockEngine,
+    render_partition,
+    request,
+    request_hash,
+)
+from slisum.pipeline import PipelineConfig, decide, prepare
+from slisum.record import RunRecord
 from slisum.text import Article, segment_sentences
 
 STRIP = string.punctuation + "‘’“”–—…"
@@ -241,6 +251,41 @@ def planted_article() -> Article:
 @pytest.fixture
 def planted():
     return planted_article()
+
+
+# -------------------------------------------------------------------- replay
+
+def replay(article: Article, stored: dict) -> RunRecord:
+    """The record of `article` rebuilt through `prepare` and `decide` from
+    the settings and backend answers a complete record holds (`stored`, its
+    `to_dict()`), with no engine: the local summaries are its
+    `local_summaries[].text`; a classify call is answered with
+    `render_partition` of the stored partition of the cluster whose texts it
+    names, in cluster order; the connect call with the stored
+    `connected_text`, or an EngineError when the record fell back. Asking
+    for a summarize call raises."""
+    config = PipelineConfig(**{k: v for k, v in stored["config"].items() if k != "k"})
+    resolved, tasks, record = prepare(article, config)
+    partitions = {tuple(cluster["texts"]): vote["partition"]
+                  for cluster, vote in zip(stored["clusters"], stored["votes"])}
+    final = stored["final"]
+
+    def ask(task, items):
+        reply = Future()
+        if task == "classify":
+            reply.set_result(render_partition(partitions[tuple(items)]))
+        elif task == "connect" and final["fallback"]:
+            reply.set_exception(EngineError("the recorded connect call fell back"))
+        elif task == "connect":
+            reply.set_result(final["connected_text"])
+        else:
+            raise AssertionError(f"a replay asks for no {task} call")
+        return reply
+
+    summaries = [entry["text"] for entry in stored["local_summaries"]]
+    reply, connect = decide(article, resolved, tasks, summaries, ask, record)
+    connect(reply)
+    return record
 
 
 # ---------------------------------------------------------------- fake engines

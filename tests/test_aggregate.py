@@ -74,6 +74,42 @@ class TestVote:
         assert grown["winner_category"] == [2, 3, 4, 5]
         assert grown["winner_seq"] == 5
 
+    def test_one_vote_per_local_summary(self):
+        """A category's support is the number of distinct local summaries
+        its statements come from: one summary stating a version three times
+        loses to two summaries stating another once each."""
+        once = make_statements(["1990", "1990"])
+        thrice = [Statement(text="1991", window_ordinal=1, generation_seq=3 + i,
+                            position_in_summary=1 + i) for i in range(3)]
+        outcome = vote(once + thrice, [[1, 2], [3, 4, 5]])
+        assert outcome["winner_category"] == [1, 2]
+        assert outcome["rationale"] == "within-category-latest"
+
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1,
+                    max_size=5), st.data())
+    def test_duplicate_in_its_own_summary_keeps_the_winning_category(self, summaries, data):
+        """Each local summary is a list of category labels. Copying one
+        statement next to itself, in its own summary and category, never
+        changes the label of the winning category."""
+        def winning_label(summaries):
+            cluster, labels = [], []
+            for summary in summaries:
+                for pos, label in enumerate(summary, 1):
+                    cluster.append(Statement(text=f"c{label}", window_ordinal=1,
+                                             generation_seq=len(cluster) + 1,
+                                             position_in_summary=pos))
+                    labels.append(label)
+            categories: dict[int, list[int]] = {}
+            for i, label in enumerate(labels, 1):
+                categories.setdefault(label, []).append(i)
+            return labels[vote(cluster, list(categories.values()))["winner_seq"] - 1]
+
+        which = data.draw(st.integers(0, len(summaries) - 1), label="summary")
+        pos = data.draw(st.integers(0, len(summaries[which]) - 1), label="statement")
+        grown = [list(summary) for summary in summaries]
+        grown[which].insert(pos, grown[which][pos])
+        assert winning_label(grown) == winning_label(summaries)
+
 
 ARTICLE = Article.from_text(
     "art",

@@ -296,6 +296,36 @@ class TestHttpEngine:
         assert str(info.value) == (f"request {request} sample 1: failed after 5 attempts "
                                    f"(transport error: {detail})")
 
+    @pytest.mark.parametrize("task, items", [
+        ("summarize", "text"), ("classify", ["a.", "b."]), ("connect", ["a.", "b."])])
+    @pytest.mark.parametrize("finish, reason", [
+        ("length", "finish_reason 'length' (the reply was cut at max_tokens: "
+                   "raise --max-tokens)"),
+        ("content_filter", "finish_reason 'content_filter'"),
+    ])
+    def test_unfinished_reply_is_refused(self, task, items, finish, reason):
+        """A reply whose finish_reason is set to anything but 'stop' fails
+        the call at once with a non-retryable EngineError naming the reason;
+        a reply cut at max_tokens names --max-tokens too."""
+        body = {"choices": [{"message": {"content": "The bridge will cost forty mil"},
+                             "finish_reason": finish}]}
+        transport = ScriptedTransport([(200, body)])
+        with CallScheduler(1) as scheduler:
+            cached, sleeps = self.cached(transport, scheduler)
+            with pytest.raises(EngineError) as info:
+                getattr(cached, task)(items)
+        assert (info.value.retryable, info.value.reason) == (False, reason)
+        assert len(transport.calls) == 1
+        assert (sleeps, cached.retries) == ([], 0)
+
+    @pytest.mark.parametrize("choice", [{}, {"finish_reason": None}, {"finish_reason": "stop"}])
+    def test_finished_reply_is_accepted(self, choice):
+        """A reply without a finish_reason, with a null one or with 'stop' is
+        read as before."""
+        body = {"choices": [{"message": {"content": " done "}, **choice}]}
+        engine, _ = self.engine(ScriptedTransport([(200, body)]))
+        assert engine.summarize("text") == "done"
+
     def test_gives_up_after_max_attempts(self):
         transport = ScriptedTransport([(503, {})] * 5)
         with CallScheduler(1) as scheduler:

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import logging
@@ -35,6 +36,7 @@ from conftest import (
     PLANTED_EVENTS,
     ContestedEngine,
     PeakTransport,
+    RewordingTransport,
     SamplingEngine,
     cache_key,
     planted_article,
@@ -571,6 +573,46 @@ class TestRun:
         assert "moon" not in record.final["connected_text"]
         assert record.final["statements"]
 
+    def test_one_vote_per_local_summary(self):
+        """The vote counts local summaries, not statements: in one window
+        with K=3 and MinPts 2, two samples stating 1990 outvote one sample
+        stating 1991 three times."""
+        v1990 = "The bridge opened in 1990 after a long council vote."
+        v1991 = v1990.replace("1990", "1991")
+
+        class RepeatingEngine(MockEngine):
+            def summarize(self, window_text, params=None):
+                return " ".join([v1991] * 3) if params.seed == 3 else v1990
+
+        article = Article.from_text("bridge", "The bridge opened after a long council "
+                                              "vote. Traffic over the river doubled.")
+        record = run(article, PipelineConfig(seed=1, concurrency=1), RepeatingEngine())
+        assert (record.config["k"], record.config["min_pts"]) == (3, 2)
+        assert [(c["size"], c["local_summary_count"]) for c in record.clusters] == [(5, 3)]
+        assert record.votes[0]["partition"] == [[1, 2], [3, 4, 5]]
+        assert [s["text"] for s in record.final["statements"]] == [v1990]
+
+    def test_finished_article_leaves_no_reference_cycle(self, planted):
+        """Once `run` returns, refcounting alone frees the article's
+        statements and closures: the connect call's future, which keeps its
+        done-callback, must not be reachable from that callback, or every
+        article's state would wait for the cycle collector (and peak memory
+        would grow). The connect call is slow, so the callback is queued."""
+        class SlowConnect(MockEngine):
+            def connect(self, statements, params=None):
+                time.sleep(0.02)
+                return super().connect(statements, params)
+
+        run(planted, PipelineConfig(concurrency=2), SlowConnect())
+        gc.collect()
+        gc.disable()
+        try:
+            record = run(planted, PipelineConfig(concurrency=2), SlowConnect())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert record.stats.connect_calls == 1
+
     def test_engine_call_accounting(self, planted, tmp_path):
         record = run(planted, PipelineConfig(concurrency=1))
         expected = record.plan["total_generations"]
@@ -1008,6 +1050,60 @@ _JSON = st.recursive(
                                st.dictionaries(_STRINGS, children)),
     max_leaves=30,
 )
+
+
+class CuttingTransport(RewordingTransport):
+    """RewordingTransport whose replies to `task` carry `finish_reason`."""
+
+    def __init__(self, task, finish_reason):
+        super().__init__()
+        self.instruction, self.finish_reason = INSTRUCTIONS[task], finish_reason
+
+    def answer(self, payload):
+        status, body = super().answer(payload)
+        if payload["messages"][0]["content"] == self.instruction:
+            body["choices"][0]["finish_reason"] = self.finish_reason
+        return status, body
+
+
+class TestUnfinishedReplies:
+    """A reply whose finish_reason is not 'stop' is refused and never reaches
+    the cache log: a cut or filtered summarize or classify reply fails the
+    article, and a connect reply falls back to the joined statements."""
+
+    ARTICLE = Article.from_text("pets", "Cats nap at noon. Dogs bark at night.")
+
+    def run(self, tmp_path, task, finish):
+        engine = HttpEngine(transport=CuttingTransport(task, finish))
+        config = PipelineConfig(backend="http", seed=1, concurrency=2, cache_dir=str(tmp_path))
+        return run(self.ARTICLE, config, engine)
+
+    @staticmethod
+    def stored_tasks(directory):
+        if not os.path.exists(os.path.join(directory, LOG_NAME)):
+            return set()
+        return {json.loads(line.split("\t", 1)[1])["task"] for line in log_lines(directory)}
+
+    @pytest.mark.parametrize("task", ["summarize", "classify"])
+    @pytest.mark.parametrize("finish, message", [
+        ("length", "finish_reason 'length' .*raise --max-tokens"),
+        ("content_filter", "finish_reason 'content_filter'"),
+    ])
+    def test_summarize_or_classify_fails_the_article(self, tmp_path, task, finish, message):
+        with pytest.raises(EngineError, match=message):
+            self.run(tmp_path, task, finish)
+        assert task not in self.stored_tasks(tmp_path)
+
+    @pytest.mark.parametrize("finish", ["length", "content_filter"])
+    def test_connect_falls_back(self, tmp_path, finish):
+        expected = run(self.ARTICLE, PipelineConfig(seed=1), ContestedEngine())
+        record = self.run(tmp_path, "connect", finish)
+        assert record.stats.classify_calls > 0
+        assert (record.status, record.final["fallback"]) == ("complete", True)
+        assert record.final["statements"] == expected.final["statements"]
+        assert record.final["connected_text"] == " ".join(
+            s["text"] for s in expected.final["statements"])
+        assert self.stored_tasks(tmp_path) == {"summarize", "classify"}
 
 
 class TestIndentedJson:
