@@ -148,18 +148,18 @@ def cmd_summarize(args) -> int:
 
     summaries_path = os.path.join(args.output, "summaries.jsonl")
     try:
-        fh = open(summaries_path, "w", encoding="utf-8")
+        fh = open(summaries_path, "wb", buffering=0)  # a failed line is not retried at close
     except OSError as exc:
         _warn(f"cannot write {summaries_path}: {exc.strerror}")
         return EXIT_USAGE
     with fh, CallScheduler(config.concurrency) as scheduler:
         # Articles are read as they are started. Up to concurrency + 1 have
         # their generations submitted while the oldest of them is finished
-        # here. Its connect step then runs beside the next finish, and its
-        # record is written after that one, so outputs come in input order
-        # and at most concurrency + 2 articles are held.
+        # here. Its connect call is in flight during the next finish, and it
+        # is completed and written after that one, so outputs come in input
+        # order and at most concurrency + 2 articles are held.
         started: deque = deque()
-        finished: deque = deque()  # (record, the future of its finish)
+        finished: deque = deque()  # (record, the complete its finish returned)
 
         def finish_oldest() -> None:
             nonlocal partial
@@ -199,12 +199,12 @@ def _articles(lines: _Pairs):
         _warn("no valid articles in input")
 
 
-def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
-    """Wait for a finished article's `outcome`, the future `finish` returned,
-    then write its record and, if it completed, its summary line; False if
-    it failed or its record could not be written."""
+def _write_outputs(record, complete, records_dir: str, fh) -> bool:
+    """Complete a finished article through `complete`, which `finish`
+    returned, then write its record and, if it completed, its summary line;
+    False if it failed or its record or summary line could not be written."""
     try:
-        outcome.result()
+        complete()
     except EngineError as exc:
         _warn(f"article {record.article_id!r} failed: {exc}")
     try:
@@ -215,17 +215,20 @@ def _write_outputs(record, outcome, records_dir: str, fh) -> bool:
         return False
     if record.status != "complete":
         return False
-    # After its record, and flushed: a line on disk implies its record.
-    fh.write(json.dumps(
-        {"id": record.article_id, "summary": record.final["connected_text"]},
-        ensure_ascii=False, sort_keys=True,
-    ) + "\n")
-    fh.flush()
-    _warn(
-        f"{record.article_id}: backend_calls={record.stats.backend_calls} "
-        f"cache_hits={record.stats.cache_hits} retries={record.stats.retries} "
-        f"elapsed={record.stats.elapsed_s:.2f}s"
-    )
+    # After its record, unbuffered: a line on disk implies its record.
+    line = json.dumps({"id": record.article_id, "summary": record.final["connected_text"]},
+                      ensure_ascii=False, sort_keys=True) + "\n"
+    data = memoryview(line.encode("utf-8"))
+    try:
+        while data:  # a short write leaves the rest to the next one
+            data = data[fh.write(data):]
+    except OSError as exc:
+        _warn(f"article {record.article_id!r}: cannot write its summary line "
+              f"({exc.strerror or exc})")
+        return False
+    _warn(f"{record.article_id}: backend_calls={record.stats.backend_calls} "
+          f"cache_hits={record.stats.cache_hits} retries={record.stats.retries} "
+          f"elapsed={record.stats.elapsed_s:.2f}s")
     return True
 
 
@@ -423,10 +426,15 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ConfigurationError as exc:
         _warn(str(exc))
         return EXIT_USAGE
+    except BrokenPipeError:  # stdout was closed: Python's documented SIGPIPE recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

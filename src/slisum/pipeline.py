@@ -8,6 +8,7 @@ to the record, asking for classify and connect replies only through the
 """
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable
 from concurrent.futures import Future, wait
@@ -114,11 +115,12 @@ def _statement_dict(stmt: Statement) -> dict:
 def run(article: Article, config: PipelineConfig,
         engine: SummaryEngine | None = None) -> RunRecord:
     """Execute the full pipeline for one article and return its record,
-    with a response cache in `config.cache_dir` when that is set and a
-    scheduler of the configured concurrency."""
+    `start`, `finish()` and the `complete()` it returns in turn, with a
+    response cache in `config.cache_dir` when that is set and a scheduler of
+    the configured concurrency."""
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     with CallScheduler(config.concurrency) as scheduler:
-        return start(article, config, engine, cache, scheduler)[1]().result()
+        return start(article, config, engine, cache, scheduler)[1]()()
 
 
 def prepare(article: Article, config: PipelineConfig
@@ -156,21 +158,21 @@ def start(
     engine: SummaryEngine | None,
     cache: ResponseCache | None,
     scheduler: CallScheduler,
-) -> tuple[RunRecord, Callable[[], Future]]:
+) -> tuple[RunRecord, Callable[[], Callable[[], RunRecord]]]:
     """`prepare` the article and ask for its window generations through
     `CachedEngine.ask`, which picks each call's queue; return its record and
     `finish`.
 
     `finish()` waits for the generations and runs `decide` on the calling
-    thread, with an `ask` bound to the same `CachedEngine`. It returns a
-    future whose result is the completed record, so the calling thread can
-    finish the next article meanwhile: the connect step runs on the thread
-    that completes the connect call, or at once for a stored reply or fewer
-    than two winners. On an engine failure `finish` cancels the article's
-    calls not yet started, waits for the running ones, flags the record and
-    returns a future holding the error; a connect step falls back instead.
-    Neither writes a file, apart from the cache's log. Settings out of range
-    raise ConfigurationError here, before any call.
+    thread, with an `ask` bound to the same `CachedEngine`, which sends the
+    connect call. It returns `complete`, so the calling thread can finish
+    the next article while that call is in flight: `complete()` waits for
+    the connect reply, runs the connect step, takes the stats and returns
+    the completed record. On an engine failure `finish` cancels the
+    article's calls not yet started, waits for the running ones and flags
+    the record, and `complete()` raises the error; a connect step falls back
+    instead. Neither writes a file, apart from the cache's log. Settings out
+    of range raise ConfigurationError here, before any call.
     """
     started = time.monotonic()
     resolved, tasks, record = prepare(article, config)
@@ -181,35 +183,28 @@ def start(
     futures = [cached.ask("summarize", window_text(article, window), params, rep)
                for window, rep in tasks]
 
-    def finish() -> Future:
-        outcome = Future()
+    def finish() -> Callable[[], RunRecord]:
         try:
-            reply, connect = decide(article, resolved, tasks, _results(futures),
-                                    lambda task, items: cached.ask(task, items, params), record)
+            connect = decide(article, resolved, tasks, _results(futures),
+                             lambda task, items: cached.ask(task, items, params), record)
         except EngineError as exc:
             record.flags.append("aborted: engine error")
             record.stats = cached.stats(time.monotonic() - started)
-            outcome.set_exception(exc)
-            return outcome
+            return functools.partial(_raise, exc)
 
-        def connect_step(reply: Future) -> None:
-            try:
-                connect(reply)
-                record.stats = cached.stats(time.monotonic() - started)
-            except BaseException as exc:  # a done-callback's own exception would be lost
-                outcome.set_exception(exc)
-            else:
-                outcome.set_result(record)
+        def complete() -> RunRecord:
+            connect()
+            record.stats = cached.stats(time.monotonic() - started)
+            return record
 
-        reply.add_done_callback(connect_step)
-        return outcome
+        return complete
 
     return record, finish
 
 
 def decide(article: Article, resolved: PipelineConfig, tasks: list[tuple[Window, int]],
            summaries: list[str], ask: Callable[[str, list[str]], Future],
-           record: RunRecord) -> tuple[Future, Callable[[Future], None]]:
+           record: RunRecord) -> Callable[[], None]:
     """Fill the record from the local summaries, one per task: split them
     into statements, cluster, vote inside each retained cluster and arrange
     the winners. Every reply it needs is asked for as `ask(task, items)`, a
@@ -220,11 +215,11 @@ def decide(article: Article, resolved: PipelineConfig, tasks: list[tuple[Window,
     Statements are numbered in task order, so concurrency never changes the
     result.
 
-    Returns the connect call's future and the connect step, which is given
-    that future, waits for its reply, connects the winners with it or falls
-    back, fills `record.final` and marks the record complete. (The step takes
-    the future rather than holding it, so a done-callback that runs the step
-    makes no reference cycle that would keep the article's statements alive.)"""
+    Returns the connect step, which waits for the connect reply, connects
+    the winners with it or falls back, fills `record.final` and marks the
+    record complete. The step holds only what it reads (the winners, their
+    token bags and their `final` rows), so the article, its statements and
+    their lexicon can be freed while the connect call is in flight."""
     statements: list[Statement] = []
     # Each distinct text the article's statements, sentences and connected
     # text hold is tokenized once: text -> (token bag, normalized form). The
@@ -286,29 +281,23 @@ def decide(article: Article, resolved: PipelineConfig, tasks: list[tuple[Window,
 
     winners = [s for s, _ in arranged]
     reply = ask("connect", [s.text for s in winners]) if len(winners) > 1 else done(None)
+    rows = [{"text": s.text, "source_anchor": anchor_idx,
+             "anchor_word_offset": article.offsets[anchor_idx - 1] + 1,
+             "window_ordinal": s.window_ordinal, "generation_seq": s.generation_seq,
+             "cluster_id": winner_cluster[s.generation_seq]} for s, anchor_idx in arranged]
+    bags = {s.text: s.token_bag for s in winners}
 
-    def connect(reply: Future) -> None:
+    def connect() -> None:
+        wait((reply,))  # so integrate's time leaves out the connect call's
         connected, fallback = "", False
         if winners:
-            connected, fallback = integrate(winners, lambda texts: reply.result(), bag_of)
-        record.final = {
-            "statements": [
-                {
-                    "text": s.text,
-                    "source_anchor": anchor_idx,
-                    "anchor_word_offset": article.offsets[anchor_idx - 1] + 1,
-                    "window_ordinal": s.window_ordinal,
-                    "generation_seq": s.generation_seq,
-                    "cluster_id": winner_cluster[s.generation_seq],
-                }
-                for s, anchor_idx in arranged
-            ],
-            "connected_text": connected,
-            "fallback": fallback,
-        }
+            connected, fallback = integrate(
+                winners, lambda texts: reply.result(),
+                lambda text: bags.get(text) or TokenBag.from_text(text))
+        record.final = {"statements": rows, "connected_text": connected, "fallback": fallback}
         record.status = "complete"
 
-    return reply, connect
+    return connect
 
 
 def _results(futures: list[Future]) -> list:
@@ -321,3 +310,7 @@ def _results(futures: list[Future]) -> list:
             future.cancel()
         wait(futures)
         raise
+
+
+def _raise(error: BaseException):
+    raise error

@@ -283,8 +283,7 @@ def replay(article: Article, stored: dict) -> RunRecord:
         return reply
 
     summaries = [entry["text"] for entry in stored["local_summaries"]]
-    reply, connect = decide(article, resolved, tasks, summaries, ask, record)
-    connect(reply)
+    decide(article, resolved, tasks, summaries, ask, record)()
     return record
 
 

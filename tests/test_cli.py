@@ -201,6 +201,23 @@ class TestSummarize:
         assert sorted(os.listdir(out / "records")) == ["birds.json", "solar.json"]
         assert os.listdir(out / "records" / "solar.json") == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_summary_line_that_cannot_be_written_fails_its_article(self, tmp_path, capsys):
+        """A summary line the disk refuses (summaries.jsonl is a link to
+        /dev/full) fails its article with one warning naming it and the
+        reason (exit 2), after its record is written; nothing is raised when
+        the file is closed."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [{"id": "birds", "article": "Birds sing at dawn. Birds sing at "
+                                                       "sunrise. Cats nap at noon."}])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summaries.jsonl").symlink_to("/dev/full")
+        assert main(["summarize", str(path), "-o", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            "slisum: article 'birds': cannot write its summary line (No space left on device)"]
+        assert os.listdir(out / "records") == ["birds.json"]
+
     def test_cache_io_error_fails_only_its_article(self, tmp_path, monkeypatch, capsys):
         """A cache log that cannot be written fails only the article whose
         answers it could not store: one warning naming the log, its record
@@ -599,7 +616,7 @@ class TestSummarize:
         """summarize starts at most --concurrency + 1 articles ahead and
         finishes each on the calling thread, beside at most --concurrency + 1
         call threads and --concurrency finishing threads, which run the
-        connect steps; an article's record is written once the next article
+        connect calls; an article's record is written once the next article
         is finished; outputs do not depend on the concurrency."""
         caller = threading.get_ident()
         texts = [planted_text().replace("nx", f"a{a}nx") for a in range(8)]

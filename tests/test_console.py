@@ -3,9 +3,10 @@
 Most tests run the entry point in a process of its own, `python -m
 slisum.cli` on the source the tests import, for what only a separate process
 shows: a warm rerun served from another process's cache, the connections a
-run opens to a real server, and peak RSS. The http backend against a refused
-port runs in-process through `slisum.cli.main`, with an engine that skips
-its backoff sleeps, since five real attempts would wait for seconds.
+run opens to a real server, peak RSS, and a reader that closes the pipe. The
+http backend against a refused port runs in-process through
+`slisum.cli.main`, with an engine that skips its backoff sleeps, since five
+real attempts would wait for seconds.
 """
 import json
 import os
@@ -14,7 +15,7 @@ import socket
 import subprocess
 import sys
 
-from slisum.cli import EXIT_OK, EXIT_PARTIAL, main
+from slisum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from slisum.engine import HttpEngine
 
 from conftest import EchoServer
@@ -138,3 +139,20 @@ def test_peak_rss_does_not_grow_with_the_corpus(tmp_path):
         peaks.append(int(peak.stdout))
     assert len((out / "summaries.jsonl").read_text().splitlines()) == 1000
     assert peaks[1] - peaks[0] <= 3072, peaks
+
+
+def test_closed_stdout_ends_the_command_without_a_traceback(tmp_path):
+    """A reader that takes one line and closes the pipe, as `| head -1` does,
+    while a dry run still has more than a pipe buffer to print, ends the
+    command with exit 1 and nothing on stderr."""
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [
+        {"id": f"a{a}", "article": " ".join(f"Word{i} runs fast." for i in range(200))}
+        for a in range(200)])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = slisum_command("summarize", "--dry-run", corpus, "-o", tmp_path / "out")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        assert child.stdout.readline().startswith(b"a0: 600 words")
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (EXIT_USAGE, b"")

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -613,6 +614,32 @@ class TestRun:
             gc.enable()
         assert record.stats.connect_calls == 1
 
+    def test_article_is_freed_before_it_is_completed(self):
+        """Once `finish()` has returned, nothing holds the article while its
+        connect call is in flight: the connect step holds only the winners,
+        their token bags and their `final` rows."""
+        release = threading.Event()
+
+        class HeldConnect(MockEngine):
+            def connect(self, statements, params=None):
+                release.wait(timeout=10)
+                return super().connect(statements, params)
+
+        article = planted_article()
+        alive = weakref.ref(article)
+        with CallScheduler(2) as scheduler:
+            try:
+                finish = start(article, PipelineConfig(concurrency=2), HeldConnect(), None,
+                               scheduler)[1]
+                complete = finish()
+                del article, finish
+                assert alive() is None
+            finally:
+                release.set()
+            record = complete()
+        assert record.status == "complete"
+        assert record.stats.connect_calls == 1
+
     def test_engine_call_accounting(self, planted, tmp_path):
         record = run(planted, PipelineConfig(concurrency=1))
         expected = record.plan["total_generations"]
@@ -905,9 +932,9 @@ class TestRun:
         assert peak > 1
 
     def test_partial_record_aborted_on_engine_error(self, planted):
-        """On an engine error `finish` returns a future holding it, the
-        article's record stays aborted and flagged, and its generations not
-        yet started are cancelled."""
+        """On an engine error `finish` returns a `complete` that raises it,
+        the article's record stays aborted and flagged, and its generations
+        not yet started are cancelled."""
         class FailingEngine(MockEngine):
             def __init__(self):
                 self.calls = 0
@@ -925,7 +952,7 @@ class TestRun:
                                    scheduler)
             assert record.status == "aborted"
             with pytest.raises(EngineError):
-                finish().result()
+                finish()()
             scheduler.submit(lambda: None).result(timeout=10)  # after every call not cancelled
         assert engine.calls < build_window_plan(planted, 150, 50).total_generations
         assert record.status == "aborted"
@@ -955,7 +982,7 @@ class TestRun:
             record, finish = start(article, PipelineConfig(concurrency=1), engine, None,
                                    scheduler)
             with pytest.raises(EngineError):
-                finish().result()
+                finish()()
         assert engine.classifies == 2
         assert len(record.clusters) == 2
         assert record.votes == []
